@@ -15,7 +15,6 @@ with the same seed.
 
 import argparse
 import json
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -29,7 +28,7 @@ from . import metrics as metrics_mod
 from . import valla as valla_mod
 from .errors import CapExceeded, ConfigError, LagpError
 from .kernel import KernelContext
-from .lla import LikelihoodModel
+from .lla import GaussianPredictive, LikelihoodModel
 from .nn import MlpArchitecture, TrainConfig, load_network, save_network, train_map
 from .serialize import load_state, save_state
 
@@ -267,20 +266,19 @@ def fit_method(cfg, net, train, val, log_dir=None):
         return lla_mod.MapState(ctx=ctx, likelihood=likelihood), info
     if method == "lla_exact":
         try:
-            return lla_mod.fit_exact(ctx, likelihood, train.inputs, train.targets), info
+            return lla_mod.fit_exact(ctx, likelihood, train.inputs), info
         except CapExceeded as exc:
             raise CapExceeded(f"{exc}; use method = valla for datasets this large") from None
     if method == "lla_diag":
-        return lla_mod.fit_diag(net, likelihood, train.inputs, train.targets, prior_variance), info
+        return lla_mod.fit_diag(net, likelihood, train.inputs, prior_variance), info
     if method == "lla_last_layer":
-        return lla_mod.fit_last_layer(net, likelihood, train.inputs, train.targets, prior_variance), info
+        return lla_mod.fit_last_layer(net, likelihood, train.inputs, prior_variance), info
     if method == "ella":
         features = cfg["method.features"]
         state = ella_mod.ella_fit(
             ctx,
             likelihood,
             train.inputs,
-            train.targets,
             m=int(cfg["method.anchors"]),
             k=None if features == "auto" else int(features),
             seed=int(cfg["seed"]),
@@ -339,70 +337,61 @@ def cmd_fit(args):
 
 
 def predict_any(state, x):
-    """Batched predictives for every state kind."""
-    from .ella import EllaState, ella_predict_batch
-    from .valla import VallaState, valla_predict_batch
-
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(state, lla_mod.MapState):
-        return lla_mod.predict_map_batch(state, x)
-    if isinstance(state, lla_mod.LlaExactState):
-        return lla_mod.predict_exact_batch(state, x)
-    if isinstance(state, lla_mod.LlaWeightState):
-        return lla_mod.predict_weight_space_batch(state, x)
-    if isinstance(state, lla_mod.LlaDiagState):
-        return lla_mod.predict_diag_batch(state, x)
-    if isinstance(state, lla_mod.LlaLastLayerState):
-        return lla_mod.predict_last_layer_batch(state, x)
-    if isinstance(state, VallaState):
-        return valla_predict_batch(state, x)
-    if isinstance(state, EllaState):
-        return ella_predict_batch(state, x)
-    raise ConfigError(f"cannot predict with state type {type(state).__name__}")
+    """GaussianPredictive of any fitted state at the inputs x: ``state.predict(x)``."""
+    return state.predict(x)
 
 
-def _to_original_units(preds, normalization):
-    """Map regression predictives from normalized to original target units."""
+def _to_original_units(pred, normalization):
+    """Map a regression predictive from normalized to original target units."""
     if normalization is None:
-        return preds
+        return pred
     scale = float(normalization.target_std[0])
     shift = float(normalization.target_mean[0])
-    out = []
-    for p in preds:
-        lik = p.likelihood
-        if lik.kind == "gaussian":
-            lik = LikelihoodModel(kind="gaussian", noise_variance=lik.noise_variance * scale**2)
-        out.append(
-            lla_mod.GaussianPredictive(
-                mean=shift + scale * p.mean,
-                covariance=scale**2 * p.covariance,
-                likelihood=lik,
-            )
-        )
-    return out
+    lik = pred.likelihood
+    if lik.kind == "gaussian":
+        lik = LikelihoodModel(kind="gaussian", noise_variance=lik.noise_variance * scale**2)
+    return GaussianPredictive(mean=shift + scale * pred.mean, covariance=scale**2 * pred.covariance, likelihood=lik)
 
 
-def evaluate_regression(preds, y):
+def evaluate_regression(pred, y):
     return metrics_mod.MetricsReport(
-        n_points=len(preds),
-        nll=metrics_mod.nll_gaussian(preds, y),
-        crps=metrics_mod.crps_gaussian(preds, y),
-        cqm=metrics_mod.cqm(preds, y),
+        n_points=len(pred),
+        nll=metrics_mod.nll_gaussian(pred, y),
+        crps=metrics_mod.crps_gaussian(pred, y),
+        cqm=metrics_mod.cqm(pred, y),
     )
 
 
-def evaluate_classification(preds, labels):
-    probs = np.stack([metrics_mod.predictive_class_probs(p.mean, p.covariance) for p in preds])
+def evaluate_classification(pred, labels):
+    probs = metrics_mod.predictive_class_probs(pred.mean, pred.covariance)
     labels = np.asarray(labels).astype(int).ravel()
-    nll = float(np.mean([-np.log(max(probs[i, labels[i]], 1e-300)) for i in range(len(preds))]))
+    nll = float(np.mean(-np.log(np.maximum(probs[np.arange(len(pred)), labels], 1e-300))))
     report = metrics_mod.MetricsReport(
-        n_points=len(preds),
+        n_points=len(pred),
         nll=nll,
         ece=metrics_mod.ece(probs, labels),
         brier=metrics_mod.brier(probs, labels),
         acc=metrics_mod.accuracy(probs, labels),
     )
     return report, probs
+
+
+def evaluate_split(state, part, normalization):
+    """Metrics of a state on a split, and the curve ``evaluate`` writes with them.
+
+    Regression is scored in the original target units; its curve is
+    (alphas, coverage). For classification the curve is the predictive
+    entropy of each point.
+    """
+    pred = state.predict(part.inputs)
+    if part.task == "classification":
+        report, probs = evaluate_classification(pred, part.targets)
+        return report, metrics_mod.predictive_entropy(probs)
+    pred = _to_original_units(pred, normalization)
+    y = part.targets.ravel()
+    if normalization is not None:
+        y = y * float(normalization.target_std[0]) + float(normalization.target_mean[0])
+    return evaluate_regression(pred, y), metrics_mod.coverage_curve(pred, y)
 
 
 def cmd_evaluate(args):
@@ -428,25 +417,13 @@ def cmd_evaluate(args):
     if part.n == 0:
         raise ConfigError(f"split {args.split!r} is empty")
 
-    preds = predict_any(state, part.inputs)
+    report, curve = evaluate_split(state, part, normalization)
     if part.task == "regression":
-        preds = _to_original_units(preds, normalization)
-        y = part.targets.ravel()
-        if normalization is not None:
-            y = y * float(normalization.target_std[0]) + float(normalization.target_mean[0])
-        report = evaluate_regression(preds, y)
-        alphas, coverage = metrics_mod.coverage_curve(preds, y)
-        with open(out / f"coverage_{args.split}.csv", "w", encoding="utf-8") as fh:
-            fh.write("alpha,coverage\n")
-            for a, c in zip(alphas, coverage):
-                fh.write(f"{float(a)!r},{float(c)!r}\n")
+        rows = ["alpha,coverage"] + [f"{float(a)!r},{float(c)!r}" for a, c in zip(*curve)]
+        (out / f"coverage_{args.split}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     else:
-        report, probs = evaluate_classification(preds, part.targets)
-        entropy = metrics_mod.predictive_entropy(probs)
-        with open(out / f"entropy_{args.split}.csv", "w", encoding="utf-8") as fh:
-            fh.write("entropy\n")
-            for e in entropy:
-                fh.write(f"{float(e)!r}\n")
+        rows = ["entropy"] + [f"{float(e)!r}" for e in curve]
+        (out / f"entropy_{args.split}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     (out / f"metrics_{args.split}.json").write_text(payload)
     print(payload, end="")
@@ -467,14 +444,11 @@ def cmd_predict_grid(args):
     x = grid[:, None]
     if normalization is not None:
         x = (x - normalization.input_mean) / normalization.input_std
-    preds = predict_any(state, x)
-    preds = _to_original_units(preds, normalization)
-    rows = ["x,mean,std_function,std_y"]
-    for g, p in zip(grid, preds):
-        std_f = float(np.sqrt(max(p.covariance[0, 0], 0.0)))
-        noise = p.likelihood.noise_variance if p.likelihood.kind == "gaussian" else 0.0
-        std_y = float(np.sqrt(max(p.covariance[0, 0], 0.0) + noise))
-        rows.append(f"{float(g)!r},{float(p.mean[0])!r},{std_f!r},{std_y!r}")
+    pred = _to_original_units(state.predict(x), normalization)
+    var_f = np.maximum(pred.covariance[:, 0, 0], 0.0)
+    noise = pred.likelihood.noise_variance if pred.likelihood.kind == "gaussian" else 0.0
+    columns = zip(grid, pred.mean[:, 0], np.sqrt(var_f), np.sqrt(var_f + noise))
+    rows = ["x,mean,std_function,std_y"] + [",".join(repr(float(v)) for v in row) for row in columns]
     output = "\n".join(rows) + "\n"
     if args.output:
         Path(args.output).write_text(output)
@@ -498,25 +472,17 @@ def cmd_compare(args):
     if test.n == 0:
         raise ConfigError("test split is empty")
 
+    # every method shares one choice of the variances (one evidence search)
+    prior_variance, noise_variance = _choose_hyperparameters(cfg, net, train)
+    cfg = dict(cfg, **{"method.prior_variance": prior_variance, "method.noise_variance": noise_variance})
     rows = []
     timings = {}
     for method in methods:
-        run_cfg = dict(cfg)
-        run_cfg["method"] = method
         started = time.monotonic()
-        state, info = fit_method(run_cfg, net, train, val, log_dir=out)
+        state, _ = fit_method(dict(cfg, method=method), net, train, val, log_dir=out)
         timings[method] = time.monotonic() - started
         save_state(out / f"state_{method}.bin", state, normalization=normalization)
-        preds = predict_any(state, test.inputs)
-        if test.task == "regression":
-            preds = _to_original_units(preds, normalization)
-            y = test.targets.ravel()
-            if normalization is not None:
-                y = y * float(normalization.target_std[0]) + float(normalization.target_mean[0])
-            report = evaluate_regression(preds, y)
-        else:
-            report, _ = evaluate_classification(preds, test.targets)
-        rows.append((method, report))
+        rows.append((method, evaluate_split(state, test, normalization)[0]))
 
     metric_keys = sorted({k for _, r in rows for k in r.to_dict() if k != "n_points"})
     lines = ["method," + ",".join(metric_keys)]

@@ -21,22 +21,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFloorExhausted
-from .kernel import kernel_block_fast
+from .kernel import as_inputs, kernel_block_fast
 from .linalg import cholesky, rng_stream, solve_psd, sym_eig
-from .lla import GaussianPredictive, LikelihoodModel, _lambda_blocks
+from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, _lambda_blocks
 from .nn import forward
 
 EIGEN_FLOOR_FACTOR = 1e-10
 
 
 @dataclass(frozen=True)
-class EllaState:
+class EllaState(PosteriorState):
+    KIND = "ella"
+    ARRAYS = ("anchors", "projection")
+    FACTORS = ("precision_factor",)
+    META = {"feature_dim": int}
+
     ctx: object
     likelihood: LikelihoodModel
     anchors: np.ndarray  # (M, D) subset of the training inputs
     feature_dim: int
     projection: np.ndarray  # (K, M*C), maps unscaled kernel columns to features
     precision_factor: object  # Cholesky of G
+
+    def predict(self, x):
+        return ella_predict_batch(self, x)
 
 
 def _features(state_ctx, projection, anchors, x):
@@ -50,7 +58,7 @@ def _features(state_ctx, projection, anchors, x):
     return proj.reshape(k, n, c).transpose(1, 2, 0)
 
 
-def ella_fit(ctx, likelihood, x, y=None, m=20, k=20, seed=0, max_points=None, chunk=256):
+def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None, chunk=256):
     """Anchor, eigendecompose, then accumulate the precision in one pass.
 
     ``k=None`` keeps every eigenpair above the floor, which is the
@@ -59,9 +67,7 @@ def ella_fit(ctx, likelihood, x, y=None, m=20, k=20, seed=0, max_points=None, ch
     points of ``x`` (the early-stopping variant); anchors are still drawn
     from the full set.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, ctx.net.arch.input_dim)
     n = x.shape[0]
     c = ctx.net.arch.output_dim
     if not 1 <= m <= n:
@@ -96,8 +102,7 @@ def ella_fit(ctx, likelihood, x, y=None, m=20, k=20, seed=0, max_points=None, ch
         xb = x[start:stop]
         phi = _features(ctx, projection, anchors, xb)  # (B, C, K)
         outputs = forward(ctx.net, xb).output
-        yb = None if y is None else np.asarray(y)[start:stop]
-        blocks, _ = _lambda_blocks(likelihood, outputs, yb)
+        blocks, _ = _lambda_blocks(likelihood, outputs)
         precision += np.einsum("bck,bcd,bdl->kl", phi, blocks, phi)
     precision = 0.5 * (precision + precision.T)
     return EllaState(
@@ -111,22 +116,10 @@ def ella_fit(ctx, likelihood, x, y=None, m=20, k=20, seed=0, max_points=None, ch
 
 
 def ella_predict_batch(state, x_star):
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim == 1:
-        x_star = x_star[:, None]
+    x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
     means = forward(state.ctx.net, x_star).output
-    phi = _features(state.ctx, state.projection, state.anchors, x_star)
-    out = []
-    for i in range(x_star.shape[0]):
-        solved = solve_psd(state.precision_factor, phi[i].T)  # (K, C)
-        cov = phi[i] @ solved
-        out.append(
-            GaussianPredictive(
-                mean=means[i], covariance=0.5 * (cov + cov.T), likelihood=state.likelihood
-            )
-        )
-    return out
-
-
-def ella_predict(state, x_star):
-    return ella_predict_batch(state, np.atleast_2d(np.asarray(x_star, dtype=np.float64)))[0]
+    phi = _features(state.ctx, state.projection, state.anchors, x_star)  # (N, C, K)
+    # one solve per point: with C = 1, a single solve over all N*C columns
+    # rounds differently from the per-point solves in the last bit
+    covs = np.stack([p @ solve_psd(state.precision_factor, p.T) for p in phi])
+    return GaussianPredictive(means, 0.5 * (covs + covs.transpose(0, 2, 1)), state.likelihood)

@@ -83,14 +83,18 @@ class StorageCounter:
 fast_path_counter = StorageCounter()
 
 
-def _check_input(ctx, x, name="x"):
+def as_inputs(x, input_dim):
+    """Inputs as an (N, D) float64 array; the one shape rule of every public function.
+
+    A 1-D array holds N scalar points when D = 1 and is one point when
+    D > 1 (its length must then equal D). A 2-D array must be (N, D). Any
+    other shape raises DimensionMismatch.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != ctx.net.arch.input_dim:
-        raise DimensionMismatch(
-            f"{name} has shape {x.shape}, expected (*, {ctx.net.arch.input_dim})"
-        )
+        x = x[:, None] if input_dim == 1 else x[None, :]
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise DimensionMismatch(f"input has shape {x.shape}, expected (N, {input_dim})")
     return x
 
 
@@ -115,7 +119,7 @@ def _initial_sensitivity(n, c):
 
 def jacobian(ctx, x):
     """Explicit (C, P) Jacobian of the network output at one input."""
-    x = _check_input(ctx, x)
+    x = as_inputs(x, ctx.net.arch.input_dim)
     if x.shape[0] != 1:
         raise DimensionMismatch("jacobian takes a single input vector")
     net = ctx.net
@@ -141,8 +145,8 @@ def kernel_block_fast(ctx, batch_x, batch_z):
     buffer ever scales with the parameter count. Equals the pairwise
     Jacobian products to floating-point accuracy.
     """
-    x = _check_input(ctx, batch_x, "batch_x")
-    z = _check_input(ctx, batch_z, "batch_z")
+    x = as_inputs(batch_x, ctx.net.arch.input_dim)
+    z = as_inputs(batch_z, ctx.net.arch.input_dim)
     if x.shape[0] == 0 or z.shape[0] == 0:
         raise DimensionMismatch("batches must be nonempty")
     net = ctx.net
@@ -186,7 +190,7 @@ def kernel_block(ctx, x, xp):
 
 def kernel_diag_blocks(ctx, batch_x):
     """(N, C, C) diagonal blocks kappa(x_i, x_i) without the full Gram."""
-    x = _check_input(ctx, batch_x, "batch_x")
+    x = as_inputs(batch_x, ctx.net.arch.input_dim)
     net = ctx.net
     depth = net.arch.depth
     n = x.shape[0]
@@ -230,8 +234,8 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
     shared across every differentiation point, which is what makes dense
     location gradients affordable inside a training loop.
     """
-    x = _check_input(ctx, batch_x, "batch_x")
-    zs = _check_input(ctx, batch_z, "batch_z")
+    x = as_inputs(batch_x, ctx.net.arch.input_dim)
+    zs = as_inputs(batch_z, ctx.net.arch.input_dim)
     net = ctx.net
     depth = net.arch.depth
     n, m = x.shape[0], zs.shape[0]

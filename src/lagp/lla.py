@@ -24,12 +24,13 @@ import numpy as np
 from .errors import CapExceeded, DimensionMismatch
 from .kernel import (
     KernelContext,
+    as_inputs,
     jacobian,
     kernel_block_fast,
     kernel_diag_blocks,
     _layer_inputs,
 )
-from .linalg import cholesky, logdet, psd_sqrt, solve_psd
+from .linalg import CholeskyFactor, cholesky, logdet, psd_sqrt, solve_psd
 from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
@@ -50,16 +51,26 @@ class LikelihoodModel:
 
 @dataclass(frozen=True)
 class GaussianPredictive:
-    """Per-input predictive: mean vector and function-space covariance."""
+    """Predictives at N inputs: means (N, C) and function-space covariances (N, C, C).
+
+    ``pred[i]`` is the predictive at input i alone, with mean (C,) and
+    covariance (C, C); iterating yields these one-point predictives.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     likelihood: LikelihoodModel
 
+    def __len__(self):
+        return self.mean.shape[0]
+
+    def __getitem__(self, i):
+        return GaussianPredictive(self.mean[i], self.covariance[i], self.likelihood)
+
     @property
     def y_variance(self):
-        """Observation-space variance: function variance plus noise."""
-        v = np.diag(self.covariance)
+        """Observation-space variances, (..., C): function variance plus noise."""
+        v = np.diagonal(self.covariance, axis1=-2, axis2=-1)
         if self.likelihood.kind == "gaussian":
             return v + self.likelihood.noise_variance
         return v
@@ -71,8 +82,8 @@ def softmax(g):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def lambda_of(likelihood, net_output, label=None):
-    """Likelihood curvature block for one data point; label-free for softmax."""
+def lambda_of(likelihood, net_output):
+    """Likelihood curvature block for one data point; labels do not enter."""
     g = np.asarray(net_output, dtype=np.float64).ravel()
     c = g.shape[0]
     if likelihood.kind == "gaussian":
@@ -81,7 +92,7 @@ def lambda_of(likelihood, net_output, label=None):
     return np.diag(p) - np.outer(p, p)
 
 
-def _lambda_blocks(likelihood, outputs, labels):
+def _lambda_blocks(likelihood, outputs):
     n, c = outputs.shape
     if likelihood.kind == "gaussian":
         blocks = np.broadcast_to(np.eye(c) / likelihood.noise_variance, (n, c, c)).copy()
@@ -103,47 +114,93 @@ def _block_scale(roots, gram, n, c):
     return out.reshape(n * c, n * c)
 
 
+class PosteriorState:
+    """What every fitted state offers: ``predict`` and a payload for ``serialize``.
+
+    ``predict(x)`` returns the GaussianPredictive at the inputs x, read by
+    ``kernel.as_inputs``. ``KIND`` tags the state in a state file. The
+    payload holds the fields named in ``ARRAYS`` as arrays, the Cholesky
+    factors named in ``FACTORS`` by their lower triangles (a factor that
+    is None is left out), and the scalars in ``META`` (name -> type) as
+    metadata. Every state also has ``ctx`` and ``likelihood``, which
+    ``serialize`` stores.
+    """
+
+    KIND = None
+    ARRAYS = ()
+    FACTORS = ()
+    META = {}
+
+    def payload(self):
+        """(meta, arrays) of the fields this kind adds to ctx and likelihood."""
+        arrays = {name: getattr(self, name) for name in self.ARRAYS}
+        for name in self.FACTORS:
+            if getattr(self, name) is not None:
+                arrays[name] = getattr(self, name).lower
+        return {name: kind(getattr(self, name)) for name, kind in self.META.items()}, arrays
+
+    @classmethod
+    def from_payload(cls, ctx, likelihood, meta, arrays):
+        fields = {name: arrays[name] for name in cls.ARRAYS}
+        for name in cls.FACTORS:
+            lower = arrays.get(name)
+            fields[name] = None if lower is None else CholeskyFactor(lower=lower, dim=lower.shape[0])
+        fields.update((name, meta[name]) for name in cls.META)
+        return cls(ctx=ctx, likelihood=likelihood, **fields)
+
+
+def deflated_blocks(prior, v, w):
+    """Blocks prior[i] - v_i^T w_i, symmetrized.
+
+    v_i and w_i are the (q, C) column blocks of point i in the point-major
+    (q, N*C) matrices v and w. The stacked products run as one matmul over
+    strided views, which gives the same bits as one product per point.
+    """
+    n, c, _ = prior.shape
+    q = v.shape[0]
+    cov = prior - v.reshape(q, n, c).transpose(1, 2, 0) @ w.reshape(q, n, c).transpose(1, 0, 2)
+    return 0.5 * (cov + cov.transpose(0, 2, 1))
+
+
 @dataclass(frozen=True)
-class MapState:
+class MapState(PosteriorState):
     """Point-estimate baseline: the network output with zero function variance."""
+
+    KIND = "map"
 
     ctx: KernelContext
     likelihood: LikelihoodModel
 
-
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
+    def predict(self, x):
+        return predict_map_batch(self, x)
 
 
 def predict_map_batch(state, x_star):
-    means = forward(state.ctx.net, _as_batch(x_star)).output
-    c = means.shape[1]
-    zero = np.zeros((c, c))
-    return [
-        GaussianPredictive(mean=m, covariance=zero.copy(), likelihood=state.likelihood)
-        for m in means
-    ]
-
-
-def predict_map(state, x_star):
-    return predict_map_batch(state, x_star)[0]
+    x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
+    means = forward(state.ctx.net, x_star).output
+    n, c = means.shape
+    return GaussianPredictive(means, np.zeros((n, c, c)), state.likelihood)
 
 
 @dataclass(frozen=True)
-class LlaExactState:
+class LlaExactState(PosteriorState):
+    KIND = "lla-exact"
+    ARRAYS = ("train_inputs", "sqrt_lambda")
+    FACTORS = ("q_factor",)
+
     ctx: KernelContext
     likelihood: LikelihoodModel
     train_inputs: np.ndarray
     sqrt_lambda: np.ndarray  # (N, C, C) PSD square roots of the curvature blocks
-    q_factor: object  # Cholesky of I + R kappa(X, X) R
+    q_factor: object  # Cholesky of I + R kappa(X, X) R; None when N = 0
+
+    def predict(self, x):
+        return predict_exact_batch(self, x)
 
 
-def fit_exact(ctx, likelihood, x, y=None, cap=EXACT_CAP):
+def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     """Condition the tangent-kernel prior on the training data."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, ctx.net.arch.input_dim)
     n = x.shape[0]
     c = ctx.net.arch.output_dim
     if n * c > cap:
@@ -152,12 +209,12 @@ def fit_exact(ctx, likelihood, x, y=None, cap=EXACT_CAP):
         return LlaExactState(
             ctx=ctx,
             likelihood=likelihood,
-            train_inputs=x.reshape(0, ctx.net.arch.input_dim),
+            train_inputs=x,
             sqrt_lambda=np.zeros((0, c, c)),
             q_factor=None,
         )
     outputs = forward(ctx.net, x).output
-    _, roots = _lambda_blocks(likelihood, outputs, y)
+    _, roots = _lambda_blocks(likelihood, outputs)
     gram = kernel_block_fast(ctx, x, x).values
     gram = 0.5 * (gram + gram.T)
     whitened = _block_scale(roots, gram, n, c)
@@ -181,56 +238,58 @@ def _apply_roots_left(roots, cross, n, c):
 def predict_exact_batch(state, x_star):
     """Predictives at each query point; mean comes from the network forward pass."""
     ctx = state.ctx
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim == 1:
-        x_star = x_star[:, None]
+    x_star = as_inputs(x_star, ctx.net.arch.input_dim)
     c = ctx.net.arch.output_dim
     means = forward(ctx.net, x_star).output
     prior = kernel_diag_blocks(ctx, x_star)
     n_train = state.train_inputs.shape[0]
     if n_train == 0:
-        return [
-            GaussianPredictive(mean=means[i], covariance=prior[i], likelihood=state.likelihood)
-            for i in range(x_star.shape[0])
-        ]
+        return GaussianPredictive(means, prior, state.likelihood)
     cross = kernel_block_fast(ctx, state.train_inputs, x_star).values  # (NC, N*C')
     v = _apply_roots_left(state.sqrt_lambda, cross, n_train, c)
     w = solve_psd(state.q_factor, v)
-    out = []
-    for i in range(x_star.shape[0]):
-        vi = v[:, i * c : (i + 1) * c]
-        wi = w[:, i * c : (i + 1) * c]
-        cov = prior[i] - vi.T @ wi
-        cov = 0.5 * (cov + cov.T)
-        out.append(GaussianPredictive(mean=means[i], covariance=cov, likelihood=state.likelihood))
-    return out
+    return GaussianPredictive(means, deflated_blocks(prior, v, w), state.likelihood)
 
 
-def predict_exact(state, x_star):
-    return predict_exact_batch(state, np.atleast_2d(np.asarray(x_star, dtype=np.float64)))[0]
+def _per_point(state, x_star, block):
+    """Predictive whose covariance at each input x is ``block(x)``, symmetrized.
+
+    For the methods that need one Jacobian per input: stacking the
+    Jacobians of a whole batch would take N*C*P floats.
+    """
+    x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
+    means = forward(state.ctx.net, x_star).output
+    n, c = means.shape
+    covs = np.array([block(x) for x in x_star]).reshape(n, c, c)
+    return GaussianPredictive(means, 0.5 * (covs + covs.transpose(0, 2, 1)), state.likelihood)
 
 
 @dataclass(frozen=True)
-class LlaWeightState:
+class LlaWeightState(PosteriorState):
+    KIND = "lla-weight"
+    ARRAYS = ("precision",)
+    FACTORS = ("covariance_factor",)
+
     ctx: KernelContext
     likelihood: LikelihoodModel
     precision: np.ndarray
     covariance_factor: object
 
+    def predict(self, x):
+        return predict_weight_space_batch(self, x)
 
-def fit_weight_space(net, likelihood, x, y=None, prior_variance=1.0, cap=WEIGHT_SPACE_CAP):
+
+def fit_weight_space(net, likelihood, x, prior_variance=1.0, cap=WEIGHT_SPACE_CAP):
     """Assemble the Gauss-Newton precision over all parameters explicitly."""
     p = net.param_count
     if p > cap:
         raise CapExceeded(f"P = {p} exceeds weight-space cap {cap}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     precision = np.eye(p) / prior_variance
     if x.shape[0]:
         outputs = forward(net, x).output
-        blocks, _ = _lambda_blocks(likelihood, outputs, y)
+        blocks, _ = _lambda_blocks(likelihood, outputs)
         for i in range(x.shape[0]):
             j = jacobian(ctx, x[i]).values
             precision += j.T @ blocks[i] @ j
@@ -244,41 +303,34 @@ def fit_weight_space(net, likelihood, x, y=None, prior_variance=1.0, cap=WEIGHT_
 
 
 def predict_weight_space_batch(state, x_star):
-    x_star = _as_batch(x_star)
-    means = forward(state.ctx.net, x_star).output
-    out = []
-    for i in range(x_star.shape[0]):
-        j = jacobian(state.ctx, x_star[i]).values
-        cov = j @ solve_psd(state.covariance_factor, j.T)
-        out.append(
-            GaussianPredictive(
-                mean=means[i], covariance=0.5 * (cov + cov.T), likelihood=state.likelihood
-            )
-        )
-    return out
+    def block(x):
+        j = jacobian(state.ctx, x).values
+        return j @ solve_psd(state.covariance_factor, j.T)
 
-
-def predict_weight_space(state, x_star):
-    return predict_weight_space_batch(state, x_star)[0]
+    return _per_point(state, x_star, block)
 
 
 @dataclass(frozen=True)
-class LlaDiagState:
+class LlaDiagState(PosteriorState):
+    KIND = "lla-diag"
+    ARRAYS = ("precision_diag",)
+
     ctx: KernelContext
     likelihood: LikelihoodModel
     precision_diag: np.ndarray
 
+    def predict(self, x):
+        return predict_diag_batch(self, x)
 
-def fit_diag(net, likelihood, x, y=None, prior_variance=1.0):
+
+def fit_diag(net, likelihood, x, prior_variance=1.0):
     """Keep only the diagonal of the Gauss-Newton precision."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     diag = np.full(net.param_count, 1.0 / prior_variance)
     if x.shape[0]:
         outputs = forward(net, x).output
-        blocks, _ = _lambda_blocks(likelihood, outputs, y)
+        blocks, _ = _lambda_blocks(likelihood, outputs)
         for i in range(x.shape[0]):
             j = jacobian(ctx, x[i]).values
             diag += np.einsum("cp,cd,dp->p", j, blocks[i], j)
@@ -286,37 +338,31 @@ def fit_diag(net, likelihood, x, y=None, prior_variance=1.0):
 
 
 def predict_diag_batch(state, x_star):
-    x_star = _as_batch(x_star)
-    means = forward(state.ctx.net, x_star).output
     inv_root = 1.0 / np.sqrt(state.precision_diag)
-    out = []
-    for i in range(x_star.shape[0]):
-        scaled = jacobian(state.ctx, x_star[i]).values * inv_root[None, :]
-        cov = scaled @ scaled.T
-        out.append(
-            GaussianPredictive(
-                mean=means[i], covariance=0.5 * (cov + cov.T), likelihood=state.likelihood
-            )
-        )
-    return out
 
+    def block(x):
+        scaled = jacobian(state.ctx, x).values * inv_root[None, :]
+        return scaled @ scaled.T
 
-def predict_diag(state, x_star):
-    return predict_diag_batch(state, x_star)[0]
+    return _per_point(state, x_star, block)
 
 
 @dataclass(frozen=True)
-class LlaLastLayerState:
+class LlaLastLayerState(PosteriorState):
+    KIND = "lla-last-layer"
+    FACTORS = ("precision_factor",)
+
     ctx: KernelContext
     likelihood: LikelihoodModel
     precision_factor: object  # Cholesky over the (width+1)*C last-layer parameters
 
+    def predict(self, x):
+        return predict_last_layer_batch(self, x)
+
 
 def last_layer_features(net, x):
     """(N, width+1) inputs to the final layer with the bias column appended."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = as_inputs(x, net.arch.input_dim)
     acts = _layer_inputs(net, x)
     return np.concatenate([acts[-1], np.ones((x.shape[0], 1))], axis=1)
 
@@ -336,11 +382,9 @@ def last_layer_jacobian(net, x):
     return jac
 
 
-def fit_last_layer(net, likelihood, x, y=None, prior_variance=1.0):
+def fit_last_layer(net, likelihood, x, prior_variance=1.0):
     """Weight-space pipeline restricted to the final layer's parameters."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     c = net.arch.output_dim
     phi = last_layer_features(net, x) if x.shape[0] else np.zeros((0, 1))
@@ -348,7 +392,7 @@ def fit_last_layer(net, likelihood, x, y=None, prior_variance=1.0):
     precision = np.eye(width1 * c) / prior_variance
     if x.shape[0]:
         outputs = forward(net, x).output
-        blocks, _ = _lambda_blocks(likelihood, outputs, y)
+        blocks, _ = _lambda_blocks(likelihood, outputs)
         # precision[(i,j),(i',j')] = sum_n phi_i phi_i' Lambda_n[j,j'];
         # accumulate one (j, j') class pair at a time with plain GEMMs.
         for j in range(c):
@@ -362,23 +406,18 @@ def fit_last_layer(net, likelihood, x, y=None, prior_variance=1.0):
 
 
 def predict_last_layer_batch(state, x_star):
-    x_star = _as_batch(x_star)
-    net = state.ctx.net
-    means = forward(net, x_star).output
-    out = []
-    for i in range(x_star.shape[0]):
-        j = last_layer_jacobian(net, x_star[i])
-        cov = j @ solve_psd(state.precision_factor, j.T)
-        out.append(
-            GaussianPredictive(
-                mean=means[i], covariance=0.5 * (cov + cov.T), likelihood=state.likelihood
-            )
-        )
-    return out
+    def block(x):
+        j = last_layer_jacobian(state.ctx.net, x)
+        return j @ solve_psd(state.precision_factor, j.T)
+
+    return _per_point(state, x_star, block)
 
 
-def predict_last_layer(state, x_star):
-    return predict_last_layer_batch(state, x_star)[0]
+def _log_evidence(resid, cov):
+    """log N(resid | 0, cov), through a Cholesky factor of cov."""
+    factor = cholesky(cov)
+    alpha = solve_psd(factor, resid)
+    return float(-0.5 * (resid @ alpha + logdet(factor) + resid.shape[0] * np.log(2.0 * np.pi)))
 
 
 def log_marginal_likelihood(ctx, likelihood, x, y, cap=EXACT_CAP):
@@ -388,19 +427,14 @@ def log_marginal_likelihood(ctx, likelihood, x, y, cap=EXACT_CAP):
     """
     if likelihood.kind != "gaussian":
         raise DimensionMismatch("marginal likelihood requires the gaussian likelihood")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, ctx.net.arch.input_dim)
     y = np.asarray(y, dtype=np.float64).ravel()
     n = x.shape[0]
     if n * ctx.net.arch.output_dim > cap:
         raise CapExceeded(f"N*C = {n} exceeds exact cap {cap}")
     resid = y - forward(ctx.net, x).output.ravel()
     cov = kernel_block_fast(ctx, x, x).values + likelihood.noise_variance * np.eye(n)
-    cov = 0.5 * (cov + cov.T)
-    factor = cholesky(cov)
-    alpha = solve_psd(factor, resid)
-    return float(-0.5 * (resid @ alpha + logdet(factor) + n * np.log(2.0 * np.pi)))
+    return _log_evidence(resid, 0.5 * (cov + cov.T))
 
 
 def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
@@ -413,9 +447,7 @@ def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
         prior_grid = np.logspace(-3, 3, 10)
     if noise_grid is None:
         noise_grid = np.logspace(-4, 1, 10)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, net.arch.input_dim)
     y = np.asarray(y, dtype=np.float64).ravel()
     n = x.shape[0]
     base = KernelContext(net=net, log_prior_variance=0.0)
@@ -427,10 +459,7 @@ def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
     table = []
     for pv in prior_grid:
         for nv in noise_grid:
-            cov = pv * unscaled + nv * np.eye(n)
-            factor = cholesky(cov)
-            alpha = solve_psd(factor, resid)
-            value = float(-0.5 * (resid @ alpha + logdet(factor) + n * np.log(2.0 * np.pi)))
+            value = _log_evidence(resid, pv * unscaled + nv * np.eye(n))
             table.append((float(pv), float(nv), value))
             if value > best[2]:
                 best = (float(pv), float(nv), value)

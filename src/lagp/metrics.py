@@ -1,10 +1,10 @@
 """Evaluation metrics for probabilistic predictions.
 
 Regression metrics (NLL, CRPS, the centered-interval calibration score)
-consume per-point Gaussian predictives in observation space, i.e. with
-the noise variance already added to the function variance. Classification
-metrics consume probability rows obtained from the softmax approximation
-in ``predictive_class_probs``.
+consume one batched ``GaussianPredictive`` with a single output and score
+it in observation space, i.e. with the noise variance added to the
+function variance. Classification metrics consume probability rows
+obtained from the softmax approximation in ``predictive_class_probs``.
 """
 
 from dataclasses import dataclass
@@ -38,38 +38,35 @@ class MetricsReport:
         return out
 
 
-def _means_and_stds(predictions):
-    means = np.array([float(np.asarray(p.mean).ravel()[0]) for p in predictions])
-    variances = np.array([float(np.asarray(p.y_variance).ravel()[0]) for p in predictions])
-    return means, np.sqrt(variances), variances
-
-
-def nll_gaussian(predictions, y):
-    """Average negative log density of y under each Gaussian predictive."""
+def _means_and_stds(pred, y):
+    """Targets, means, standard deviations and variances of the first output."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    if len(predictions) != y.shape[0]:
+    if len(pred) != y.shape[0]:
         raise DimensionMismatch("predictions and targets differ in length")
-    means, _, variances = _means_and_stds(predictions)
+    variances = pred.y_variance[:, 0]
+    return y, pred.mean[:, 0], np.sqrt(variances), variances
+
+
+def nll_gaussian(pred, y):
+    """Average negative log density of y under each Gaussian predictive."""
+    y, means, _, variances = _means_and_stds(pred, y)
     return float(np.mean(0.5 * np.log(2.0 * np.pi * variances) + (y - means) ** 2 / (2.0 * variances)))
 
 
-def crps_gaussian(predictions, y):
+def crps_gaussian(pred, y):
     """Closed-form CRPS for Gaussian predictives.
 
     CRPS(y; m, s^2) = s * [z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)]
     with z = (y - m)/s.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if len(predictions) != y.shape[0]:
-        raise DimensionMismatch("predictions and targets differ in length")
-    means, stds, _ = _means_and_stds(predictions)
+    y, means, stds, _ = _means_and_stds(pred, y)
     z = (y - means) / stds
     pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
     per_point = stds * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * pdf - 1.0 / np.sqrt(np.pi))
     return float(np.mean(per_point))
 
 
-def coverage_curve(predictions, y, grid_size=CQM_DEFAULT_GRID):
+def coverage_curve(pred, y, grid_size=CQM_DEFAULT_GRID):
     """Empirical coverage of centered predictive intervals per mass level.
 
     For each level alpha on a uniform grid over [0, 1], the centered
@@ -78,10 +75,7 @@ def coverage_curve(predictions, y, grid_size=CQM_DEFAULT_GRID):
     endpoints are included, so the degenerate alpha = 0 interval contains
     exactly the points sitting on the predictive median.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if len(predictions) != y.shape[0]:
-        raise DimensionMismatch("predictions and targets differ in length")
-    means, stds, _ = _means_and_stds(predictions)
+    y, means, stds, _ = _means_and_stds(pred, y)
     alphas = np.linspace(0.0, 1.0, int(grid_size))
     coverage = np.empty_like(alphas)
     for i, alpha in enumerate(alphas):
@@ -95,9 +89,9 @@ def coverage_curve(predictions, y, grid_size=CQM_DEFAULT_GRID):
     return alphas, coverage
 
 
-def cqm(predictions, y, grid_size=CQM_DEFAULT_GRID):
+def cqm(pred, y, grid_size=CQM_DEFAULT_GRID):
     """Trapezoid integral of |coverage(alpha) - alpha| over the level grid."""
-    alphas, coverage = coverage_curve(predictions, y, grid_size)
+    alphas, coverage = coverage_curve(pred, y, grid_size)
     value = float(np.trapezoid(np.abs(coverage - alphas), alphas))
     if not (0.0 <= value <= 0.5 + 1e-12):
         raise AssertionError(f"coverage miscalibration {value} outside [0, 0.5]")
@@ -191,15 +185,15 @@ def ood_auc(entropy_in, entropy_out):
 def predictive_class_probs(mean, covariance):
     """Softmax class probabilities under an uncertain pre-softmax Gaussian.
 
+    Takes means (..., C) and covariances (..., C, C), one point or a batch.
     Each logit is damped by its own variance, mean_c / sqrt(1 + pi/8 *
     var_c), before the softmax; only the covariance diagonal enters.
     """
-    mean = np.asarray(mean, dtype=np.float64).ravel()
-    cov = np.asarray(covariance, dtype=np.float64)
-    var = np.diag(cov) if cov.ndim == 2 else cov
-    if var.shape[0] != mean.shape[0]:
+    mean = np.asarray(mean, dtype=np.float64)
+    var = np.diagonal(np.asarray(covariance, dtype=np.float64), axis1=-2, axis2=-1)
+    if var.shape != mean.shape:
         raise DimensionMismatch("mean and covariance diagonal disagree")
     scaled = mean / np.sqrt(1.0 + (np.pi / 8.0) * np.clip(var, 0.0, None))
-    shifted = scaled - scaled.max()
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)

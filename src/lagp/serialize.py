@@ -12,7 +12,10 @@ Layout, all integers little-endian:
 
 The network parameters, likelihood, prior variance, and any input/target
 normalization statistics are embedded, so a state file is sufficient on
-its own to produce predictions.
+its own to produce predictions. The rest of the payload belongs to the
+state's kind: ``STATE_KINDS`` maps each kind tag to its state class, whose
+``payload`` and ``from_payload`` (see ``lla.PosteriorState``) write and
+read it.
 """
 
 import json
@@ -20,9 +23,10 @@ import struct
 
 import numpy as np
 
+from .data import Normalization
+from .ella import EllaState
 from .errors import FormatError, VersionMismatch
 from .kernel import KernelContext
-from .linalg import CholeskyFactor
 from .lla import (
     LikelihoodModel,
     LlaDiagState,
@@ -32,9 +36,14 @@ from .lla import (
     MapState,
 )
 from .nn import MlpArchitecture, MlpNetwork
+from .valla import VallaState
 
 MAGIC = b"LAGB"
 VERSION = 1
+STATE_KINDS = {
+    cls.KIND: cls
+    for cls in (MapState, LlaExactState, LlaWeightState, LlaDiagState, LlaLastLayerState, VallaState, EllaState)
+}
 
 
 def _write_string(fh, value, size_fmt):
@@ -154,8 +163,6 @@ def _normalization_arrays(normalization):
 def _normalization_from_arrays(arrays):
     if "norm_input_mean" not in arrays:
         return None
-    from .data import Normalization
-
     return Normalization(
         input_mean=arrays["norm_input_mean"],
         input_std=arrays["norm_input_std"],
@@ -166,105 +173,25 @@ def _normalization_from_arrays(arrays):
 
 def save_state(path, state, normalization=None):
     """Serialize any fitted posterior state with its network embedded."""
-    from .ella import EllaState
-    from .valla import VallaState
-
+    if type(state) not in STATE_KINDS.values():
+        raise FormatError(f"cannot serialize state of type {type(state).__name__}")
     meta, arrays = _net_payload(state.ctx.net)
     meta["likelihood"] = _likelihood_payload(state.likelihood)
     meta["log_prior_variance"] = float(state.ctx.log_prior_variance)
     arrays.update(_normalization_arrays(normalization))
-
-    if isinstance(state, MapState):
-        kind = "map"
-    elif isinstance(state, LlaExactState):
-        kind = "lla-exact"
-        arrays["train_inputs"] = state.train_inputs
-        arrays["sqrt_lambda"] = state.sqrt_lambda
-        if state.q_factor is not None:
-            arrays["q_factor"] = state.q_factor.lower
-    elif isinstance(state, LlaWeightState):
-        kind = "lla-weight"
-        arrays["precision"] = state.precision
-        arrays["covariance_factor"] = state.covariance_factor.lower
-    elif isinstance(state, LlaDiagState):
-        kind = "lla-diag"
-        arrays["precision_diag"] = state.precision_diag
-    elif isinstance(state, LlaLastLayerState):
-        kind = "lla-last-layer"
-        arrays["precision_factor"] = state.precision_factor.lower
-    elif isinstance(state, VallaState):
-        kind = "valla"
-        meta["log_prior_variance"] = float(state.log_prior_variance)
-        meta["log_noise_variance"] = float(state.log_noise_variance)
-        meta["alpha"] = float(state.alpha)
-        arrays["inducing"] = state.inducing
-        arrays["a_factor"] = state.a_factor
-    elif isinstance(state, EllaState):
-        kind = "ella"
-        meta["feature_dim"] = int(state.feature_dim)
-        arrays["anchors"] = state.anchors
-        arrays["projection"] = state.projection
-        arrays["precision_factor"] = state.precision_factor.lower
-    else:
-        raise FormatError(f"cannot serialize state of type {type(state).__name__}")
-    write_container(path, kind, meta, arrays)
+    kind_meta, kind_arrays = state.payload()
+    meta.update(kind_meta)
+    arrays.update(kind_arrays)
+    write_container(path, state.KIND, meta, arrays)
 
 
 def load_state(path):
     """Load a fitted state; returns (state, normalization)."""
-    from .ella import EllaState
-    from .valla import VallaState
-
     kind, meta, arrays = read_container(path)
+    if kind not in STATE_KINDS:
+        raise FormatError(f"unknown state kind {kind!r}")
     net = _net_from_payload(meta, arrays)
     likelihood = _likelihood_from_payload(meta["likelihood"])
     ctx = KernelContext(net=net, log_prior_variance=meta["log_prior_variance"])
-    normalization = _normalization_from_arrays(arrays)
-
-    def factor(name):
-        lower = arrays[name]
-        return CholeskyFactor(lower=lower, dim=lower.shape[0])
-
-    if kind == "map":
-        state = MapState(ctx=ctx, likelihood=likelihood)
-    elif kind == "lla-exact":
-        state = LlaExactState(
-            ctx=ctx,
-            likelihood=likelihood,
-            train_inputs=arrays["train_inputs"],
-            sqrt_lambda=arrays["sqrt_lambda"],
-            q_factor=factor("q_factor") if "q_factor" in arrays else None,
-        )
-    elif kind == "lla-weight":
-        state = LlaWeightState(
-            ctx=ctx,
-            likelihood=likelihood,
-            precision=arrays["precision"],
-            covariance_factor=factor("covariance_factor"),
-        )
-    elif kind == "lla-diag":
-        state = LlaDiagState(ctx=ctx, likelihood=likelihood, precision_diag=arrays["precision_diag"])
-    elif kind == "lla-last-layer":
-        state = LlaLastLayerState(ctx=ctx, likelihood=likelihood, precision_factor=factor("precision_factor"))
-    elif kind == "valla":
-        state = VallaState(
-            ctx=ctx,
-            likelihood=likelihood,
-            inducing=arrays["inducing"],
-            a_factor=arrays["a_factor"],
-            log_prior_variance=meta["log_prior_variance"],
-            log_noise_variance=meta["log_noise_variance"],
-            alpha=meta["alpha"],
-        )
-    elif kind == "ella":
-        state = EllaState(
-            ctx=ctx,
-            likelihood=likelihood,
-            anchors=arrays["anchors"],
-            feature_dim=meta["feature_dim"],
-            projection=arrays["projection"],
-            precision_factor=factor("precision_factor"),
-        )
-    else:
-        raise FormatError(f"unknown state kind {kind!r}")
-    return state, normalization
+    state = STATE_KINDS[kind].from_payload(ctx, likelihood, meta, arrays)
+    return state, _normalization_from_arrays(arrays)

@@ -30,20 +30,20 @@ differences in the tests.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonFiniteValue
 from .kernel import (
     KernelContext,
+    as_inputs,
     kernel_block_fast,
     kernel_diag_blocks,
     kernel_input_gradient_multi,
 )
 from .linalg import cholesky, logdet, rng_stream, solve_psd
-from .lla import GaussianPredictive, LikelihoodModel
+from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, deflated_blocks
 from .metrics import predictive_class_probs
 from .nn import AdamOptimizer, forward
 
@@ -51,7 +51,11 @@ A_FACTOR_INIT_SCALE = 1e-3
 
 
 @dataclass(frozen=True)
-class VallaState:
+class VallaState(PosteriorState):
+    KIND = "valla"
+    ARRAYS = ("inducing", "a_factor")
+    META = {"log_prior_variance": float, "log_noise_variance": float, "alpha": float}
+
     ctx: KernelContext
     likelihood: LikelihoodModel
     inducing: np.ndarray  # (M, D) locations of the covariance basis
@@ -77,6 +81,9 @@ class VallaState:
         if self.likelihood.kind == "gaussian":
             return LikelihoodModel(kind="gaussian", noise_variance=self.noise_variance)
         return self.likelihood
+
+    def predict(self, x):
+        return valla_predict_batch(self, x)
 
 
 @dataclass(frozen=True)
@@ -112,30 +119,8 @@ def _capacity_factor(state):
 
 
 def valla_predict_batch(state, x_star):
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim == 1:
-        x_star = x_star[:, None]
-    ctx = state.scaled_ctx
-    c = ctx.net.arch.output_dim
-    means = forward(ctx.net, x_star).output
-    prior = kernel_diag_blocks(ctx, x_star)
-    _, _, h_factor = _capacity_factor(state)
-    cross = kernel_block_fast(ctx, state.inducing, x_star).values  # (MC, N*C)
-    t = state.a_factor.T @ cross
-    w = solve_psd(h_factor, t)
-    likelihood = state.observation_likelihood
-    out = []
-    for i in range(x_star.shape[0]):
-        ti = t[:, i * c : (i + 1) * c]
-        wi = w[:, i * c : (i + 1) * c]
-        cov = prior[i] - ti.T @ wi
-        cov = 0.5 * (cov + cov.T)
-        out.append(GaussianPredictive(mean=means[i], covariance=cov, likelihood=likelihood))
-    return out
-
-
-def valla_predict(state, x_star):
-    return valla_predict_batch(state, np.atleast_2d(np.asarray(x_star, dtype=np.float64)))[0]
+    pieces = _batch_posterior(state, x_star)
+    return GaussianPredictive(pieces["means"], pieces["covs"], state.observation_likelihood)
 
 
 def kl_dual(state):
@@ -153,12 +138,8 @@ def optimal_a(ctx, inducing, x, noise_variance):
     equal to the training inputs this reproduces the exact posterior. Used
     as a test oracle, not during training.
     """
-    inducing = np.asarray(inducing, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if inducing.ndim == 1:
-        inducing = inducing[:, None]
+    inducing = as_inputs(inducing, ctx.net.arch.input_dim)
+    x = as_inputs(x, ctx.net.arch.input_dim)
     q = inducing.shape[0] * ctx.net.arch.output_dim
     if x.shape[0] == 0:
         return np.zeros((q, q))
@@ -200,45 +181,34 @@ def _gaussian_power_data_terms(y, means, variances, noise, alpha, n_scale):
 
 def _categorical_data_terms(labels, means, variance_diags, n_scale):
     """Per-point log probability of the label under the damped softmax."""
-    n, c = means.shape
-    values = np.empty(n)
-    d_dvdiag = np.empty((n, c))
-    for b in range(n):
-        gamma = np.sqrt(1.0 + (np.pi / 8.0) * np.clip(variance_diags[b], 0.0, None))
-        t = means[b] / gamma
-        t_shift = t - t.max()
-        log_z = math.log(np.exp(t_shift).sum()) + t.max()
-        p = np.exp(t - log_z)
-        y = int(labels[b])
-        values[b] = t[y] - log_z
-        indicator = np.zeros(c)
-        indicator[y] = 1.0
-        dt_dv = -(np.pi / 16.0) * means[b] / gamma**3
-        d_dvdiag[b] = (indicator - p) * dt_dv
-    return n_scale * values, n_scale * d_dvdiag
+    gamma = np.sqrt(1.0 + (np.pi / 8.0) * np.clip(variance_diags, 0.0, None))
+    t = means / gamma
+    t_max = t.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(t - t_max).sum(axis=1, keepdims=True)) + t_max
+    rows = np.arange(len(labels))
+    values = t[rows, labels] - log_z[:, 0]
+    indicator = np.zeros_like(t)
+    indicator[rows, labels] = 1.0
+    dt_dv = -(np.pi / 16.0) * means / gamma**3
+    return n_scale * values, n_scale * ((indicator - np.exp(t - log_z)) * dt_dv)
 
 
 def _batch_posterior(state, batch_x):
-    """Shared pieces for the objective and its gradient on one batch."""
+    """Shared pieces for prediction, the objective and its gradient on one batch."""
     ctx = state.scaled_ctx
-    c = ctx.net.arch.output_dim
-    b = batch_x.shape[0]
+    batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
     k_ind, u, h_factor = _capacity_factor(state)
     cross = kernel_block_fast(ctx, state.inducing, batch_x).values  # (q, B*C)
     prior = kernel_diag_blocks(ctx, batch_x)  # (B, C, C)
     t = state.a_factor.T @ cross
     w = solve_psd(h_factor, t)
-    covs = np.empty((b, c, c))
-    for i in range(b):
-        block = prior[i] - t[:, i * c : (i + 1) * c].T @ w[:, i * c : (i + 1) * c]
-        covs[i] = 0.5 * (block + block.T)
     return {
         "k_ind": k_ind,
         "u": u,
         "h_factor": h_factor,
         "cross": cross,
         "prior": prior,
-        "covs": covs,
+        "covs": deflated_blocks(prior, t, w),
         "means": forward(ctx.net, batch_x).output,
     }
 
@@ -268,20 +238,16 @@ def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
     if mode == "elbo":
         raise DimensionMismatch("elbo data term is implemented for the gaussian likelihood only")
     labels = np.asarray(batch_y).astype(int).ravel()
-    var_diags = np.stack([np.diag(pieces["covs"][i]) for i in range(b)])
+    var_diags = np.diagonal(pieces["covs"], axis1=1, axis2=2)
     values, d_dvdiag = _categorical_data_terms(labels, pieces["means"], var_diags, n_scale)
     c = pieces["covs"].shape[1]
     g_blocks = np.zeros((b, c, c))
-    for i in range(b):
-        np.fill_diagonal(g_blocks[i], d_dvdiag[i])
+    g_blocks[:, np.arange(c), np.arange(c)] = d_dvdiag
     return float(values.sum()), g_blocks, 0.0
 
 
 def alpha_objective(state, batch_x, batch_y, n_total):
     """Mini-batch training objective: scaled data term minus the KL."""
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    if batch_x.ndim == 1:
-        batch_x = batch_x[:, None]
     if not 0.0 < state.alpha <= 1.0:
         raise DimensionMismatch("alpha must lie in (0, 1]")
     pieces = _batch_posterior(state, batch_x)
@@ -300,9 +266,6 @@ def elbo_objective(state, batch_x, batch_y, n_total):
     """
     if state.likelihood.kind != "gaussian":
         raise DimensionMismatch("elbo_objective requires the gaussian likelihood")
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    if batch_x.ndim == 1:
-        batch_x = batch_x[:, None]
     pieces = _batch_posterior(state, batch_x)
     data, _, _ = _data_term(state, pieces, batch_y, n_total, mode="elbo")
     kl = kl_dual(state)
@@ -319,10 +282,8 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     and can be skipped when those are frozen. ``mode`` selects the data
     term: the likelihood-power objective or the plain evidence bound.
     """
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    if batch_x.ndim == 1:
-        batch_x = batch_x[:, None]
     ctx = state.scaled_ctx
+    batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
     c = ctx.net.arch.output_dim
     b = batch_x.shape[0]
     q = state.inducing.shape[0] * c
@@ -392,10 +353,13 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
 
 
 def kmeans_init(x, m, seed):
-    """Deterministic k-means centers: plus-plus seeding then Lloyd updates."""
+    """Deterministic k-means centers of the (N, D) points x.
+
+    Plus-plus seeding, then Lloyd updates.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    if x.ndim != 2:
+        raise DimensionMismatch(f"points must be (N, D), got shape {x.shape}")
     n = x.shape[0]
     m = int(m)
     if m < 1 or m > n:
@@ -431,20 +395,14 @@ def kmeans_init(x, m, seed):
 
 def validation_nll(state, x, y):
     """Mean negative log likelihood on held-out data under the posterior."""
-    preds = valla_predict_batch(state, x)
+    pred = valla_predict_batch(state, x)
     if state.likelihood.kind == "gaussian":
-        y = np.asarray(y, dtype=np.float64).ravel()
-        out = 0.0
-        for p, target in zip(preds, y):
-            var = float(p.y_variance[0])
-            out += 0.5 * math.log(2.0 * math.pi * var) + (target - float(p.mean[0])) ** 2 / (2.0 * var)
-        return out / len(preds)
-    labels = np.asarray(y).astype(int).ravel()
-    out = 0.0
-    for p, label in zip(preds, labels):
-        probs = predictive_class_probs(p.mean, p.covariance)
-        out += -math.log(max(float(probs[label]), 1e-300))
-    return out / len(preds)
+        var = pred.y_variance[:, 0]
+        r = np.asarray(y, dtype=np.float64).ravel() - pred.mean[:, 0]
+        return float(np.mean(0.5 * np.log(2.0 * math.pi * var) + r * r / (2.0 * var)))
+    probs = predictive_class_probs(pred.mean, pred.covariance)
+    label_probs = probs[np.arange(len(pred)), np.asarray(y).astype(int).ravel()]
+    return float(np.mean(-np.log(np.maximum(label_probs, 1e-300))))
 
 
 def fit_valla(
@@ -472,9 +430,7 @@ def fit_valla(
     seen is returned.
     """
     x, y = train
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_inputs(x, ctx.net.arch.input_dim)
     n = x.shape[0]
     if m_inducing > n:
         raise DimensionMismatch(f"M = {m_inducing} exceeds N = {n}")
@@ -511,7 +467,6 @@ def fit_valla(
     best_nll = math.inf
     bad_checks = 0
     log_rows = []
-    stopped_at = None
 
     for it in range(1, schedule.iterations + 1):
         if cursor + batch > n:
@@ -556,14 +511,13 @@ def fit_valla(
                     bad_checks += 1
             log_rows.append((it, report.objective, report.kl_value, report.data_term, val_nll))
             if early_stopping and bad_checks >= schedule.patience:
-                stopped_at = it
                 break
 
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:
             fh.write("iteration,objective,kl,data_term,validation_nll\n")
             for row in log_rows:
-                vals = [str(row[0])] + [repr(v) if v is not None else "" for v in row[1:]]
+                vals = [str(row[0])] + [repr(float(v)) if v is not None else "" for v in row[1:]]
                 fh.write(",".join(vals) + "\n")
 
     if early_stopping and best_nll < math.inf:

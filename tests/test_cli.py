@@ -87,8 +87,13 @@ class TestFit:
         assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 0
         out = tmp_path / "fit_run"
         assert (out / "state_valla.bin").exists()
-        header = (out / "fit_log_valla.csv").read_text().splitlines()[0]
+        header, *rows = (out / "fit_log_valla.csv").read_text().splitlines()
         assert header == "iteration,objective,kl,data_term,validation_nll"
+        assert rows and all(row.split(",")[-1] for row in rows)
+        for row in rows:
+            for cell in row.split(","):
+                if cell:
+                    float(cell)
         assert (out / "timing.json").exists()
 
     def test_exact_cap_exceeded_mentions_alternative(self, tmp_path, capsys):
@@ -243,6 +248,31 @@ class TestCompare:
             means.append(np.stack([p.mean for p in predict_any(state, probe)]))
         for other in means[1:]:
             assert np.array_equal(means[0], other)
+
+    def test_one_evidence_search_shared_by_every_method(self, tmp_path, monkeypatch):
+        import lagp.lla
+
+        checkpoint = train_checkpoint(tmp_path)
+        searched = TOY_BASE.replace("method.prior_variance = 0.5\n", "").replace("method.noise_variance = 0.01\n", "")
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text(searched + f"output_dir = {tmp_path / 'search'}\n")
+        calls = []
+        search = lagp.lla.grid_search_hyperparameters
+        monkeypatch.setattr(lagp.lla, "grid_search_hyperparameters", lambda *a, **k: calls.append(a) or search(*a, **k))
+        assert main(["compare", str(cfg), "--checkpoint", str(checkpoint)]) == 0
+        assert len(calls) == 1
+        header, *rows = (tmp_path / "search" / "compare.csv").read_text().splitlines()
+        keys = header.split(",")[1:]
+        # each row scores as a fit of that method alone, with its own search, then evaluate
+        for row in rows:
+            method, *values = row.split(",")
+            method_cfg = tmp_path / f"{method}.cfg"
+            method_cfg.write_text(searched + f"output_dir = {tmp_path / method}\nmethod = {method}\n")
+            assert main(["fit", str(method_cfg), "--checkpoint", str(checkpoint)]) == 0
+            state = tmp_path / method / f"state_{method}.bin"
+            assert main(["evaluate", str(method_cfg), "--state", str(state)]) == 0
+            metrics = json.loads((tmp_path / method / "metrics_test.json").read_text())
+            assert [float(v) for v in values] == [metrics[k] for k in keys]
 
     def test_missing_checkpoint_fails_before_fit(self, tmp_path):
         cfg = write_config(tmp_path, "c2.cfg", f"output_dir = {tmp_path / 'c2'}\n")

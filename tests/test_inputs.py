@@ -1,0 +1,80 @@
+"""The one input rule (``kernel.as_inputs``) as every state kind's ``predict`` sees it."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lagp import GaussianPredictive
+from lagp.cli import predict_any
+from lagp.errors import DimensionMismatch
+from lagp.kernel import as_inputs
+
+from test_serialize import STATE_NAMES, fitted_states
+
+
+def states(d):
+    kind = "gaussian" if d % 2 else "categorical"
+    return [(name, state) for name, (state, _) in fitted_states(d, kind).items()]
+
+
+def assert_same(a, b):
+    assert a.likelihood == b.likelihood
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.covariance, b.covariance)
+
+
+@st.composite
+def inputs(draw):
+    """(D, N, x) with x an (N, D) array, or its 1-D form where the rule has one."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d))
+    x = np.array(values).reshape(n, d)
+    if draw(st.booleans()):
+        if d == 1:
+            x = x[:, 0]
+        elif n == 1:
+            x = x[0]
+    return d, n, x
+
+
+class TestInputRule:
+    @settings(max_examples=40, deadline=None)
+    @given(inputs())
+    def test_predict_reads_inputs_through_the_rule(self, case):
+        d, n, x = case
+        for _, state in states(d):
+            pred = state.predict(x)
+            assert_same(pred, state.predict(as_inputs(x, d)))
+            assert len(pred) == n
+            assert pred.mean.shape[0] == pred.covariance.shape[0] == n
+            for i in range(n):
+                assert_same(pred[i], GaussianPredictive(pred.mean[i], pred.covariance[i], pred.likelihood))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
+    def test_other_widths_rejected(self, d, n, width):
+        bad = [np.zeros((n, d, 1))]
+        if width != d:
+            bad.append(np.zeros((n, width)))
+            if d > 1:
+                bad.append(np.zeros(width))
+        for _, state in states(d):
+            for x in bad:
+                with pytest.raises(DimensionMismatch):
+                    state.predict(x)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_dimensional_input(self, d):
+        x = np.linspace(-1.0, 1.0, 5 if d == 1 else d)
+        for _, state in states(d):
+            pred = state.predict(x)
+            assert len(pred) == (5 if d == 1 else 1)
+            assert_same(pred, state.predict(x.reshape(-1, d)))
+
+    @pytest.mark.parametrize("name", STATE_NAMES)
+    def test_three_input_probe_is_one_point(self, name):
+        state = dict(states(3))[name]
+        pred = predict_any(state, [0.1, 0.2, 0.3])
+        assert len(pred) == 1
+        assert_same(pred, state.predict(np.array([[0.1, 0.2, 0.3]])))

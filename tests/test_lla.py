@@ -16,11 +16,7 @@ from lagp.lla import (
     lambda_of,
     last_layer_jacobian,
     log_marginal_likelihood,
-    predict_diag,
-    predict_exact,
     predict_exact_batch,
-    predict_last_layer,
-    predict_weight_space,
     softmax,
 )
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
@@ -64,9 +60,9 @@ class TestFitExact:
         rng = rng_stream(1)
         ctx = random_ctx(rng, 2, [4], 2, log_prior_variance=0.2)
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.3)
-        state = fit_exact(ctx, lik, np.zeros((0, 2)), np.zeros((0, 1)))
+        state = fit_exact(ctx, lik, np.zeros((0, 2)))
         x_star = rng.normal(size=2)
-        pred = predict_exact(state, x_star)
+        pred = state.predict(x_star)[0]
         assert np.allclose(pred.covariance, kernel_block(ctx, x_star, x_star), atol=1e-12)
 
     def test_huge_noise_recovers_prior(self):
@@ -75,9 +71,9 @@ class TestFitExact:
         x = rng.normal(size=(6, 1))
         y = rng.normal(size=(6, 1))
         lik = LikelihoodModel(kind="gaussian", noise_variance=1e9)
-        state = fit_exact(ctx, lik, x, y)
+        state = fit_exact(ctx, lik, x)
         x_star = rng.normal(size=1)
-        pred = predict_exact(state, x_star)
+        pred = state.predict(x_star)[0]
         prior = kernel_block(ctx, x_star, x_star)
         assert np.max(np.abs(pred.covariance - prior)) <= 1e-6 * np.max(np.abs(prior))
 
@@ -85,7 +81,7 @@ class TestFitExact:
         rng = rng_stream(3)
         ctx = random_ctx(rng, 1, [2], 1)
         with pytest.raises(CapExceeded):
-            fit_exact(ctx, LikelihoodModel(kind="gaussian", noise_variance=1.0), np.zeros((11, 1)), np.zeros((11, 1)), cap=10)
+            fit_exact(ctx, LikelihoodModel(kind="gaussian", noise_variance=1.0), np.zeros((11, 1)), cap=10)
 
     def test_interpolation_variance_vanishes_with_noise(self):
         rng = rng_stream(4)
@@ -93,8 +89,8 @@ class TestFitExact:
         x = rng.normal(size=(5, 1))
         y = rng.normal(size=(5, 1))
         lik = LikelihoodModel(kind="gaussian", noise_variance=1e-10)
-        state = fit_exact(ctx, lik, x, y)
-        pred = predict_exact(state, x[2])
+        state = fit_exact(ctx, lik, x)
+        pred = state.predict(x[2])[0]
         assert pred.covariance[0, 0] <= 1e-6
 
     def test_posterior_deflation(self):
@@ -102,10 +98,10 @@ class TestFitExact:
         ctx = random_ctx(rng, 2, [5], 3)
         x = rng.normal(size=(6, 2))
         lik = LikelihoodModel(kind="categorical")
-        state = fit_exact(ctx, lik, x, None)
+        state = fit_exact(ctx, lik, x)
         for _ in range(10):
             x_star = rng.normal(size=2)
-            post = np.diag(predict_exact(state, x_star).covariance)
+            post = np.diag(state.predict(x_star)[0].covariance)
             prior = np.diag(kernel_block(ctx, x_star, x_star))
             assert np.all(post <= prior + 1e-10)
 
@@ -132,14 +128,12 @@ class TestWeightSpaceEquivalence:
             x = rng.normal(size=(8, 2))
             y = rng.normal(size=(8, c)) if kind == "gaussian" else None
             lik = LikelihoodModel(kind=kind, noise_variance=0.4)
-            exact = fit_exact(ctx, lik, x, y)
-            weight = fit_weight_space(
-                ctx.net, lik, x, y, prior_variance=ctx.prior_variance
-            )
+            exact = fit_exact(ctx, lik, x)
+            weight = fit_weight_space(ctx.net, lik, x, prior_variance=ctx.prior_variance)
             for _ in range(4):
                 x_star = rng.normal(size=2)
-                a = predict_exact(exact, x_star).covariance
-                b = predict_weight_space(weight, x_star).covariance
+                a = exact.predict(x_star)[0].covariance
+                b = weight.predict(x_star)[0].covariance
                 scale = max(1e-12, float(np.max(np.abs(a))))
                 assert np.max(np.abs(a - b)) <= 1e-8 * scale
 
@@ -147,9 +141,9 @@ class TestWeightSpaceEquivalence:
         rng = rng_stream(8)
         ctx = random_ctx(rng, 2, [3], 1, log_prior_variance=np.log(0.7))
         lik = LikelihoodModel(kind="gaussian", noise_variance=1.0)
-        weight = fit_weight_space(ctx.net, lik, np.zeros((0, 2)), np.zeros((0, 1)), prior_variance=0.7)
+        weight = fit_weight_space(ctx.net, lik, np.zeros((0, 2)), prior_variance=0.7)
         x_star = rng.normal(size=2)
-        pred = predict_weight_space(weight, x_star)
+        pred = weight.predict(x_star)[0]
         assert np.allclose(pred.covariance, kernel_block(ctx, x_star, x_star), atol=1e-10)
 
     def test_single_point_precision_assembly(self):
@@ -159,7 +153,7 @@ class TestWeightSpaceEquivalence:
         y = rng.normal(size=(1, 1))
         sigma2, prior = 0.5, 2.0
         lik = LikelihoodModel(kind="gaussian", noise_variance=sigma2)
-        weight = fit_weight_space(ctx.net, lik, x, y, prior_variance=prior)
+        weight = fit_weight_space(ctx.net, lik, x, prior_variance=prior)
         j = jacobian(ctx, x[0]).values
         expected = j.T @ j / sigma2 + np.eye(3) / prior
         assert np.allclose(weight.precision, expected, atol=1e-12)
@@ -189,13 +183,13 @@ class TestDiag:
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.3)
         x = np.zeros((1, 1))
         y = rng.normal(size=(1, 1))
-        d = fit_diag(net, lik, x, y, prior_variance=0.8)
-        w = fit_weight_space(net, lik, x, y, prior_variance=0.8)
+        d = fit_diag(net, lik, x, prior_variance=0.8)
+        w = fit_weight_space(net, lik, x, prior_variance=0.8)
         for _ in range(5):
             x_star = rng.normal(size=1)
             assert np.allclose(
-                predict_diag(d, x_star).covariance,
-                predict_weight_space(w, x_star).covariance,
+                d.predict(x_star)[0].covariance,
+                w.predict(x_star)[0].covariance,
                 atol=1e-12,
             )
 
@@ -205,7 +199,7 @@ class TestDiag:
         x = rng.normal(size=(10, 3))
         diag = fit_diag(ctx.net, LikelihoodModel(kind="categorical"), x)
         for _ in range(20):
-            pred = predict_diag(diag, rng.normal(size=3))
+            pred = diag.predict(rng.normal(size=3))[0]
             assert np.all(np.diag(pred.covariance) >= 0)
 
 
@@ -219,8 +213,8 @@ class TestLastLayer:
         w = fit_weight_space(ctx.net, lik, x, prior_variance=1.2)
         for _ in range(5):
             x_star = rng.normal(size=3)
-            a = predict_last_layer(ll, x_star).covariance
-            b = predict_weight_space(w, x_star).covariance
+            a = ll.predict(x_star)[0].covariance
+            b = w.predict(x_star)[0].covariance
             assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_jacobian_equals_explicit_slice(self):
@@ -237,7 +231,7 @@ class TestLastLayer:
         x = rng.normal(size=(4, 2))
         ll = fit_last_layer(ctx.net, LikelihoodModel(kind="categorical"), x)
         x_star = rng.normal(size=2)
-        pred = predict_last_layer(ll, x_star)
+        pred = ll.predict(x_star)[0]
         assert np.array_equal(pred.mean, forward(ctx.net, x_star[None, :]).output[0])
 
 

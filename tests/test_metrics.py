@@ -22,10 +22,9 @@ from lagp.metrics import (
 
 def gaussian_preds(means, function_vars, noise):
     lik = LikelihoodModel(kind="gaussian", noise_variance=noise)
-    return [
-        GaussianPredictive(mean=np.array([m]), covariance=np.array([[v]]), likelihood=lik)
-        for m, v in zip(np.atleast_1d(means), np.atleast_1d(function_vars))
-    ]
+    means = np.asarray(means, dtype=np.float64).reshape(-1, 1)
+    function_vars = np.asarray(function_vars, dtype=np.float64).reshape(-1, 1, 1)
+    return GaussianPredictive(mean=means, covariance=function_vars, likelihood=lik)
 
 
 class TestNll:

@@ -1,9 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from lagp.data import Normalization
 from lagp.errors import FormatError, VersionMismatch
-from lagp.kernel import kernel_block
 from lagp.linalg import rng_stream
 from lagp.lla import (
     LikelihoodModel,
@@ -12,14 +13,9 @@ from lagp.lla import (
     fit_exact,
     fit_last_layer,
     fit_weight_space,
-    predict_diag,
-    predict_exact,
-    predict_last_layer,
-    predict_weight_space,
 )
-from lagp.ella import ella_fit, ella_predict
+from lagp.ella import ella_fit
 from lagp.serialize import load_state, read_container, save_state, write_container
-from lagp.valla import VallaState, valla_predict
 
 from test_kernel import random_ctx
 from test_valla import make_state
@@ -59,90 +55,67 @@ class TestContainer:
             read_container(path)
 
 
+STATE_NAMES = ("map", "lla-exact", "lla-exact-empty", "lla-weight", "lla-diag", "lla-last-layer", "valla", "ella")
+NORMALIZATION_FIELDS = ("input_mean", "input_std", "target_mean", "target_std")
+
+
+@lru_cache(maxsize=None)
+def fitted_states(d, kind):
+    """{name: (state, normalization)}: every state kind on one small network.
+
+    Input width d; one output for the gaussian likelihood, two classes for
+    the categorical one. The N = 0 exact state has no Cholesky factor, and
+    the VaLLA state carries input and target normalization statistics.
+    """
+    rng = rng_stream(10 + d)
+    ctx = random_ctx(rng, d, [4], 1 if kind == "gaussian" else 2, log_prior_variance=-0.2)
+    lik = LikelihoodModel(kind=kind, noise_variance=0.2)
+    x = rng.normal(size=(6, d))
+    norm = Normalization(
+        input_mean=np.linspace(-0.5, 0.5, d),
+        input_std=np.linspace(1.5, 2.0, d),
+        target_mean=np.array([1.0]),
+        target_std=np.array([3.0]),
+    )
+    states = {
+        "map": MapState(ctx=ctx, likelihood=lik),
+        "lla-exact": fit_exact(ctx, lik, x),
+        "lla-exact-empty": fit_exact(ctx, lik, np.zeros((0, d))),
+        "lla-weight": fit_weight_space(ctx.net, lik, x, prior_variance=0.7),
+        "lla-diag": fit_diag(ctx.net, lik, x, prior_variance=0.7),
+        "lla-last-layer": fit_last_layer(ctx.net, lik, x, prior_variance=0.7),
+        "valla": make_state(rng, ctx, m=3, kind=kind, alpha=0.5),
+        "ella": ella_fit(ctx, lik, x, m=5, k=3, seed=0),
+    }
+    return {name: (state, norm if name == "valla" else None) for name, state in states.items()}
+
+
 class TestStateRoundtrips:
-    def test_map_state(self, tmp_path):
-        rng = rng_stream(0)
-        ctx = random_ctx(rng, 2, [3], 2)
-        state = MapState(ctx=ctx, likelihood=LikelihoodModel(kind="categorical"))
-        save_state(tmp_path / "s.bin", state)
-        loaded, norm = load_state(tmp_path / "s.bin")
-        assert norm is None
-        x = rng.normal(size=2)
-        from lagp.lla import predict_map
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize("name", STATE_NAMES)
+    def test_save_load_save(self, tmp_path, name, kind):
+        state, norm = fitted_states(2, kind)[name]
+        save_state(tmp_path / "a.bin", state, normalization=norm)
+        loaded, got_norm = load_state(tmp_path / "a.bin")
+        save_state(tmp_path / "b.bin", loaded, normalization=got_norm)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert type(loaded) is type(state)
+        if norm is None:
+            assert got_norm is None
+        else:
+            for field in NORMALIZATION_FIELDS:
+                assert np.array_equal(getattr(got_norm, field), getattr(norm, field))
+        if name == "lla-exact-empty":
+            assert loaded.q_factor is None
+        if name == "valla":
+            assert loaded.alpha == state.alpha
+        probe = rng_stream(99).normal(size=(5, 2))
+        got, expected = loaded.predict(probe), state.predict(probe)
+        assert got.likelihood == expected.likelihood
+        assert np.array_equal(got.mean, expected.mean)
+        assert np.array_equal(got.covariance, expected.covariance)
 
-        assert np.array_equal(predict_map(loaded, x).mean, predict_map(state, x).mean)
-
-    def test_lla_exact(self, tmp_path):
-        rng = rng_stream(1)
-        ctx = random_ctx(rng, 2, [4], 2)
-        x = rng.normal(size=(6, 2))
-        state = fit_exact(ctx, LikelihoodModel(kind="categorical"), x)
-        save_state(tmp_path / "s.bin", state)
-        loaded, _ = load_state(tmp_path / "s.bin")
-        probe = rng.normal(size=2)
-        assert np.array_equal(
-            predict_exact(loaded, probe).covariance, predict_exact(state, probe).covariance
-        )
-
-    def test_lla_weight_and_diag_and_last_layer(self, tmp_path):
-        rng = rng_stream(2)
-        ctx = random_ctx(rng, 2, [3], 1)
-        x = rng.normal(size=(5, 2))
-        y = rng.normal(size=(5, 1))
-        lik = LikelihoodModel(kind="gaussian", noise_variance=0.2)
-        probe = rng.normal(size=2)
-
-        w = fit_weight_space(ctx.net, lik, x, y, prior_variance=0.7)
-        save_state(tmp_path / "w.bin", w)
-        loaded, _ = load_state(tmp_path / "w.bin")
-        assert np.array_equal(
-            predict_weight_space(loaded, probe).covariance,
-            predict_weight_space(w, probe).covariance,
-        )
-
-        d = fit_diag(ctx.net, lik, x, y, prior_variance=0.7)
-        save_state(tmp_path / "d.bin", d)
-        loaded, _ = load_state(tmp_path / "d.bin")
-        assert np.array_equal(
-            predict_diag(loaded, probe).covariance, predict_diag(d, probe).covariance
-        )
-
-        ll = fit_last_layer(ctx.net, lik, x, y, prior_variance=0.7)
-        save_state(tmp_path / "ll.bin", ll)
-        loaded, _ = load_state(tmp_path / "ll.bin")
-        assert np.array_equal(
-            predict_last_layer(loaded, probe).covariance, predict_last_layer(ll, probe).covariance
-        )
-
-    def test_valla_state_with_normalization(self, tmp_path):
-        rng = rng_stream(3)
-        ctx = random_ctx(rng, 2, [4], 1)
-        state = make_state(rng, ctx, m=3)
-        norm = Normalization(
-            input_mean=np.array([0.5, -0.5]),
-            input_std=np.array([2.0, 1.5]),
-            target_mean=np.array([1.0]),
-            target_std=np.array([3.0]),
-        )
-        save_state(tmp_path / "v.bin", state, normalization=norm)
-        loaded, got_norm = load_state(tmp_path / "v.bin")
-        assert np.array_equal(got_norm.input_mean, norm.input_mean)
-        assert np.array_equal(got_norm.target_std, norm.target_std)
-        probe = rng.normal(size=2)
-        assert np.array_equal(
-            valla_predict(loaded, probe).covariance, valla_predict(state, probe).covariance
-        )
-        assert loaded.alpha == state.alpha
-
-    def test_ella_state(self, tmp_path):
-        rng = rng_stream(4)
-        ctx = random_ctx(rng, 1, [4], 1)
-        x = rng.normal(size=(10, 1))
-        y = rng.normal(size=(10, 1))
-        state = ella_fit(ctx, LikelihoodModel(kind="gaussian", noise_variance=0.2), x, y, m=5, k=3, seed=0)
-        save_state(tmp_path / "e.bin", state)
-        loaded, _ = load_state(tmp_path / "e.bin")
-        probe = rng.normal(size=1)
-        assert np.array_equal(
-            ella_predict(loaded, probe).covariance, ella_predict(state, probe).covariance
-        )
+    def test_unknown_kind_rejected(self, tmp_path):
+        write_container(tmp_path / "s.bin", "bogus", {}, {})
+        with pytest.raises(FormatError):
+            load_state(tmp_path / "s.bin")

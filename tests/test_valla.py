@@ -4,7 +4,7 @@ import pytest
 from lagp.errors import DimensionMismatch
 from lagp.kernel import kernel_block, kernel_block_fast
 from lagp.linalg import rng_stream
-from lagp.lla import LikelihoodModel, fit_exact, predict_exact
+from lagp.lla import LikelihoodModel, fit_exact
 from lagp.nn import forward
 from lagp.valla import (
     DualBasisReport,
@@ -18,7 +18,6 @@ from lagp.valla import (
     kmeans_init,
     objective_gradient,
     optimal_a,
-    valla_predict,
     valla_predict_batch,
 )
 
@@ -58,7 +57,7 @@ class TestPredict:
         )
         x_star = rng.normal(size=2)
         scaled = state.scaled_ctx
-        pred = valla_predict(state, x_star)
+        pred = state.predict(x_star)[0]
         assert np.allclose(pred.covariance, kernel_block(scaled, x_star, x_star), atol=1e-12)
 
     def test_posterior_diagonal_deflated(self):
@@ -68,7 +67,7 @@ class TestPredict:
         for _ in range(10):
             x_star = rng.normal(size=2)
             prior = kernel_block(state.scaled_ctx, x_star, x_star)
-            post = valla_predict(state, x_star).covariance
+            post = state.predict(x_star)[0].covariance
             assert np.all(np.diag(post) <= np.diag(prior) + 1e-10)
 
     def test_mean_is_forward_output_bitwise(self):
@@ -105,11 +104,11 @@ class TestOptimalA:
             log_noise_variance=float(np.log(noise)),
         )
         lik = LikelihoodModel(kind="gaussian", noise_variance=noise)
-        exact = fit_exact(ctx, lik, x, y)
+        exact = fit_exact(ctx, lik, x)
         for _ in range(8):
             x_star = rng.normal(size=1)
-            ours = valla_predict(state, x_star).covariance
-            ref = predict_exact(exact, x_star).covariance
+            ours = state.predict(x_star)[0].covariance
+            ref = exact.predict(x_star)[0].covariance
             assert np.max(np.abs(ours - ref)) <= 1e-6
 
     def test_fd_stationarity_of_evidence_bound(self):
@@ -453,10 +452,10 @@ class TestFitValla:
             early_stopping=False,
             objective="elbo",
         )
-        exact = fit_exact(ctx, lik, x, y)
+        exact = fit_exact(ctx, lik, x)
         grid = np.linspace(-2, 2, 9)[:, None]
         ours = np.array([p.covariance[0, 0] for p in valla_predict_batch(state, grid)])
-        ref = np.array([p.covariance[0, 0] for p in (predict_exact(exact, g) for g in grid)])
+        ref = np.array([p.covariance[0, 0] for p in (exact.predict(g)[0] for g in grid)])
         assert np.max(np.abs(ours - ref)) <= 1e-3
 
     def test_divergence_raises_with_iteration(self):
