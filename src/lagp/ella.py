@@ -9,11 +9,13 @@ of dimension K per output channel, so phi(x) phi(x')^T approximates
 J(x) J(x')^T. A single pass over the training data accumulates the
 feature-space precision
 
-    G = sum_n phi(x_n)^T curvature_n phi(x_n) + (1/prior_variance) I_K
+    G = sum_n psi_n^T psi_n + (1/prior_variance) I_K,  psi_n = B_n^T phi(x_n)
 
-whose inverse gives the posterior covariance phi(x*) G^{-1} phi(x*)^T. At
-full rank (M = N, K = N*C) this reproduces the exact posterior; at low
-rank it tends to understate the variance away from the anchors.
+with B_n the curvature root of ``lla.curvature_roots`` (B_n B_n^T is the
+curvature block), one GEMM per chunk of points. Its inverse gives the
+posterior covariance phi(x*) G^{-1} phi(x*)^T. At full rank (M = N,
+K = N*C) this reproduces the exact posterior; at low rank it tends to
+understate the variance away from the anchors.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, EigenFloorExhausted
 from .kernel import as_inputs, kernel_block_fast
 from .linalg import cholesky, rng_stream, solve_psd, sym_eig
-from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, _lambda_blocks
+from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, curvature_roots, whiten
 from .nn import forward
 
 EIGEN_FLOOR_FACTOR = 1e-10
@@ -101,9 +103,9 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None, chunk=256)
         stop = min(start + chunk, n_pass)
         xb = x[start:stop]
         phi = _features(ctx, projection, anchors, xb)  # (B, C, K)
-        outputs = forward(ctx.net, xb).output
-        blocks, _ = _lambda_blocks(likelihood, outputs)
-        precision += np.einsum("bck,bcd,bdl->kl", phi, blocks, phi)
+        roots = curvature_roots(likelihood, forward(ctx.net, xb).output)
+        psi = whiten(roots, phi.reshape(-1, k))  # (B*C, K)
+        precision += psi.T @ psi
     precision = 0.5 * (precision + precision.T)
     return EllaState(
         ctx=ctx,

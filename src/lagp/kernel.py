@@ -30,12 +30,6 @@ from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
-class Jacobian:
-    point: np.ndarray
-    values: np.ndarray  # (C, P), columns layer-major matching checkpoint order
-
-
-@dataclass(frozen=True)
 class KernelContext:
     net: object
     log_prior_variance: float = 0.0
@@ -118,7 +112,10 @@ def _initial_sensitivity(n, c):
 
 
 def jacobian(ctx, x):
-    """Explicit (C, P) Jacobian of the network output at one input."""
+    """Explicit (C, P) Jacobian of the network output at one input.
+
+    Columns are layer-major and match the checkpoint parameter order.
+    """
     x = as_inputs(x, ctx.net.arch.input_dim)
     if x.shape[0] != 1:
         raise DimensionMismatch("jacobian takes a single input vector")
@@ -135,7 +132,7 @@ def jacobian(ctx, x):
         blocks[l] = np.concatenate([w_part, s], axis=1)
         if l > 0:
             sens = _next_sensitivity(net, sens, acts[l], l)
-    return Jacobian(point=x[0].copy(), values=np.concatenate(blocks, axis=1))
+    return np.concatenate(blocks, axis=1)
 
 
 def kernel_block_fast(ctx, batch_x, batch_z):
@@ -170,8 +167,8 @@ def kernel_block_fast(ctx, batch_x, batch_z):
     fast_path_counter.add(sx.size + (0 if same else sz.size))
     for l in range(depth - 1, -1, -1):
         pair = np.einsum("ick,jdk->icjd", sx, sz)
-        gain = acts_x[l] @ acts_z[l].T + 1.0
-        total += pair * gain[:, None, :, None]
+        pair *= (acts_x[l] @ acts_z[l].T + 1.0)[:, None, :, None]
+        total += pair
         if l > 0:
             released = sx.size + (0 if same else sz.size)
             sx = _next_sensitivity(net, sx, acts_x[l], l)
@@ -181,11 +178,6 @@ def kernel_block_fast(ctx, batch_x, batch_z):
 
     values = ctx.prior_variance * total.reshape(n1 * c, n2 * c)
     return KernelBlockMatrix(left_points=n1, right_points=n2, outputs=c, values=values)
-
-
-def kernel_block(ctx, x, xp):
-    """(C, C) kernel block for a single input pair, via the layerwise path."""
-    return kernel_block_fast(ctx, x, xp).values
 
 
 def kernel_diag_blocks(ctx, batch_x):
@@ -207,32 +199,15 @@ def kernel_diag_blocks(ctx, batch_x):
     return ctx.prior_variance * total
 
 
-def kernel_gradient_wrt_inputs(ctx, x, z):
-    """(C, C, D) derivative of each kernel entry w.r.t. the second input.
-
-    Forward-mode differentiation of the layerwise accumulation: the D
-    tangent directions of z are propagated through both the activation
-    chain and the sensitivity chain, and combined with the untouched
-    x side.
-    """
-    out = kernel_input_gradient_batch(ctx, x, z)
-    if out.shape[0] != 1:
-        raise DimensionMismatch("kernel_gradient_wrt_inputs takes a single x")
-    return out[0]
-
-
-def kernel_input_gradient_batch(ctx, batch_x, z):
-    """(N, C, C, D) derivative of kappa(x_i, z) w.r.t. z, batched over x_i."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    return kernel_input_gradient_multi(ctx, batch_x, z[None, :])[:, 0]
-
-
 def kernel_input_gradient_multi(ctx, batch_x, batch_z):
     """(N, M, C, C, D) derivatives of kappa(x_i, z_m) w.r.t. each z_m.
 
-    The left batch's activations and sensitivities are computed once and
-    shared across every differentiation point, which is what makes dense
-    location gradients affordable inside a training loop.
+    Forward-mode differentiation of the layerwise accumulation: the D
+    tangent directions of each z_m are propagated through both the
+    activation chain and the sensitivity chain, and combined with the
+    untouched x side. The left batch's activations and sensitivities are
+    computed once and shared across every differentiation point, which is
+    what makes dense location gradients affordable inside a training loop.
     """
     x = as_inputs(batch_x, ctx.net.arch.input_dim)
     zs = as_inputs(batch_z, ctx.net.arch.input_dim)

@@ -131,13 +131,6 @@ def sym_eig(a):
     return SymEig(values=values[order], vectors=vectors[:, order])
 
 
-def psd_sqrt(a, floor=0.0):
-    """Symmetric square root of a PSD matrix, clipping eigenvalues at floor."""
-    eig = sym_eig(a)
-    vals = np.clip(eig.values, floor, None)
-    return (eig.vectors * np.sqrt(vals)) @ eig.vectors.T
-
-
 def rng_stream(seed):
     """Deterministic random stream; identical seed gives identical draws."""
     return np.random.Generator(np.random.PCG64(int(seed)))

@@ -11,10 +11,13 @@ The curvature block of the likelihood at a data point,
     curvature(g, y) = -d^2/dg^2 log p(y | g),
 
 is 1/noise_variance * I for the Gaussian case and diag(p) - p p^T at the
-softmax probabilities for the categorical case. The categorical block is
-singular, so the data fit is factored through its PSD square root R:
-solves use I + R kappa(X, X) R, which is always positive definite, instead
-of inverting the curvature.
+softmax probabilities for the categorical case. Every fit takes it from
+the closed-form factor B of ``curvature_roots``, with B B^T equal to the
+curvature block. The categorical block is singular, so the function-space
+route whitens the kernel with B: solves use I + B^T kappa(X, X) B, which
+is always positive definite, instead of inverting the curvature. The
+weight-space routes add G^T G with G = B^T J per data point; only the
+last-layer fit forms B B^T, to keep its Kronecker structure.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from .kernel import (
     kernel_diag_blocks,
     _layer_inputs,
 )
-from .linalg import CholeskyFactor, cholesky, logdet, psd_sqrt, solve_psd
+from .linalg import CholeskyFactor, cholesky, logdet, solve_psd
 from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
@@ -82,36 +85,28 @@ def softmax(g):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def lambda_of(likelihood, net_output):
-    """Likelihood curvature block for one data point; labels do not enter."""
-    g = np.asarray(net_output, dtype=np.float64).ravel()
-    c = g.shape[0]
-    if likelihood.kind == "gaussian":
-        return np.eye(c) / likelihood.noise_variance
-    p = softmax(g)
-    return np.diag(p) - np.outer(p, p)
+def curvature_roots(likelihood, outputs):
+    """(N, C, C) factors B_n with B_n B_n^T the curvature block at each output.
 
-
-def _lambda_blocks(likelihood, outputs):
+    I / sqrt(noise_variance) for the Gaussian likelihood. For the
+    categorical one, B = diag(sqrt(p)) - p sqrt(p)^T at the softmax
+    probabilities p: because sum(p) = 1, B B^T = diag(p) - p p^T exactly.
+    Labels do not enter.
+    """
     n, c = outputs.shape
     if likelihood.kind == "gaussian":
-        blocks = np.broadcast_to(np.eye(c) / likelihood.noise_variance, (n, c, c)).copy()
-        roots = np.broadcast_to(np.eye(c) / np.sqrt(likelihood.noise_variance), (n, c, c)).copy()
-        return blocks, roots
-    blocks = np.empty((n, c, c))
-    roots = np.empty((n, c, c))
-    for i in range(n):
-        blocks[i] = lambda_of(likelihood, outputs[i])
-        roots[i] = psd_sqrt(blocks[i])
-    return blocks, roots
+        return np.broadcast_to(np.eye(c) / np.sqrt(likelihood.noise_variance), (n, c, c)).copy()
+    p = softmax(outputs)
+    root_p = np.sqrt(p)
+    roots = -p[:, :, None] * root_p[:, None, :]
+    roots[:, np.arange(c), np.arange(c)] += root_p
+    return roots
 
 
-def _block_scale(roots, gram, n, c):
-    """Apply the block-diagonal square roots on both sides of a Gram matrix."""
-    g4 = gram.reshape(n, c, n, c)
-    out = np.einsum("ica,iajb->icjb", roots, g4)
-    out = np.einsum("icjb,jbd->icjd", out, roots)
-    return out.reshape(n * c, n * c)
+def whiten(roots, m):
+    """B^T m for the block-diagonal B of the (N, C, C) roots and a point-major (N*C, M) m."""
+    n, c, _ = roots.shape
+    return (roots.transpose(0, 2, 1) @ m.reshape(n, c, -1)).reshape(n * c, -1)
 
 
 class PosteriorState:
@@ -191,8 +186,8 @@ class LlaExactState(PosteriorState):
     ctx: KernelContext
     likelihood: LikelihoodModel
     train_inputs: np.ndarray
-    sqrt_lambda: np.ndarray  # (N, C, C) PSD square roots of the curvature blocks
-    q_factor: object  # Cholesky of I + R kappa(X, X) R; None when N = 0
+    sqrt_lambda: np.ndarray  # (N, C, C) roots B with B B^T the curvature block (older files: symmetric roots)
+    q_factor: object  # Cholesky of I + B^T kappa(X, X) B; None when N = 0
 
     def predict(self, x):
         return predict_exact_batch(self, x)
@@ -213,12 +208,10 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
             sqrt_lambda=np.zeros((0, c, c)),
             q_factor=None,
         )
-    outputs = forward(ctx.net, x).output
-    _, roots = _lambda_blocks(likelihood, outputs)
+    roots = curvature_roots(likelihood, forward(ctx.net, x).output)
     gram = kernel_block_fast(ctx, x, x).values
     gram = 0.5 * (gram + gram.T)
-    whitened = _block_scale(roots, gram, n, c)
-    q = np.eye(n * c) + whitened
+    q = np.eye(n * c) + whiten(roots, whiten(roots, gram).T)
     q = 0.5 * (q + q.T)
     return LlaExactState(
         ctx=ctx,
@@ -229,26 +222,24 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     )
 
 
-def _apply_roots_left(roots, cross, n, c):
-    """Multiply a (N*C, M) matrix by the block-diagonal roots on the left."""
-    m = cross.shape[1]
-    return np.einsum("ica,iam->icm", roots, cross.reshape(n, c, m)).reshape(n * c, m)
-
-
 def predict_exact_batch(state, x_star):
     """Predictives at each query point; mean comes from the network forward pass."""
     ctx = state.ctx
     x_star = as_inputs(x_star, ctx.net.arch.input_dim)
-    c = ctx.net.arch.output_dim
     means = forward(ctx.net, x_star).output
     prior = kernel_diag_blocks(ctx, x_star)
-    n_train = state.train_inputs.shape[0]
-    if n_train == 0:
+    if state.train_inputs.shape[0] == 0:
         return GaussianPredictive(means, prior, state.likelihood)
-    cross = kernel_block_fast(ctx, state.train_inputs, x_star).values  # (NC, N*C')
-    v = _apply_roots_left(state.sqrt_lambda, cross, n_train, c)
+    v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
     w = solve_psd(state.q_factor, v)
     return GaussianPredictive(means, deflated_blocks(prior, v, w), state.likelihood)
+
+
+def _whitened_jacobians(ctx, likelihood, x):
+    """B_n^T J(x_n) for each training input in turn, so G^T G sums to J^T Lambda J."""
+    roots = curvature_roots(likelihood, forward(ctx.net, x).output)
+    for root, xi in zip(roots, x):
+        yield root.T @ jacobian(ctx, xi)
 
 
 def _per_point(state, x_star, block):
@@ -287,12 +278,8 @@ def fit_weight_space(net, likelihood, x, prior_variance=1.0, cap=WEIGHT_SPACE_CA
     x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     precision = np.eye(p) / prior_variance
-    if x.shape[0]:
-        outputs = forward(net, x).output
-        blocks, _ = _lambda_blocks(likelihood, outputs)
-        for i in range(x.shape[0]):
-            j = jacobian(ctx, x[i]).values
-            precision += j.T @ blocks[i] @ j
+    for g in _whitened_jacobians(ctx, likelihood, x):
+        precision += g.T @ g
     precision = 0.5 * (precision + precision.T)
     return LlaWeightState(
         ctx=ctx,
@@ -304,7 +291,7 @@ def fit_weight_space(net, likelihood, x, prior_variance=1.0, cap=WEIGHT_SPACE_CA
 
 def predict_weight_space_batch(state, x_star):
     def block(x):
-        j = jacobian(state.ctx, x).values
+        j = jacobian(state.ctx, x)
         return j @ solve_psd(state.covariance_factor, j.T)
 
     return _per_point(state, x_star, block)
@@ -328,12 +315,8 @@ def fit_diag(net, likelihood, x, prior_variance=1.0):
     x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     diag = np.full(net.param_count, 1.0 / prior_variance)
-    if x.shape[0]:
-        outputs = forward(net, x).output
-        blocks, _ = _lambda_blocks(likelihood, outputs)
-        for i in range(x.shape[0]):
-            j = jacobian(ctx, x[i]).values
-            diag += np.einsum("cp,cd,dp->p", j, blocks[i], j)
+    for g in _whitened_jacobians(ctx, likelihood, x):
+        diag += (g * g).sum(axis=0)
     return LlaDiagState(ctx=ctx, likelihood=likelihood, precision_diag=diag)
 
 
@@ -341,7 +324,7 @@ def predict_diag_batch(state, x_star):
     inv_root = 1.0 / np.sqrt(state.precision_diag)
 
     def block(x):
-        scaled = jacobian(state.ctx, x).values * inv_root[None, :]
+        scaled = jacobian(state.ctx, x) * inv_root[None, :]
         return scaled @ scaled.T
 
     return _per_point(state, x_star, block)
@@ -386,21 +369,18 @@ def fit_last_layer(net, likelihood, x, prior_variance=1.0):
     """Weight-space pipeline restricted to the final layer's parameters."""
     x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
-    c = net.arch.output_dim
-    phi = last_layer_features(net, x) if x.shape[0] else np.zeros((0, 1))
-    width1 = net.arch.layer_dims[-2] + 1
-    precision = np.eye(width1 * c) / prior_variance
-    if x.shape[0]:
-        outputs = forward(net, x).output
-        blocks, _ = _lambda_blocks(likelihood, outputs)
-        # precision[(i,j),(i',j')] = sum_n phi_i phi_i' Lambda_n[j,j'];
-        # accumulate one (j, j') class pair at a time with plain GEMMs.
-        for j in range(c):
-            for l in range(j, c):
-                m = (phi * blocks[:, j, l][:, None]).T @ phi
-                precision[j::c, l::c] += m
-                if l != j:
-                    precision[l::c, j::c] += m.T
+    n, c = x.shape[0], net.arch.output_dim
+    phi = last_layer_features(net, x)
+    roots = curvature_roots(likelihood, forward(net, x).output)
+    # precision[(i,j),(i',j')] = sum_n phi_i phi_i' Lambda_n[j,j'] at the
+    # checkpoint columns i*C + j. Contracting Lambda_n = B_n B_n^T first
+    # keeps the Kronecker structure: C GEMMs of C*w^2*N flops each, where
+    # one GEMM per column of B would take C times as many.
+    lam = roots @ roots.transpose(0, 2, 1)
+    cols = phi.shape[1] * c
+    precision = np.eye(cols) / prior_variance
+    for j in range(c):
+        precision[j::c] += phi.T @ (phi[:, :, None] * lam[:, None, j, :]).reshape(n, cols)
     precision = 0.5 * (precision + precision.T)
     return LlaLastLayerState(ctx=ctx, likelihood=likelihood, precision_factor=cholesky(precision))
 

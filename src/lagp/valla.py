@@ -123,12 +123,15 @@ def valla_predict_batch(state, x_star):
     return GaussianPredictive(pieces["means"], pieces["covs"], state.observation_likelihood)
 
 
+def _kl(h_factor, h_inv):
+    """The divergence from the Cholesky factor of H = I + L^T K_Z L and H^{-1}."""
+    return 0.5 * logdet(h_factor) - 0.5 * (h_factor.dim - float(np.trace(h_inv)))
+
+
 def kl_dual(state):
     """Covariance part of the divergence from the prior; zero at L = 0."""
-    _, u, h_factor = _capacity_factor(state)
-    q = u.shape[0]
-    h_inv_trace = float(np.trace(solve_psd(h_factor, np.eye(q))))
-    return 0.5 * logdet(h_factor) - 0.5 * (q - h_inv_trace)
+    _, _, h_factor = _capacity_factor(state)
+    return _kl(h_factor, solve_psd(h_factor, np.eye(h_factor.dim)))
 
 
 def optimal_a(ctx, inducing, x, noise_variance):
@@ -250,10 +253,7 @@ def alpha_objective(state, batch_x, batch_y, n_total):
     """Mini-batch training objective: scaled data term minus the KL."""
     if not 0.0 < state.alpha <= 1.0:
         raise DimensionMismatch("alpha must lie in (0, 1]")
-    pieces = _batch_posterior(state, batch_x)
-    data, _, _ = _data_term(state, pieces, batch_y, n_total)
-    kl = kl_dual(state)
-    return DualBasisReport(kl_value=kl, data_term=data, objective=data - kl)
+    return _report(state, batch_x, batch_y, n_total, "alpha")
 
 
 def elbo_objective(state, batch_x, batch_y, n_total):
@@ -266,9 +266,15 @@ def elbo_objective(state, batch_x, batch_y, n_total):
     """
     if state.likelihood.kind != "gaussian":
         raise DimensionMismatch("elbo_objective requires the gaussian likelihood")
+    return _report(state, batch_x, batch_y, n_total, "elbo")
+
+
+def _report(state, batch_x, batch_y, n_total, mode):
+    """The objective on one batch, with the KL from the batch's own capacity factor."""
     pieces = _batch_posterior(state, batch_x)
-    data, _, _ = _data_term(state, pieces, batch_y, n_total, mode="elbo")
-    kl = kl_dual(state)
+    data, _, _ = _data_term(state, pieces, batch_y, n_total, mode=mode)
+    h_factor = pieces["h_factor"]
+    kl = _kl(h_factor, solve_psd(h_factor, np.eye(h_factor.dim)))
     return DualBasisReport(kl_value=kl, data_term=data, objective=data - kl)
 
 
@@ -294,10 +300,10 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     cross = pieces["cross"]
 
     data, g_blocks, d_dnoise = _data_term(state, pieces, batch_y, n_total, mode=mode)
-    kl = kl_dual(state)
+    h_inv = solve_psd(h_factor, np.eye(q))
+    kl = _kl(h_factor, h_inv)
     report = DualBasisReport(kl_value=kl, data_term=data, objective=data - kl)
 
-    h_inv = solve_psd(h_factor, np.eye(q))
     # KL pieces: dKL/dU with U = L^T K L
     w_kl = 0.5 * h_inv @ u @ h_inv
     w_kl = 0.5 * (w_kl + w_kl.T)

@@ -6,11 +6,9 @@ from lagp.kernel import (
     KernelContext,
     fast_path_counter,
     jacobian,
-    kernel_block,
     kernel_block_fast,
     kernel_diag_blocks,
-    kernel_gradient_wrt_inputs,
-    kernel_input_gradient_batch,
+    kernel_input_gradient_multi,
 )
 from lagp.linalg import rng_stream
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
@@ -43,8 +41,8 @@ def pairwise_gram(ctx, xs, zs):
     c = ctx.net.arch.output_dim
     n1, n2 = xs.shape[0], zs.shape[0]
     out = np.zeros((n1 * c, n2 * c))
-    jx = [jacobian(ctx, x).values for x in xs]
-    jz = [jacobian(ctx, z).values for z in zs]
+    jx = [jacobian(ctx, x) for x in xs]
+    jz = [jacobian(ctx, z) for z in zs]
     for i in range(n1):
         for j in range(n2):
             out[i * c : (i + 1) * c, j * c : (j + 1) * c] = ctx.prior_variance * jx[i] @ jz[j].T
@@ -56,7 +54,7 @@ class TestJacobian:
         rng = rng_stream(0)
         ctx = linear_ctx(rng, 3, c=1)
         x = rng.normal(size=3)
-        jac = jacobian(ctx, x).values
+        jac = jacobian(ctx, x)
         assert jac.shape == (1, 4)
         assert np.allclose(jac[0], np.concatenate([x, [1.0]]), atol=1e-12)
 
@@ -65,7 +63,7 @@ class TestJacobian:
         ctx = random_ctx(rng, 2, [4, 3], 2)
         net = ctx.net
         x = rng.normal(size=(1, 2))
-        jac = jacobian(ctx, x).values
+        jac = jacobian(ctx, x)
         step = 1e-5
 
         flat = net.flat_parameters()
@@ -95,7 +93,7 @@ class TestJacobian:
         weights = tuple(rng.normal(size=(dims[l], dims[l + 1])) for l in range(2))
         biases = (np.zeros(4), np.zeros(2))
         ctx = KernelContext(net=MlpNetwork(arch=arch, weights=weights, biases=biases))
-        jac = jacobian(ctx, np.zeros(3)).values
+        jac = jacobian(ctx, np.zeros(3))
         first_layer_weight_cols = jac[:, : 3 * 4]
         assert np.array_equal(first_layer_weight_cols, np.zeros((2, 12)))
 
@@ -111,14 +109,14 @@ class TestKernelBlock:
         ctx = linear_ctx(rng, 4, c=1, log_prior_variance=np.log(2.5))
         x = rng.normal(size=4)
         z = rng.normal(size=4)
-        block = kernel_block(ctx, x, z)
+        block = kernel_block_fast(ctx, x, z).values
         assert np.allclose(block, 2.5 * (x @ z + 1.0), atol=1e-12)
 
     def test_self_block_psd(self):
         rng = rng_stream(4)
         ctx = random_ctx(rng, 3, [5], 4)
         x = rng.normal(size=3)
-        block = kernel_block(ctx, x, x)
+        block = kernel_block_fast(ctx, x, x).values
         vals = np.linalg.eigvalsh(0.5 * (block + block.T))
         assert vals.min() >= -1e-10
 
@@ -127,8 +125,8 @@ class TestKernelBlock:
         ctx = random_ctx(rng, 3, [6, 4], 2, log_prior_variance=0.3)
         x = rng.normal(size=3)
         z = rng.normal(size=3)
-        block = kernel_block(ctx, x, z)
-        explicit = ctx.prior_variance * jacobian(ctx, x).values @ jacobian(ctx, z).values.T
+        block = kernel_block_fast(ctx, x, z).values
+        explicit = ctx.prior_variance * jacobian(ctx, x) @ jacobian(ctx, z).T
         assert np.max(np.abs(block - explicit)) <= 1e-10
 
     def test_symmetry_under_argument_swap(self):
@@ -136,7 +134,7 @@ class TestKernelBlock:
         ctx = random_ctx(rng, 2, [5, 5], 3)
         x = rng.normal(size=2)
         z = rng.normal(size=2)
-        assert np.max(np.abs(kernel_block(ctx, x, z) - kernel_block(ctx, z, x).T)) <= 1e-12
+        assert np.max(np.abs(kernel_block_fast(ctx, x, z).values - kernel_block_fast(ctx, z, x).values.T)) <= 1e-12
 
     def test_prior_variance_scaling_exact(self):
         rng = rng_stream(7)
@@ -144,7 +142,7 @@ class TestKernelBlock:
         ctx2 = ctx1.with_log_prior_variance(np.log(2.0))
         x = rng.normal(size=2)
         z = rng.normal(size=2)
-        assert np.array_equal(2.0 * kernel_block(ctx1, x, z), kernel_block(ctx2, x, z))
+        assert np.array_equal(2.0 * kernel_block_fast(ctx1, x, z).values, kernel_block_fast(ctx2, x, z).values)
 
 
 class TestKernelBlockFast:
@@ -155,7 +153,8 @@ class TestKernelBlockFast:
         z = rng.normal(size=(1, 3))
         gram = kernel_block_fast(ctx, x, z)
         assert gram.values.shape == (2, 2)
-        assert np.array_equal(gram.values, kernel_block(ctx, x[0], z[0]))
+        # one point given as a 1-D input of length D
+        assert np.array_equal(gram.values, kernel_block_fast(ctx, x[0], z[0]).values)
 
     def test_batch_matches_pairwise_oracle(self):
         rng = rng_stream(9)
@@ -240,7 +239,7 @@ class TestKernelInputGradient:
         ctx = linear_ctx(rng, 3, c=1, log_prior_variance=np.log(1.7))
         x = rng.normal(size=3)
         z = rng.normal(size=3)
-        grad = kernel_gradient_wrt_inputs(ctx, x, z)
+        grad = kernel_input_gradient_multi(ctx, x, z)[0, 0]
         assert grad.shape == (1, 1, 3)
         assert np.allclose(grad[0, 0], 1.7 * x, atol=1e-12)
 
@@ -249,27 +248,27 @@ class TestKernelInputGradient:
         ctx = random_ctx(rng, 3, [5, 4], 2, log_prior_variance=0.1)
         x = rng.normal(size=3)
         z = rng.normal(size=3)
-        grad = kernel_gradient_wrt_inputs(ctx, x, z)
+        grad = kernel_input_gradient_multi(ctx, x, z)[0, 0]
         step = 1e-5
         for d in range(3):
             zp, zm = z.copy(), z.copy()
             zp[d] += step
             zm[d] -= step
-            fd = (kernel_block(ctx, x, zp) - kernel_block(ctx, x, zm)) / (2 * step)
+            fd = (kernel_block_fast(ctx, x, zp).values - kernel_block_fast(ctx, x, zm).values) / (2 * step)
             assert np.max(np.abs(fd - grad[:, :, d])) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
 
     def test_coincident_points_finite_and_correct(self):
         rng = rng_stream(17)
         ctx = random_ctx(rng, 2, [6], 2)
         x = rng.normal(size=2)
-        grad = kernel_gradient_wrt_inputs(ctx, x, x)
+        grad = kernel_input_gradient_multi(ctx, x, x)[0, 0]
         assert np.all(np.isfinite(grad))
         step = 1e-5
         for d in range(2):
             zp, zm = x.copy(), x.copy()
             zp[d] += step
             zm[d] -= step
-            fd = (kernel_block(ctx, x, zp) - kernel_block(ctx, x, zm)) / (2 * step)
+            fd = (kernel_block_fast(ctx, x, zp).values - kernel_block_fast(ctx, x, zm).values) / (2 * step)
             assert np.max(np.abs(fd - grad[:, :, d])) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
 
     def test_batch_version_matches_single(self):
@@ -277,6 +276,6 @@ class TestKernelInputGradient:
         ctx = random_ctx(rng, 2, [4], 2)
         xs = rng.normal(size=(5, 2))
         z = rng.normal(size=2)
-        batched = kernel_input_gradient_batch(ctx, xs, z)
+        batched = kernel_input_gradient_multi(ctx, xs, z)[:, 0]
         for i in range(5):
-            assert np.allclose(batched[i], kernel_gradient_wrt_inputs(ctx, xs[i], z), atol=1e-14)
+            assert np.allclose(batched[i], kernel_input_gradient_multi(ctx, xs[i], z)[0, 0], atol=1e-14)

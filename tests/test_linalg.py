@@ -6,7 +6,6 @@ from lagp.linalg import (
     CholeskyFactor,
     cholesky,
     logdet,
-    psd_sqrt,
     rng_stream,
     solve_psd,
     sym_eig,
@@ -124,12 +123,6 @@ class TestSymEig:
         rng = rng_stream(3)
         a = random_psd(rng, 6)
         assert np.isclose(logdet(cholesky(a)), np.linalg.slogdet(a)[1], atol=1e-9)
-
-    def test_psd_sqrt(self):
-        rng = rng_stream(5)
-        a = random_psd(rng, 5)
-        r = psd_sqrt(a)
-        assert np.allclose(r @ r, a, atol=1e-9)
 
 
 class TestRngStream:

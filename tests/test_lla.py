@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from lagp.errors import CapExceeded, DimensionMismatch
-from lagp.kernel import KernelContext, jacobian, kernel_block, kernel_block_fast
+from lagp.kernel import KernelContext, jacobian, kernel_block_fast
 from lagp.linalg import rng_stream
 from lagp.lla import (
     GaussianPredictive,
     LikelihoodModel,
+    curvature_roots,
     fit_diag,
     fit_exact,
     fit_last_layer,
     fit_weight_space,
     grid_search_hyperparameters,
-    lambda_of,
     last_layer_jacobian,
     log_marginal_likelihood,
     predict_exact_batch,
@@ -24,14 +25,22 @@ from lagp.nn import MlpArchitecture, MlpNetwork, forward
 from test_kernel import random_ctx
 
 
+def curvature(lik, g):
+    """The curvature block B B^T at one output g, from its closed-form root."""
+    b = curvature_roots(lik, np.asarray(g, dtype=np.float64)[None, :])[0]
+    return b @ b.T
+
+
 class TestLambdaOf:
+    """The curvature block Lambda, read as B B^T from ``curvature_roots``."""
+
     def test_gaussian_is_inverse_noise(self):
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.5)
-        assert np.allclose(lambda_of(lik, np.zeros(1)), [[2.0]])
+        assert np.allclose(curvature(lik, np.zeros(1)), [[2.0]])
 
     def test_uniform_softmax(self):
         lik = LikelihoodModel(kind="categorical")
-        lam = lambda_of(lik, np.zeros(3))
+        lam = curvature(lik, np.zeros(3))
         expected = np.eye(3) / 3.0 - np.ones((3, 3)) / 9.0
         assert np.allclose(lam, expected, atol=1e-12)
 
@@ -39,7 +48,7 @@ class TestLambdaOf:
         rng = rng_stream(0)
         lik = LikelihoodModel(kind="categorical")
         g = rng.normal(size=4)
-        lam = lambda_of(lik, g)
+        lam = curvature(lik, g)
         h = 1e-4
         label = 2
 
@@ -54,6 +63,18 @@ class TestLambdaOf:
                 fd = (f(g + ea + eb) - f(g + ea - eb) - f(g - ea + eb) + f(g - ea - eb)) / (4 * h * h)
                 assert abs(fd - lam[a, b]) <= 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6), st.floats(1e-4, 1e2))
+    def test_roots_reproduce_curvature(self, logits, noise):
+        g = np.array(logits)
+        c = g.shape[0]
+        p = softmax(g)
+        lam = curvature(LikelihoodModel(kind="categorical"), g)
+        assert np.max(np.abs(lam - (np.diag(p) - np.outer(p, p)))) <= 1e-14
+        lam = curvature(LikelihoodModel(kind="gaussian", noise_variance=noise), g)
+        # relative to the entries of I / noise, which reach 1e4
+        assert np.max(np.abs(lam - np.eye(c) / noise)) <= 1e-14 * max(1.0, 1.0 / noise)
+
 
 class TestFitExact:
     def test_empty_data_returns_prior(self):
@@ -63,7 +84,7 @@ class TestFitExact:
         state = fit_exact(ctx, lik, np.zeros((0, 2)))
         x_star = rng.normal(size=2)
         pred = state.predict(x_star)[0]
-        assert np.allclose(pred.covariance, kernel_block(ctx, x_star, x_star), atol=1e-12)
+        assert np.allclose(pred.covariance, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-12)
 
     def test_huge_noise_recovers_prior(self):
         rng = rng_stream(2)
@@ -74,7 +95,7 @@ class TestFitExact:
         state = fit_exact(ctx, lik, x)
         x_star = rng.normal(size=1)
         pred = state.predict(x_star)[0]
-        prior = kernel_block(ctx, x_star, x_star)
+        prior = kernel_block_fast(ctx, x_star, x_star).values
         assert np.max(np.abs(pred.covariance - prior)) <= 1e-6 * np.max(np.abs(prior))
 
     def test_cap_enforced(self):
@@ -102,7 +123,7 @@ class TestFitExact:
         for _ in range(10):
             x_star = rng.normal(size=2)
             post = np.diag(state.predict(x_star)[0].covariance)
-            prior = np.diag(kernel_block(ctx, x_star, x_star))
+            prior = np.diag(kernel_block_fast(ctx, x_star, x_star).values)
             assert np.all(post <= prior + 1e-10)
 
     def test_mean_is_forward_pass_bitwise(self):
@@ -144,18 +165,25 @@ class TestWeightSpaceEquivalence:
         weight = fit_weight_space(ctx.net, lik, np.zeros((0, 2)), prior_variance=0.7)
         x_star = rng.normal(size=2)
         pred = weight.predict(x_star)[0]
-        assert np.allclose(pred.covariance, kernel_block(ctx, x_star, x_star), atol=1e-10)
+        assert np.allclose(pred.covariance, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-10)
 
-    def test_single_point_precision_assembly(self):
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    def test_single_point_precision_assembly(self, kind):
         rng = rng_stream(9)
-        ctx = random_ctx(rng, 2, [], 1)
+        c = 1 if kind == "gaussian" else 3
+        ctx = random_ctx(rng, 2, [], c)
         x = rng.normal(size=(1, 2))
         y = rng.normal(size=(1, 1))
         sigma2, prior = 0.5, 2.0
-        lik = LikelihoodModel(kind="gaussian", noise_variance=sigma2)
+        lik = LikelihoodModel(kind=kind, noise_variance=sigma2)
         weight = fit_weight_space(ctx.net, lik, x, prior_variance=prior)
-        j = jacobian(ctx, x[0]).values
-        expected = j.T @ j / sigma2 + np.eye(3) / prior
+        j = jacobian(ctx, x[0])
+        if kind == "gaussian":
+            lam = np.eye(c) / sigma2
+        else:
+            p = softmax(forward(ctx.net, x).output[0])
+            lam = np.diag(p) - np.outer(p, p)
+        expected = j.T @ lam @ j + np.eye(ctx.net.param_count) / prior
         assert np.allclose(weight.precision, expected, atol=1e-12)
 
     def test_cap_enforced(self):
@@ -221,9 +249,32 @@ class TestLastLayer:
         rng = rng_stream(15)
         ctx = random_ctx(rng, 2, [4, 3], 2)
         x = rng.normal(size=2)
-        full = jacobian(ctx, x).values
+        full = jacobian(ctx, x)
         last_cols = (3 + 1) * 2
         assert np.max(np.abs(last_layer_jacobian(ctx.net, x) - full[:, -last_cols:])) <= 1e-12
+
+    def test_precision_matches_jacobian_slices(self):
+        rng = rng_stream(23)
+        ctx = random_ctx(rng, 2, [4, 3], 3)
+        x = rng.normal(size=(7, 2))
+        lik = LikelihoodModel(kind="categorical")
+        ll = fit_last_layer(ctx.net, lik, x, prior_variance=0.9)
+        last_cols = (3 + 1) * 3
+        expected = np.eye(last_cols) / 0.9
+        for xi, g in zip(x, forward(ctx.net, x).output):
+            j = jacobian(ctx, xi)[:, -last_cols:]
+            p = softmax(g)
+            expected += j.T @ (np.diag(p) - np.outer(p, p)) @ j
+        lower = ll.precision_factor.lower
+        assert np.max(np.abs(lower @ lower.T - expected)) <= 1e-12
+
+    def test_no_data_covariance_is_prior(self):
+        rng = rng_stream(24)
+        ctx = random_ctx(rng, 2, [4], 3)
+        ll = fit_last_layer(ctx.net, LikelihoodModel(kind="categorical"), np.zeros((0, 2)), prior_variance=0.6)
+        x_star = rng.normal(size=2)
+        j = last_layer_jacobian(ctx.net, x_star)
+        assert np.allclose(ll.predict(x_star)[0].covariance, 0.6 * j @ j.T, atol=1e-12)
 
     def test_mean_unchanged_from_map(self):
         rng = rng_stream(16)

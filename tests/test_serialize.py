@@ -2,18 +2,23 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lagp.data import Normalization
 from lagp.errors import FormatError, VersionMismatch
-from lagp.linalg import rng_stream
+from lagp.kernel import kernel_block_fast
+from lagp.linalg import cholesky, rng_stream
 from lagp.lla import (
     LikelihoodModel,
+    LlaExactState,
     MapState,
     fit_diag,
     fit_exact,
     fit_last_layer,
     fit_weight_space,
+    softmax,
 )
+from lagp.nn import forward
 from lagp.ella import ella_fit
 from lagp.serialize import load_state, read_container, save_state, write_container
 
@@ -114,6 +119,33 @@ class TestStateRoundtrips:
         assert got.likelihood == expected.likelihood
         assert np.array_equal(got.mean, expected.mean)
         assert np.array_equal(got.covariance, expected.covariance)
+
+    def test_symmetric_root_state_predicts_like_fit_exact(self, tmp_path):
+        # older exact states hold the symmetric eigh root of each curvature block
+        rng = rng_stream(31)
+        ctx = random_ctx(rng, 2, [4], 3, log_prior_variance=-0.2)
+        lik = LikelihoodModel(kind="categorical")
+        x = rng.normal(size=(6, 2))
+        roots = []
+        for p in softmax(forward(ctx.net, x).output):
+            vals, vecs = np.linalg.eigh(np.diag(p) - np.outer(p, p))
+            roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T)
+        r = scipy.linalg.block_diag(*roots)
+        gram = kernel_block_fast(ctx, x, x).values
+        q = np.eye(18) + r @ (0.5 * (gram + gram.T)) @ r
+        old = LlaExactState(
+            ctx=ctx,
+            likelihood=lik,
+            train_inputs=x,
+            sqrt_lambda=np.array(roots),
+            q_factor=cholesky(0.5 * (q + q.T)),
+        )
+        save_state(tmp_path / "old.bin", old)
+        loaded, _ = load_state(tmp_path / "old.bin")
+        probe = rng_stream(98).normal(size=(5, 2))
+        got, expected = loaded.predict(probe), fit_exact(ctx, lik, x).predict(probe)
+        assert np.array_equal(got.mean, expected.mean)
+        assert np.max(np.abs(got.covariance - expected.covariance)) <= 1e-12
 
     def test_unknown_kind_rejected(self, tmp_path):
         write_container(tmp_path / "s.bin", "bogus", {}, {})
