@@ -5,8 +5,8 @@ The prior covariance between two inputs is the scaled tangent kernel
     kappa(x, x') = prior_variance * J(x) @ J(x').T
 
 with J(x) the (C, P) Jacobian of the network output at its trained
-parameters. Two evaluation paths are provided: explicit Jacobian products
-(the oracle), and a layer-by-layer accumulation that never materializes a
+parameters. The explicit Jacobian (``jacobian``) serves as the oracle;
+the Gram paths accumulate layer by layer and never materialize a
 (N, C, P) tensor. The layerwise identity per layer l, with s_l(x) the
 back-propagated sensitivities d(output)/d(pre-activation_l) and a_{l-1}(x)
 the layer inputs, is
@@ -16,7 +16,13 @@ the layer inputs, is
 
 because the derivative w.r.t. weight (i, j) factorizes into
 sensitivity_j * input_i, and the bias derivatives contribute the
-trailing +1.
+trailing +1. Each layer's sensitivity pairs are one GEMM.
+
+Gradients with respect to the second argument are taken in reverse mode
+(``kernel_input_vjp``): a cotangent on the Gram blocks is pushed through
+the same per-layer pairs and gains, then back up the sensitivity chain and
+down the tanh activations to the inputs, for about the cost of one more
+kernel pass.
 
 Multi-output Gram matrices are laid out point-major: row i*C + c holds
 output c of point i, keeping each (C, C) pair block contiguous.
@@ -104,7 +110,14 @@ def _layer_inputs(net, x):
 
 def _next_sensitivity(net, sens, post, l_next):
     """Propagate (N, C, w_{l+1}) sensitivities down one layer."""
-    return np.einsum("ncj,kj->nck", sens, net.weights[l_next]) * (1.0 - post * post)[:, None, :]
+    return (sens @ net.weights[l_next].T) * (1.0 - post * post)[:, None, :]
+
+
+def _pair(sx, sz):
+    """(N1, C, N2, C) sensitivity inner products <sx[i, o], sz[j, p]>, as one GEMM."""
+    n1, c, k = sx.shape
+    n2 = sz.shape[0]
+    return (sx.reshape(n1 * c, k) @ sz.reshape(n2 * c, k).T).reshape(n1, c, n2, c)
 
 
 def _initial_sensitivity(n, c):
@@ -166,7 +179,7 @@ def kernel_block_fast(ctx, batch_x, batch_z):
     sz = sx if same else _initial_sensitivity(n2, c)
     fast_path_counter.add(sx.size + (0 if same else sz.size))
     for l in range(depth - 1, -1, -1):
-        pair = np.einsum("ick,jdk->icjd", sx, sz)
+        pair = _pair(sx, sz)
         pair *= (acts_x[l] @ acts_z[l].T + 1.0)[:, None, :, None]
         total += pair
         if l > 0:
@@ -199,57 +212,50 @@ def kernel_diag_blocks(ctx, batch_x):
     return ctx.prior_variance * total
 
 
-def kernel_input_gradient_multi(ctx, batch_x, batch_z):
-    """(N, M, C, C, D) derivatives of kappa(x_i, z_m) w.r.t. each z_m.
+def kernel_input_vjp(ctx, batch_x, batch_z, cotangent):
+    """(M, D) gradient of <cotangent, kappa(X, Z)> w.r.t. the locations Z.
 
-    Forward-mode differentiation of the layerwise accumulation: the D
-    tangent directions of each z_m are propagated through both the
-    activation chain and the sensitivity chain, and combined with the
-    untouched x side. The left batch's activations and sensitivities are
-    computed once and shared across every differentiation point, which is
-    what makes dense location gradients affordable inside a training loop.
+    ``cotangent`` is (N, C, M, C); entry [i, o, m, p] weights the (o, p)
+    entry of kappa(x_i, z_m). Per layer, the pair and gain of the forward
+    kernel give cotangents on the z-side layer inputs and sensitivities,
+    each one GEMM. The sensitivity cotangents then run up the sensitivity
+    chain s_{l-1} = (s_l W_l^T) * (1 - a_l^2), and the input cotangents
+    down the tanh activations to Z.
     """
     x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    zs = as_inputs(batch_z, ctx.net.arch.input_dim)
+    z = as_inputs(batch_z, ctx.net.arch.input_dim)
     net = ctx.net
     depth = net.arch.depth
-    n, m = x.shape[0], zs.shape[0]
+    n, m = x.shape[0], z.shape[0]
     c = net.arch.output_dim
-    d = zs.shape[1]
+    g = np.asarray(cotangent, dtype=np.float64)
+    if g.shape != (n, c, m, c):
+        raise DimensionMismatch(f"cotangent has shape {g.shape}, expected {(n, c, m, c)}")
 
-    # z side: activations, their input tangents, sensitivities, and the
-    # sensitivities' input tangents, batched over the M locations
-    a_z = _layer_inputs(net, zs)
-    a_dot = [np.broadcast_to(np.eye(d), (m, d, d)).copy()]  # (M, w_{l-1}, D)
-    for l in range(depth - 1):
-        h_dot = np.einsum("ik,mid->mkd", net.weights[l], a_dot[l])
-        t = 1.0 - a_z[l + 1] * a_z[l + 1]  # (M, w_l)
-        a_dot.append(t[:, :, None] * h_dot)
-
-    sens_z = [None] * depth
-    sens_dot = [None] * depth
-    sens_z[depth - 1] = _initial_sensitivity(m, c)
-    sens_dot[depth - 1] = np.zeros((m, c, c, d))
-    for l in range(depth - 2, -1, -1):
-        w = net.weights[l + 1]  # (w_l, w_{l+1})
-        t = 1.0 - a_z[l + 1] * a_z[l + 1]  # (M, w_l)
-        back = np.einsum("moj,kj->mok", sens_z[l + 1], w)  # (M, C, w_l)
-        sens_z[l] = back * t[:, None, :]
-        t_dot = -2.0 * a_z[l + 1][:, :, None] * a_dot[l + 1]  # (M, w_l, D)
-        back_dot = np.einsum("mojd,kj->mokd", sens_dot[l + 1], w)
-        sens_dot[l] = back_dot * t[:, None, :, None] + back[:, :, :, None] * t_dot[:, None, :, :]
-
-    # x side: plain activations and sensitivities, computed once
     acts_x = _layer_inputs(net, x)
-    out = np.zeros((n, m, c, c, d))
+    acts_z = _layer_inputs(net, z)
+    act_bar = [None] * depth
+    sens_z = [None] * depth
+    sens_bar = [None] * depth
     sx = _initial_sensitivity(n, c)
+    sens_z[depth - 1] = _initial_sensitivity(m, c)
     for l in range(depth - 1, -1, -1):
-        gain = acts_x[l] @ a_z[l].T + 1.0  # (N, M)
-        gain_dot = np.einsum("ni,mid->nmd", acts_x[l], a_dot[l])  # (N, M, D)
-        pair = np.einsum("nok,mpk->nmop", sx, sens_z[l])  # (N, M, C, C)
-        pair_dot = np.einsum("nok,mpkd->nmopd", sx, sens_dot[l])
-        out += pair_dot * gain[:, :, None, None, None]
-        out += pair[:, :, :, :, None] * gain_dot[:, :, None, None, :]
+        gain = acts_x[l] @ acts_z[l].T + 1.0  # (N, M)
+        gain_bar = (g * _pair(sx, sens_z[l])).sum(axis=(1, 3))  # (N, M)
+        act_bar[l] = gain_bar.T @ acts_x[l]
+        weighted = (g * gain[:, None, :, None]).reshape(n * c, m * c)
+        sens_bar[l] = (weighted.T @ sx.reshape(n * c, -1)).reshape(m, c, -1)
         if l > 0:
             sx = _next_sensitivity(net, sx, acts_x[l], l)
-    return ctx.prior_variance * out
+            sens_z[l - 1] = _next_sensitivity(net, sens_z[l], acts_z[l], l)
+
+    # sensitivity cotangents flow up from layer 0; the top layer's
+    # sensitivities are the constant identity and pass nothing on
+    for l in range(1, depth):
+        act_bar[l] -= 2.0 * acts_z[l] * (sens_bar[l - 1] * (sens_z[l] @ net.weights[l].T)).sum(axis=1)
+        if l < depth - 1:
+            sens_bar[l] += (sens_bar[l - 1] * (1.0 - acts_z[l] * acts_z[l])[:, None, :]) @ net.weights[l]
+
+    for l in range(depth - 1, 0, -1):
+        act_bar[l - 1] += (act_bar[l] * (1.0 - acts_z[l] * acts_z[l])) @ net.weights[l - 1].T
+    return ctx.prior_variance * act_bar[0]

@@ -38,6 +38,7 @@ from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
 WEIGHT_SPACE_CAP = 2000  # max parameter count for the explicit precision
+PREDICT_BLOCK_FLOATS = 2**22  # max entries of one cross-kernel block in predict_exact_batch (32 MB)
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,15 @@ def predict_exact_batch(state, x_star):
     prior = kernel_diag_blocks(ctx, x_star)
     if state.train_inputs.shape[0] == 0:
         return GaussianPredictive(means, prior, state.likelihood)
-    v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
-    w = solve_psd(state.q_factor, v)
-    return GaussianPredictive(means, deflated_blocks(prior, v, w), state.likelihood)
+    # queries in chunks, so the (N*C, chunk*C) cross kernel stays within the block size
+    n, c = state.sqrt_lambda.shape[:2]
+    chunk = max(1, PREDICT_BLOCK_FLOATS // (n * c * c))
+    covs = np.empty_like(prior)
+    for start in range(0, x_star.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star[rows]).values)
+        covs[rows] = deflated_blocks(prior[rows], v, solve_psd(state.q_factor, v))
+    return GaussianPredictive(means, covs, state.likelihood)
 
 
 def _whitened_jacobians(ctx, likelihood, x):

@@ -40,7 +40,7 @@ from .kernel import (
     as_inputs,
     kernel_block_fast,
     kernel_diag_blocks,
-    kernel_input_gradient_multi,
+    kernel_input_vjp,
 )
 from .linalg import cholesky, logdet, rng_stream, solve_psd
 from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, deflated_blocks
@@ -284,9 +284,10 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     Returns (report, grads) with grads holding 'a_factor' (masked to the
     lower triangle), 'inducing', 'log_prior_variance' and, for Gaussian
     likelihoods, 'log_noise_variance'. The inducing-location gradient is
-    the expensive piece (forward-mode kernel derivatives per location)
-    and can be skipped when those are frozen. ``mode`` selects the data
-    term: the likelihood-power objective or the plain evidence bound.
+    one reverse-mode pass through the kernel (``kernel_input_vjp``) with
+    the cotangents of K_Z and of the cross blocks; it is left at zero when
+    the locations are frozen. ``mode`` selects the data term: the
+    likelihood-power objective or the plain evidence bound.
     """
     ctx = state.scaled_ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
@@ -339,22 +340,17 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     if state.likelihood.kind == "gaussian":
         grads["log_noise_variance"] = float(state.noise_variance * d_dnoise)
 
-    # inducing locations: contract kernel input-gradients against the
-    # cotangents of K_Z (factor two from symmetry) and of the cross blocks
-    m = state.inducing.shape[0]
-    grad_z = np.zeros_like(state.inducing)
     if not compute_inducing_gradient:
-        grads["inducing"] = grad_z
+        grads["inducing"] = np.zeros_like(state.inducing)
         return report, grads
-    psi_blocks = psi.reshape(m, c, m, c)
-    cross_cot = grad_cross.reshape(m, c, b, c)
-    t_all = kernel_input_gradient_multi(ctx, np.vstack([state.inducing, batch_x]), state.inducing)
-    grad_z += 2.0 * np.einsum("iomp,imopd->md", psi_blocks, t_all[:m])
-    # cross block (j, b) holds kappa(z_j, x_b); its (p, o) entry is
-    # kappa_{o p}(x_b, z_j), so pair the cotangent's first class index
-    # with the gradient's second output index
-    grad_z += np.einsum("jpbo,bjopd->jd", cross_cot, t_all[m:])
-    grads["inducing"] = grad_z
+    m = state.inducing.shape[0]
+    # inducing locations: one reverse pass over kappa([Z; X], Z). K_Z takes
+    # psi twice (it depends on Z through both arguments); cross block (j, b)
+    # holds kappa(z_j, x_b), whose (p, o) entry is kappa_{o p}(x_b, z_j)
+    cotangent = np.concatenate(
+        [2.0 * psi.reshape(m, c, m, c), grad_cross.reshape(m, c, b, c).transpose(2, 3, 0, 1)]
+    )
+    grads["inducing"] = kernel_input_vjp(ctx, np.vstack([state.inducing, batch_x]), state.inducing, cotangent)
     return report, grads
 
 

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagp.errors import DimensionMismatch
 from lagp.kernel import (
     KernelContext,
+    _initial_sensitivity,
+    _layer_inputs,
+    _next_sensitivity,
+    as_inputs,
     fast_path_counter,
     jacobian,
     kernel_block_fast,
     kernel_diag_blocks,
-    kernel_input_gradient_multi,
+    kernel_input_vjp,
 )
 from lagp.linalg import rng_stream
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
@@ -47,6 +52,60 @@ def pairwise_gram(ctx, xs, zs):
         for j in range(n2):
             out[i * c : (i + 1) * c, j * c : (j + 1) * c] = ctx.prior_variance * jx[i] @ jz[j].T
     return out
+
+
+def kernel_input_gradient_multi(ctx, batch_x, batch_z):
+    """Oracle: (N, M, C, C, D) derivatives of kappa(x_i, z_m) w.r.t. each z_m.
+
+    Forward-mode differentiation of the layerwise accumulation: the D
+    tangent directions of each z_m are propagated through both the
+    activation chain and the sensitivity chain, and combined with the
+    untouched x side.
+    """
+    x = as_inputs(batch_x, ctx.net.arch.input_dim)
+    zs = as_inputs(batch_z, ctx.net.arch.input_dim)
+    net = ctx.net
+    depth = net.arch.depth
+    n, m = x.shape[0], zs.shape[0]
+    c = net.arch.output_dim
+    d = zs.shape[1]
+
+    # z side: activations, their input tangents, sensitivities, and the
+    # sensitivities' input tangents, batched over the M locations
+    a_z = _layer_inputs(net, zs)
+    a_dot = [np.broadcast_to(np.eye(d), (m, d, d)).copy()]  # (M, w_{l-1}, D)
+    for l in range(depth - 1):
+        h_dot = np.einsum("ik,mid->mkd", net.weights[l], a_dot[l])
+        t = 1.0 - a_z[l + 1] * a_z[l + 1]  # (M, w_l)
+        a_dot.append(t[:, :, None] * h_dot)
+
+    sens_z = [None] * depth
+    sens_dot = [None] * depth
+    sens_z[depth - 1] = _initial_sensitivity(m, c)
+    sens_dot[depth - 1] = np.zeros((m, c, c, d))
+    for l in range(depth - 2, -1, -1):
+        w = net.weights[l + 1]  # (w_l, w_{l+1})
+        t = 1.0 - a_z[l + 1] * a_z[l + 1]  # (M, w_l)
+        back = np.einsum("moj,kj->mok", sens_z[l + 1], w)  # (M, C, w_l)
+        sens_z[l] = back * t[:, None, :]
+        t_dot = -2.0 * a_z[l + 1][:, :, None] * a_dot[l + 1]  # (M, w_l, D)
+        back_dot = np.einsum("mojd,kj->mokd", sens_dot[l + 1], w)
+        sens_dot[l] = back_dot * t[:, None, :, None] + back[:, :, :, None] * t_dot[:, None, :, :]
+
+    # x side: plain activations and sensitivities, computed once
+    acts_x = _layer_inputs(net, x)
+    out = np.zeros((n, m, c, c, d))
+    sx = _initial_sensitivity(n, c)
+    for l in range(depth - 1, -1, -1):
+        gain = acts_x[l] @ a_z[l].T + 1.0  # (N, M)
+        gain_dot = np.einsum("ni,mid->nmd", acts_x[l], a_dot[l])  # (N, M, D)
+        pair = np.einsum("nok,mpk->nmop", sx, sens_z[l])  # (N, M, C, C)
+        pair_dot = np.einsum("nok,mpkd->nmopd", sx, sens_dot[l])
+        out += pair_dot * gain[:, :, None, None, None]
+        out += pair[:, :, :, :, None] * gain_dot[:, :, None, None, :]
+        if l > 0:
+            sx = _next_sensitivity(net, sx, acts_x[l], l)
+    return ctx.prior_variance * out
 
 
 class TestJacobian:
@@ -279,3 +338,33 @@ class TestKernelInputGradient:
         batched = kernel_input_gradient_multi(ctx, xs, z)[:, 0]
         for i in range(5):
             assert np.allclose(batched[i], kernel_input_gradient_multi(ctx, xs[i], z)[0, 0], atol=1e-14)
+
+
+class TestKernelInputVjp:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 6), max_size=2),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 5),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_forward_mode_contraction(self, d, c, hidden, n, m, shared, seed):
+        rng = rng_stream(seed)
+        ctx = random_ctx(rng, d, hidden, c, log_prior_variance=float(rng.normal(scale=0.5)))
+        zs = rng.normal(size=(m, d))
+        xs = rng.normal(size=(n, d))
+        shared = min(shared, n, m)
+        xs[:shared] = zs[:shared]
+        g = rng.normal(size=(n, c, m, c))
+        got = kernel_input_vjp(ctx, xs, zs, g)
+        ref = np.einsum("iomp,imopd->md", g, kernel_input_gradient_multi(ctx, xs, zs))
+        assert got.shape == (m, d)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_wrong_cotangent_shape_rejected(self):
+        ctx = random_ctx(rng_stream(0), 2, [3], 2)
+        with pytest.raises(DimensionMismatch):
+            kernel_input_vjp(ctx, np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((3, 2, 2, 1)))

@@ -3,13 +3,15 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from lagp import lla
 from lagp.errors import CapExceeded, DimensionMismatch
-from lagp.kernel import KernelContext, jacobian, kernel_block_fast
-from lagp.linalg import rng_stream
+from lagp.kernel import KernelContext, jacobian, kernel_block_fast, kernel_diag_blocks
+from lagp.linalg import rng_stream, solve_psd
 from lagp.lla import (
     GaussianPredictive,
     LikelihoodModel,
     curvature_roots,
+    deflated_blocks,
     fit_diag,
     fit_exact,
     fit_last_layer,
@@ -19,6 +21,7 @@ from lagp.lla import (
     log_marginal_likelihood,
     predict_exact_batch,
     softmax,
+    whiten,
 )
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
 
@@ -125,6 +128,19 @@ class TestFitExact:
             post = np.diag(state.predict(x_star)[0].covariance)
             prior = np.diag(kernel_block_fast(ctx, x_star, x_star).values)
             assert np.all(post <= prior + 1e-10)
+
+    def test_query_chunks_match_one_cross_kernel(self, monkeypatch):
+        rng = rng_stream(7)
+        ctx = random_ctx(rng, 2, [4], 2)
+        state = fit_exact(ctx, LikelihoodModel(kind="categorical"), rng.normal(size=(5, 2)))
+        chunk = 3  # queries per block with 5 training points and C = 2
+        monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", chunk * 5 * 2 * 2)
+        x_star = rng.normal(size=(chunk + 1, 2))
+        v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
+        whole = deflated_blocks(kernel_diag_blocks(ctx, x_star), v, solve_psd(state.q_factor, v))
+        pred = predict_exact_batch(state, x_star)
+        assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
+        assert np.max(np.abs(pred.covariance - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     def test_mean_is_forward_pass_bitwise(self):
         rng = rng_stream(6)

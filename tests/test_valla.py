@@ -349,6 +349,17 @@ class TestObjectiveGradient:
             y = rng.normal(size=5)
             fd_gradient_check(state, x, y, n_total=5, mode="elbo")
 
+    @pytest.mark.parametrize("kind, c", [("gaussian", 1), ("categorical", 3)])
+    def test_matches_finite_differences_two_hidden_layers(self, kind, c):
+        # the gaussian likelihood takes one output; C = 3 for the categorical
+        rng = rng_stream(16)
+        ctx = random_ctx(rng, 3, [4, 5], c)
+        state = make_state(rng, ctx, m=3, kind=kind)
+        x = rng.normal(size=(4, 3))
+        x[1] = state.inducing[2]
+        y = rng.normal(size=4) if kind == "gaussian" else rng.integers(0, c, size=4)
+        fd_gradient_check(state, x, y, n_total=10, mode="alpha")
+
 
 class TestKmeansInit:
     def test_full_m_returns_points(self):
