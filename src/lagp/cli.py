@@ -28,7 +28,7 @@ from . import metrics as metrics_mod
 from . import valla as valla_mod
 from .errors import CapExceeded, ConfigError, LagpError
 from .kernel import KernelContext
-from .lla import GaussianPredictive, LikelihoodModel
+from .lla import EVIDENCE_CAP, NOISE_GRID, PRIOR_GRID, GaussianPredictive, LikelihoodModel
 from .nn import MlpArchitecture, TrainConfig, load_network, save_network, train_map
 from .serialize import load_state, save_state
 
@@ -236,31 +236,38 @@ def cmd_train_map(args):
 
 
 def _choose_hyperparameters(cfg, net, train):
-    """Fixed values from the config, or an evidence grid search (regression)."""
+    """Fixed values from the config, or an evidence grid search (regression).
+
+    Returns (prior_variance, noise_variance, search): ``search`` is empty
+    when nothing was searched, else it records ``evidence_points`` (the
+    first ``EVIDENCE_CAP`` training points at most are searched) and
+    ``evidence_at_grid_edge`` (a searched variance is an end of its grid).
+    """
     pv = cfg["method.prior_variance"]
     nv = cfg["method.noise_variance"]
     if train.task == "classification":
-        return float(pv) if pv is not None else 1.0, None
+        return float(pv) if pv is not None else 1.0, None, {}
     if pv is not None and nv is not None:
-        return float(pv), float(nv)
-    x, y = train.inputs, train.targets.ravel()
-    cap = 500  # evidence search builds an N x N system
-    if x.shape[0] > cap:
-        x, y = x[:cap], y[:cap]
+        return float(pv), float(nv), {}
+    x, y = train.inputs[:EVIDENCE_CAP], train.targets.ravel()[:EVIDENCE_CAP]
     best_pv, best_nv, _ = lla_mod.grid_search_hyperparameters(net, x, y)
-    return (float(pv) if pv is not None else best_pv, float(nv) if nv is not None else best_nv)
+    edge = (pv is None and best_pv in (PRIOR_GRID[0], PRIOR_GRID[-1])) or (
+        nv is None and best_nv in (NOISE_GRID[0], NOISE_GRID[-1])
+    )
+    search = {"evidence_points": int(x.shape[0]), "evidence_at_grid_edge": bool(edge)}
+    return (float(pv) if pv is not None else best_pv, float(nv) if nv is not None else best_nv, search)
 
 
 def fit_method(cfg, net, train, val, log_dir=None):
     """Dispatch to the requested posterior; returns (state, info)."""
     method = cfg["method"]
-    prior_variance, noise_variance = _choose_hyperparameters(cfg, net, train)
+    prior_variance, noise_variance, search = _choose_hyperparameters(cfg, net, train)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     if train.task == "classification":
         likelihood = LikelihoodModel(kind="categorical")
     else:
         likelihood = LikelihoodModel(kind="gaussian", noise_variance=noise_variance)
-    info = {"method": method, "prior_variance": prior_variance, "noise_variance": noise_variance}
+    info = {"method": method, "prior_variance": prior_variance, "noise_variance": noise_variance, **search}
 
     if method == "map":
         return lla_mod.MapState(ctx=ctx, likelihood=likelihood), info
@@ -473,7 +480,7 @@ def cmd_compare(args):
         raise ConfigError("test split is empty")
 
     # every method shares one choice of the variances (one evidence search)
-    prior_variance, noise_variance = _choose_hyperparameters(cfg, net, train)
+    prior_variance, noise_variance, _ = _choose_hyperparameters(cfg, net, train)
     cfg = dict(cfg, **{"method.prior_variance": prior_variance, "method.noise_variance": noise_variance})
     rows = []
     timings = {}

@@ -18,13 +18,19 @@ route whitens the kernel with B: solves use I + B^T kappa(X, X) B, which
 is always positive definite, instead of inverting the curvature. The
 weight-space routes add G^T G with G = B^T J per data point; only the
 last-layer fit forms B B^T, to keep its Kronecker structure.
+
+Regression picks its variances by maximizing the evidence
+log N(y - g(X) | 0, pv K + nv I) over a grid of finite positive (pv, nv).
+One eigendecomposition of the unit-prior kernel K, its eigenvalues
+clipped at 0, prices each grid point in O(N): see
+``grid_search_hyperparameters``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch, NonFiniteValue
 from .kernel import (
     KernelContext,
     as_inputs,
@@ -33,12 +39,15 @@ from .kernel import (
     kernel_diag_blocks,
     _layer_inputs,
 )
-from .linalg import CholeskyFactor, cholesky, logdet, solve_psd
+from .linalg import CholeskyFactor, cholesky, solve_psd, sym_eig
 from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
 WEIGHT_SPACE_CAP = 2000  # max parameter count for the explicit precision
 PREDICT_BLOCK_FLOATS = 2**22  # max entries of one cross-kernel block in predict_exact_batch (32 MB)
+EVIDENCE_CAP = 500  # training points the CLI's evidence search reads (the first ones)
+PRIOR_GRID = tuple(np.logspace(-3, 3, 10))  # prior variances of the default evidence search
+NOISE_GRID = tuple(np.logspace(-4, 1, 10))  # noise variances of the default evidence search
 
 
 @dataclass(frozen=True)
@@ -400,54 +409,66 @@ def predict_last_layer_batch(state, x_star):
     return _per_point(state, x_star, block)
 
 
-def _log_evidence(resid, cov):
-    """log N(resid | 0, cov), through a Cholesky factor of cov."""
-    factor = cholesky(cov)
-    alpha = solve_psd(factor, resid)
-    return float(-0.5 * (resid @ alpha + logdet(factor) + resid.shape[0] * np.log(2.0 * np.pi)))
+def _variance_grid(grid, default, name):
+    """A search grid as a 1-D float64 array of finite positive variances."""
+    grid = np.asarray(default if grid is None else grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid <= 0):
+        raise DimensionMismatch(f"{name} must be a nonempty list of finite positive variances")
+    return grid
 
 
-def log_marginal_likelihood(ctx, likelihood, x, y, cap=EXACT_CAP):
-    """Log evidence of the linearized regression model.
+def _log_evidence(spectrum, rotated_sq, prior_variance, noise_grid):
+    """log N(r | 0, prior_variance K + nv I) for each nv in noise_grid.
 
-    Gaussian likelihood only: log N(y | g(X), kappa(X, X) + noise * I).
+    K = Q diag(spectrum) Q^T and rotated_sq = (Q^T r)^2, so the log
+    determinant and the quadratic form are sums over the N eigenvalues.
     """
-    if likelihood.kind != "gaussian":
-        raise DimensionMismatch("marginal likelihood requires the gaussian likelihood")
-    x = as_inputs(x, ctx.net.arch.input_dim)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = x.shape[0]
-    if n * ctx.net.arch.output_dim > cap:
-        raise CapExceeded(f"N*C = {n} exceeds exact cap {cap}")
-    resid = y - forward(ctx.net, x).output.ravel()
-    cov = kernel_block_fast(ctx, x, x).values + likelihood.noise_variance * np.eye(n)
-    return _log_evidence(resid, 0.5 * (cov + cov.T))
+    scaled = prior_variance * spectrum + noise_grid[:, None]
+    quad = np.sum(rotated_sq / scaled, axis=1)
+    return -0.5 * (quad + np.sum(np.log(scaled), axis=1) + spectrum.shape[0] * np.log(2.0 * np.pi))
 
 
 def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
-    """Maximize the evidence over a log-space grid of the two variances.
+    """Maximize the regression evidence over a grid of the two variances.
 
-    Returns (best_prior_variance, best_noise_variance, table) where the
-    table rows are (prior_variance, noise_variance, evidence).
+    The evidence of a single-output network's residuals r = y - g(X) is
+    log N(r | 0, pv K + nv I), with K = kappa(X, X) the tangent kernel at
+    unit prior variance. One eigendecomposition K = Q diag(lambda) Q^T
+    prices every grid point in O(N): with r~ = Q^T r,
+
+        log det(pv K + nv I) = sum_i log(pv lambda_i + nv),
+        r^T (pv K + nv I)^-1 r = sum_i r~_i^2 / (pv lambda_i + nv).
+
+    K = J J^T is positive semidefinite, so eigenvalues that rounding
+    leaves below zero are clipped to 0. Both grids (``PRIOR_GRID`` and
+    ``NOISE_GRID`` when None) must be nonempty lists of finite positive
+    variances; anything else raises DimensionMismatch.
+
+    Returns (best_prior_variance, best_noise_variance, table). The table
+    rows are (prior_variance, noise_variance, evidence), prior-major in
+    grid order; the best entry is the first row with the largest evidence.
     """
-    if prior_grid is None:
-        prior_grid = np.logspace(-3, 3, 10)
-    if noise_grid is None:
-        noise_grid = np.logspace(-4, 1, 10)
+    prior_grid = _variance_grid(prior_grid, PRIOR_GRID, "prior_grid")
+    noise_grid = _variance_grid(noise_grid, NOISE_GRID, "noise_grid")
+    if net.arch.output_dim != 1:
+        raise DimensionMismatch("the evidence search needs a single-output regression network")
     x = as_inputs(x, net.arch.input_dim)
     y = np.asarray(y, dtype=np.float64).ravel()
-    n = x.shape[0]
-    base = KernelContext(net=net, log_prior_variance=0.0)
+    if x.shape[0] == 0 or y.shape[0] != x.shape[0]:
+        raise DimensionMismatch(f"evidence search needs N >= 1 inputs and N targets, got {x.shape[0]} and {y.shape[0]}")
     resid = y - forward(net, x).output.ravel()
-    unscaled = kernel_block_fast(base, x, x).values
-    unscaled = 0.5 * (unscaled + unscaled.T)
+    if not np.all(np.isfinite(resid)):
+        raise NonFiniteValue("evidence search residuals contain NaN or Inf")
+    unscaled = kernel_block_fast(KernelContext(net=net, log_prior_variance=0.0), x, x).values
+    eig = sym_eig(0.5 * (unscaled + unscaled.T))
+    spectrum = np.maximum(eig.values, 0.0)
+    rotated_sq = (eig.vectors.T @ resid) ** 2
 
-    best = (None, None, -np.inf)
-    table = []
-    for pv in prior_grid:
-        for nv in noise_grid:
-            value = _log_evidence(resid, pv * unscaled + nv * np.eye(n))
-            table.append((float(pv), float(nv), value))
-            if value > best[2]:
-                best = (float(pv), float(nv), value)
-    return best[0], best[1], table
+    values = np.array([_log_evidence(spectrum, rotated_sq, pv, noise_grid) for pv in prior_grid])
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    table = [
+        (float(pv), float(nv), float(value))
+        for pv, row in zip(prior_grid, values)
+        for nv, value in zip(noise_grid, row)
+    ]
+    return float(prior_grid[i]), float(noise_grid[j]), table

@@ -117,6 +117,28 @@ class TestFit:
         cfg = write_config(tmp_path, "mc.cfg", f"output_dir = {tmp_path / 'mc'}\n")
         assert main(["fit", str(cfg), "--checkpoint", str(tmp_path / "nope.bin")]) == 2
 
+    def test_evidence_search_records_cut_and_grid_edge(self, tmp_path):
+        from lagp.lla import EVIDENCE_CAP, NOISE_GRID, PRIOR_GRID
+
+        checkpoint = train_checkpoint(tmp_path)
+        searched = TOY_BASE.replace("method.prior_variance = 0.5\n", "").replace("method.noise_variance = 0.01\n", "")
+        cfg = tmp_path / "big.cfg"
+        # 720 points, 504 of them in the training split
+        big = searched.replace("dataset.n = 60", "dataset.n = 720")
+        cfg.write_text(big + f"output_dir = {tmp_path / 'big'}\nmethod = map\n")
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 0
+        info = json.loads((tmp_path / "big" / "fit_info_map.json").read_text())
+        assert info["evidence_points"] == EVIDENCE_CAP == 500
+        pv, nv = info["prior_variance"], info["noise_variance"]
+        edge = pv in (PRIOR_GRID[0], PRIOR_GRID[-1]) or nv in (NOISE_GRID[0], NOISE_GRID[-1])
+        assert info["evidence_at_grid_edge"] is edge
+
+        # fixed variances: nothing searched, nothing recorded
+        cfg = write_config(tmp_path, "fixed.cfg", f"output_dir = {tmp_path / 'fixed'}\nmethod = map\n")
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 0
+        info = json.loads((tmp_path / "fixed" / "fit_info_map.json").read_text())
+        assert "evidence_points" not in info and "evidence_at_grid_edge" not in info
+
     def test_determinism_across_reruns(self, tmp_path):
         checkpoint = train_checkpoint(tmp_path)
         outs = []

@@ -1,12 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from lagp import lla
-from lagp.errors import CapExceeded, DimensionMismatch
+from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
 from lagp.kernel import KernelContext, jacobian, kernel_block_fast, kernel_diag_blocks
-from lagp.linalg import rng_stream, solve_psd
+from lagp.linalg import cholesky, logdet, rng_stream, solve_psd
 from lagp.lla import (
     GaussianPredictive,
     LikelihoodModel,
@@ -18,7 +19,6 @@ from lagp.lla import (
     fit_weight_space,
     grid_search_hyperparameters,
     last_layer_jacobian,
-    log_marginal_likelihood,
     predict_exact_batch,
     softmax,
     whiten,
@@ -302,6 +302,51 @@ class TestLastLayer:
         assert np.array_equal(pred.mean, forward(ctx.net, x_star[None, :]).output[0])
 
 
+def unit_kernel_and_residuals(net, x, y):
+    """The symmetrized unit-prior tangent kernel K and the residuals y - g(X) the search reads."""
+    k = kernel_block_fast(KernelContext(net=net, log_prior_variance=0.0), x, x).values
+    return 0.5 * (k + k.T), np.asarray(y, dtype=np.float64) - forward(net, x).output.ravel()
+
+
+def cholesky_log_evidence(k, resid, pv, nv):
+    """Oracle: (log N(resid | 0, pv K + nv I), size of its terms), through a Cholesky factor.
+
+    The size is (quadratic form + |log det| + N log 2 pi) / 2, what the
+    evidence adds up before its terms cancel.
+    """
+    n = resid.shape[0]
+    factor = cholesky(pv * k + nv * np.eye(n))
+    quad, log_det, constant = resid @ solve_psd(factor, resid), logdet(factor), n * np.log(2.0 * np.pi)
+    return float(-0.5 * (quad + log_det + constant)), 0.5 * (quad + abs(log_det) + constant)
+
+
+def evidence(ctx, lik, x, y):
+    """log N(y | g(X), kappa(X, X) + noise I) at ctx's prior variance, through a one-point grid."""
+    pv = float(np.exp(ctx.log_prior_variance))
+    return grid_search_hyperparameters(ctx.net, x, y, prior_grid=[pv], noise_grid=[lik.noise_variance])[2][0][2]
+
+
+def assert_matches_cholesky_oracle(table, net, x, y):
+    """Every row within 1e-9 of the Cholesky oracle, plus what eigh's rounding allows.
+
+    Returns the oracle's evidences and tolerances, row by row. eigh's
+    eigenvalues carry absolute errors near eps * lambda_max; in the terms
+    r~^2 / (pv lambda + nv) of K's null space the ratio pv / nv (up to 1e7
+    on the default grid) scales them by pv * lambda_max / nv. Both are
+    measured against the size of the evidence's terms.
+    """
+    k, resid = unit_kernel_and_residuals(net, x, y)
+    lambda_max = max(float(np.linalg.eigvalsh(k)[-1]), 0.0)
+    oracle = []
+    for pv, nv, value in table:
+        expected, size = cholesky_log_evidence(k, resid, pv, nv)
+        tol = (1e-9 + 16 * np.finfo(float).eps * pv * lambda_max / nv) * size
+        assert np.isfinite(value)
+        assert abs(value - expected) <= tol
+        oracle.append((expected, tol))
+    return oracle
+
+
 class TestLogMarginalLikelihood:
     def test_single_point_zero_kernel_limit(self):
         rng = rng_stream(17)
@@ -309,7 +354,7 @@ class TestLogMarginalLikelihood:
         x = rng.normal(size=(1, 1))
         y = np.array([0.7])
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.5)
-        value = log_marginal_likelihood(ctx, lik, x, y)
+        value = evidence(ctx, lik, x, y)
         mean = forward(ctx.net, x).output[0, 0]
         expected = scipy.stats.norm.logpdf(0.7, loc=mean, scale=np.sqrt(0.5))
         assert abs(value - expected) <= 1e-9
@@ -320,7 +365,7 @@ class TestLogMarginalLikelihood:
         x = rng.normal(size=(7, 2))
         y = rng.normal(size=7)
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.3)
-        value = log_marginal_likelihood(ctx, lik, x, y)
+        value = evidence(ctx, lik, x, y)
         mean = forward(ctx.net, x).output.ravel()
         cov = kernel_block_fast(ctx, x, x).values + 0.3 * np.eye(7)
         expected = scipy.stats.multivariate_normal.logpdf(y, mean=mean, cov=cov)
@@ -332,15 +377,15 @@ class TestLogMarginalLikelihood:
         x = rng.normal(size=(5, 1))
         y = forward(ctx.net, x).output.ravel() + 0.01 * rng.normal(size=5)
         lik = LikelihoodModel(kind="gaussian", noise_variance=1e-6)
-        base = log_marginal_likelihood(ctx, lik, x, y)
+        base = evidence(ctx, lik, x, y)
         x_new = np.vstack([x, rng.normal(size=(1, 1))])
         y_new = np.append(y, forward(ctx.net, x_new[-1:]).output.ravel())
-        assert log_marginal_likelihood(ctx, lik, x_new, y_new) > base
+        assert evidence(ctx, lik, x_new, y_new) > base
 
     def test_categorical_rejected(self):
         ctx = random_ctx(rng_stream(20), 1, [2], 2)
         with pytest.raises(DimensionMismatch):
-            log_marginal_likelihood(ctx, LikelihoodModel(kind="categorical"), np.zeros((1, 1)), np.zeros(1))
+            evidence(ctx, LikelihoodModel(kind="categorical"), np.zeros((1, 1)), np.zeros(1))
 
 
 class TestGridSearch:
@@ -363,3 +408,83 @@ class TestGridSearch:
         pv, nv, table = grid_search_hyperparameters(ctx.net, x, y)
         best_row = max(table, key=lambda r: r[2])
         assert (pv, nv) == (best_row[0], best_row[1])
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"prior_grid": []},
+            {"noise_grid": []},
+            {"prior_grid": [1.0, np.nan]},
+            {"noise_grid": [np.inf]},
+            {"prior_grid": [-np.inf, 1.0]},
+            {"prior_grid": [0.0, 1.0]},
+            {"noise_grid": [1e-2, 0.0]},
+            {"prior_grid": [-1.0]},
+            {"noise_grid": [-1e-4]},
+            {"prior_grid": [[1.0, 2.0]]},
+        ],
+    )
+    def test_bad_grid_rejected(self, grids):
+        ctx = random_ctx(rng_stream(23), 1, [3], 1)
+        x = np.linspace(-1.0, 1.0, 6)[:, None]
+        with pytest.raises(DimensionMismatch):
+            grid_search_hyperparameters(ctx.net, x, np.zeros(6), **grids)
+
+    def test_bad_data_rejected(self):
+        ctx = random_ctx(rng_stream(24), 1, [3], 1)
+        with pytest.raises(DimensionMismatch):
+            grid_search_hyperparameters(ctx.net, np.zeros((0, 1)), np.zeros(0))
+        with pytest.raises(DimensionMismatch):
+            grid_search_hyperparameters(ctx.net, np.zeros((3, 1)), np.zeros(4))
+        with pytest.raises(NonFiniteValue):
+            grid_search_hyperparameters(ctx.net, np.zeros((3, 1)), np.array([0.0, np.nan, 1.0]))
+
+    def test_rank_deficient_kernel_matches_cholesky_oracle(self):
+        # 24 points through a net of 10 parameters: K has rank 10 at most,
+        # and pv / nv = 1e7 is the default grid's worst-conditioned corner
+        rng = rng_stream(25)
+        ctx = random_ctx(rng, 1, [3], 1)
+        x = rng.normal(size=(24, 1))
+        y = forward(ctx.net, x).output.ravel() + 0.1 * rng.normal(size=24)
+        assert np.linalg.matrix_rank(unit_kernel_and_residuals(ctx.net, x, y)[0]) <= 10
+        _, _, table = grid_search_hyperparameters(ctx.net, x, y, prior_grid=[1e3], noise_grid=[1e-4])
+        assert_matches_cholesky_oracle(table, ctx.net, x, y)
+
+    def test_extended_precision_reference(self):
+        # log det and the quadratic form at 60 digits, from the same float64 K and residuals
+        rng = rng_stream(25)
+        ctx = random_ctx(rng, 1, [3], 1)
+        x = rng.normal(size=(24, 1))
+        y = forward(ctx.net, x).output.ravel() + 0.1 * rng.normal(size=24)
+        k, resid = unit_kernel_and_residuals(ctx.net, x, y)
+        _, _, table = grid_search_hyperparameters(ctx.net, x, y, [1e-3, 1.0, 1e3], [1e-4, 1e-2, 10.0])
+        with mpmath.workdps(60):
+            kernel, r = mpmath.matrix(k.tolist()), mpmath.matrix(resid.tolist())
+            for pv, nv, value in table:
+                cov = mpmath.mpf(pv) * kernel + mpmath.mpf(nv) * mpmath.eye(24)
+                lower = mpmath.cholesky(cov)
+                log_det = 2 * mpmath.fsum(mpmath.log(lower[i, i]) for i in range(24))
+                quad = mpmath.fsum(a * b for a, b in zip(r, mpmath.cholesky_solve(cov, r)))
+                reference = -(quad + log_det + 24 * mpmath.log(2 * mpmath.pi)) / 2
+                assert abs(value - reference) <= 5e-8 * abs(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.integers(1, 6), max_size=2),
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_spectral_table_matches_cholesky_oracle(self, d, hidden, n, seed):
+        rng = rng_stream(seed)
+        ctx = random_ctx(rng, d, hidden, 1)
+        x = rng.normal(size=(n, d))
+        y = forward(ctx.net, x).output.ravel() + rng.normal(size=n)
+        pv, nv, table = grid_search_hyperparameters(ctx.net, x, y)
+        assert len(table) == 100
+        oracle = assert_matches_cholesky_oracle(table, ctx.net, x, y)
+        # the oracle's argmax, wherever its top two rows are told apart by more than their tolerances
+        order = sorted(range(len(table)), key=lambda i: -oracle[i][0])
+        (first, first_tol), (second, second_tol) = oracle[order[0]], oracle[order[1]]
+        if first - second > first_tol + second_tol:
+            assert (pv, nv) == table[order[0]][:2]
