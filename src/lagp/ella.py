@@ -13,7 +13,9 @@ feature-space precision
 
 with B_n the curvature root of ``lla.curvature_roots`` (B_n B_n^T is the
 curvature block), one GEMM per chunk of points. Its inverse gives the
-posterior covariance phi(x*) G^{-1} phi(x*)^T. At full rank (M = N,
+posterior covariance phi(x*) G^{-1} phi(x*)^T = r^T r, with
+r = L_G^-1 phi(x*)^T from one triangular solve against the Cholesky
+factor L_G of G, so every block is PSD by construction. At full rank (M = N,
 K = N*C) this reproduces the exact posterior; at low rank it tends to
 understate the variance away from the anchors.
 """
@@ -24,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigenFloorExhausted
 from .kernel import as_inputs, kernel_block_fast
-from .linalg import cholesky, rng_stream, solve_psd, sym_eig
-from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, curvature_roots, whiten
+from .linalg import cholesky, rng_stream, solve_lower, sym_eig
+from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, curvature_roots, gram_blocks, whiten
 from .nn import forward
 
 EIGEN_FLOOR_FACTOR = 1e-10
@@ -52,10 +54,11 @@ class EllaState(PosteriorState):
 def _features(state_ctx, projection, anchors, x):
     """(N, C, K) feature rows per output channel."""
     unscaled = state_ctx.with_log_prior_variance(0.0)
-    cross = kernel_block_fast(unscaled, anchors, x).values  # (M*C, N*C)
-    k = projection.shape[0]
+    k, mc = projection.shape
     n = x.shape[0]
     c = state_ctx.net.arch.output_dim
+    # kernel_block_fast rejects an empty batch, whose cross kernel is (M*C, 0)
+    cross = kernel_block_fast(unscaled, anchors, x).values if n else np.zeros((mc, 0))
     proj = projection @ cross  # (K, N*C)
     return proj.reshape(k, n, c).transpose(1, 2, 0)
 
@@ -121,7 +124,5 @@ def ella_predict_batch(state, x_star):
     x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
     means = forward(state.ctx.net, x_star).output
     phi = _features(state.ctx, state.projection, state.anchors, x_star)  # (N, C, K)
-    # one solve per point: with C = 1, a single solve over all N*C columns
-    # rounds differently from the per-point solves in the last bit
-    covs = np.stack([p @ solve_psd(state.precision_factor, p.T) for p in phi])
-    return GaussianPredictive(means, 0.5 * (covs + covs.transpose(0, 2, 1)), state.likelihood)
+    r = solve_lower(state.precision_factor, phi.reshape(-1, state.feature_dim).T)
+    return GaussianPredictive(means, gram_blocks(r, phi.shape[1]), state.likelihood)

@@ -95,9 +95,11 @@ def cholesky(a, jitter=0.0):
             attempt = nxt
 
 
-def solve_psd(factor, b):
-    """Solve (L @ L.T) x = b for one or more right-hand sides."""
-    lower = factor.lower
+def solve_lower(factor, b):
+    """L^-1 b for one or more right-hand sides; a 1-D b gives a 1-D result.
+
+    With r = L^-1 v, the quadratic form v^T (L L^T)^-1 v is r^T r.
+    """
     b = np.asarray(b, dtype=np.float64)
     vector_input = b.ndim == 1
     if vector_input:
@@ -106,9 +108,14 @@ def solve_psd(factor, b):
         raise DimensionMismatch(
             f"rhs has shape {b.shape}, expected ({factor.dim}, k)"
         )
-    y = scipy.linalg.solve_triangular(lower, b, lower=True)
-    x = scipy.linalg.solve_triangular(lower.T, y, lower=False)
-    return x[:, 0] if vector_input else x
+    y = scipy.linalg.solve_triangular(factor.lower, b, lower=True)
+    return y[:, 0] if vector_input else y
+
+
+def solve_psd(factor, b):
+    """Solve (L @ L.T) x = b for one or more right-hand sides."""
+    y = solve_lower(factor, b)
+    return scipy.linalg.solve_triangular(factor.lower.T, y, lower=False)
 
 
 def logdet(factor):

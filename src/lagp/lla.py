@@ -14,10 +14,13 @@ is 1/noise_variance * I for the Gaussian case and diag(p) - p p^T at the
 softmax probabilities for the categorical case. Every fit takes it from
 the closed-form factor B of ``curvature_roots``, with B B^T equal to the
 curvature block. The categorical block is singular, so the function-space
-route whitens the kernel with B: solves use I + B^T kappa(X, X) B, which
-is always positive definite, instead of inverting the curvature. The
-weight-space routes add G^T G with G = B^T J per data point; only the
-last-layer fit forms B B^T, to keep its Kronecker structure.
+route whitens the kernel with B: solves use Q = I + B^T kappa(X, X) B,
+which is always positive definite, instead of inverting the curvature.
+Its predictive covariance is cov = prior - r^T r blockwise, with
+r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q: one
+triangular solve. The weight-space routes add G^T G with G = B^T J per
+data point; only the last-layer fit forms B B^T, to keep its Kronecker
+structure.
 
 Regression picks its variances by maximizing the evidence
 log N(y - g(X) | 0, pv K + nv I) over a grid of finite positive (pv, nv).
@@ -39,7 +42,7 @@ from .kernel import (
     kernel_diag_blocks,
     _layer_inputs,
 )
-from .linalg import CholeskyFactor, cholesky, solve_psd, sym_eig
+from .linalg import CholeskyFactor, cholesky, solve_lower, solve_psd, sym_eig
 from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
@@ -154,17 +157,19 @@ class PosteriorState:
         return cls(ctx=ctx, likelihood=likelihood, **fields)
 
 
-def deflated_blocks(prior, v, w):
-    """Blocks prior[i] - v_i^T w_i, symmetrized.
+def gram_blocks(r, c, prior=None):
+    """Symmetrized (N, C, C) blocks r_i^T r_i, or prior[i] - r_i^T r_i given a prior.
 
-    v_i and w_i are the (q, C) column blocks of point i in the point-major
-    (q, N*C) matrices v and w. The stacked products run as one matmul over
-    strided views, which gives the same bits as one product per point.
+    r_i is the (q, C) column block of point i in the point-major (q, N*C)
+    matrix r. With r = L^-1 v for a Cholesky factor L, r_i^T r_i is the
+    quadratic form v_i^T (L L^T)^-1 v_i from one triangular solve. The
+    stacked products run as one matmul over strided views.
     """
-    n, c, _ = prior.shape
-    q = v.shape[0]
-    cov = prior - v.reshape(q, n, c).transpose(1, 2, 0) @ w.reshape(q, n, c).transpose(1, 0, 2)
-    return 0.5 * (cov + cov.transpose(0, 2, 1))
+    q, n = r.shape[0], r.shape[1] // c
+    blocks = r.reshape(q, n, c).transpose(1, 2, 0) @ r.reshape(q, n, c).transpose(1, 0, 2)
+    if prior is not None:
+        blocks = prior - blocks
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,7 @@ def predict_exact_batch(state, x_star):
     for start in range(0, x_star.shape[0], chunk):
         rows = slice(start, start + chunk)
         v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star[rows]).values)
-        covs[rows] = deflated_blocks(prior[rows], v, solve_psd(state.q_factor, v))
+        covs[rows] = gram_blocks(solve_lower(state.q_factor, v), c, prior[rows])
     return GaussianPredictive(means, covs, state.likelihood)
 
 

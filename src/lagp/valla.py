@@ -10,8 +10,10 @@ posterior covariance between two inputs is
                 - k(x, Z) L (I + L^T K_Z L)^{-1} L^T k(Z, x')
 
 which is the inverse-free rewriting of the textbook form
-kappa - k (A^{-1} + K_Z)^{-1} k'. The divergence from the prior over the
-inducing basis reduces to the two covariance terms
+kappa - k (A^{-1} + K_Z)^{-1} k'. With L_H the Cholesky factor of
+H = I + L^T K_Z L, its diagonal blocks are cov = prior - r^T r with
+r = L_H^-1 L^T k(Z, x), from one triangular solve. The divergence from
+the prior over the inducing basis reduces to the two covariance terms
 
     KL = 1/2 log|I + L^T K_Z L| - 1/2 tr((I + L^T K_Z L)^{-1} L^T K_Z L);
 
@@ -42,8 +44,8 @@ from .kernel import (
     kernel_diag_blocks,
     kernel_input_vjp,
 )
-from .linalg import cholesky, logdet, rng_stream, solve_psd
-from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, deflated_blocks
+from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
+from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, gram_blocks
 from .metrics import predictive_class_probs
 from .nn import AdamOptimizer, forward
 
@@ -201,17 +203,18 @@ def _batch_posterior(state, batch_x):
     ctx = state.scaled_ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
     k_ind, u, h_factor = _capacity_factor(state)
-    cross = kernel_block_fast(ctx, state.inducing, batch_x).values  # (q, B*C)
+    # kernel_block_fast rejects an empty batch, whose (q, B*C) cross kernel is (q, 0)
+    q = state.a_factor.shape[0]
+    cross = kernel_block_fast(ctx, state.inducing, batch_x).values if len(batch_x) else np.zeros((q, 0))
     prior = kernel_diag_blocks(ctx, batch_x)  # (B, C, C)
-    t = state.a_factor.T @ cross
-    w = solve_psd(h_factor, t)
+    r = solve_lower(h_factor, state.a_factor.T @ cross)
     return {
         "k_ind": k_ind,
         "u": u,
         "h_factor": h_factor,
         "cross": cross,
         "prior": prior,
-        "covs": deflated_blocks(prior, t, w),
+        "covs": gram_blocks(r, prior.shape[1], prior),
         "means": forward(ctx.net, batch_x).output,
     }
 

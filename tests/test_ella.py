@@ -3,7 +3,7 @@ import pytest
 
 from lagp.errors import DimensionMismatch, EigenFloorExhausted
 from lagp.kernel import kernel_block_fast
-from lagp.linalg import rng_stream
+from lagp.linalg import rng_stream, solve_psd
 from lagp.lla import LikelihoodModel, fit_exact
 from lagp.ella import _features, ella_fit, ella_predict_batch
 from lagp.nn import forward
@@ -56,6 +56,21 @@ class TestEllaFit:
         preds = ella_predict_batch(state, rng.normal(size=(1000, 2)))
         for p in preds:
             assert np.all(np.diag(p.covariance) >= -1e-12)
+
+    @pytest.mark.parametrize("kind,c", [("gaussian", 1), ("categorical", 3)])
+    def test_batched_predictive_matches_per_point_solves(self, kind, c):
+        rng = rng_stream(4)
+        ctx = random_ctx(rng, 2, [5, 4], c, log_prior_variance=0.2)
+        x = rng.normal(size=(30, 2))
+        state = ella_fit(ctx, LikelihoodModel(kind=kind, noise_variance=0.1), x, m=10, k=None, seed=2)
+        x_star = rng.normal(size=(40, 2))
+        phi = _features(ctx, state.projection, state.anchors, x_star)  # (N, C, K)
+        loop = np.stack([p @ solve_psd(state.precision_factor, p.T) for p in phi])
+        loop = 0.5 * (loop + loop.transpose(0, 2, 1))
+        pred = ella_predict_batch(state, x_star)
+        assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
+        assert pred.covariance.shape == (40, c, c)
+        assert np.max(np.abs(pred.covariance - loop)) <= 1e-12 * np.max(np.abs(loop))
 
     def test_eigen_floor_exhausted(self):
         rng = rng_stream(4)

@@ -27,7 +27,7 @@ def assert_same(a, b):
 def inputs(draw):
     """(D, N, x) with x an (N, D) array, or its 1-D form where the rule has one."""
     d = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 6))
     values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d))
     x = np.array(values).reshape(n, d)
     if draw(st.booleans()):
@@ -46,8 +46,9 @@ class TestInputRule:
         for _, state in states(d):
             pred = state.predict(x)
             assert_same(pred, state.predict(as_inputs(x, d)))
+            c = state.ctx.net.arch.output_dim
             assert len(pred) == n
-            assert pred.mean.shape[0] == pred.covariance.shape[0] == n
+            assert pred.mean.shape == (n, c) and pred.covariance.shape == (n, c, c)
             for i in range(n):
                 assert_same(pred[i], GaussianPredictive(pred.mean[i], pred.covariance[i], pred.likelihood))
 
@@ -63,6 +64,14 @@ class TestInputRule:
             for x in bad:
                 with pytest.raises(DimensionMismatch):
                     state.predict(x)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_queries_give_empty_predictive(self, d):
+        for name, state in states(d):
+            c = state.ctx.net.arch.output_dim
+            pred = state.predict(np.zeros((0, d)))
+            assert pred.mean.shape == (0, c), name
+            assert pred.covariance.shape == (0, c, c), name
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_one_dimensional_input(self, d):

@@ -7,6 +7,7 @@ from lagp.linalg import (
     cholesky,
     logdet,
     rng_stream,
+    solve_lower,
     solve_psd,
     sym_eig,
 )
@@ -90,6 +91,40 @@ class TestSolvePsd:
         x = solve_psd(cholesky(a), np.array([1.0, 0.0]))
         assert x.shape == (2,)
         assert np.allclose(x, [0.375, -0.25], atol=1e-12)
+
+
+class TestSolveLower:
+    def test_lower_times_result_is_rhs(self):
+        rng = rng_stream(12)
+        for _ in range(100):
+            n = int(rng.integers(1, 31))
+            fac = cholesky(random_psd(rng, n))
+            b = rng.normal(size=(n, 3))
+            r = solve_lower(fac, b)
+            assert r.shape == (n, 3)
+            assert np.max(np.abs(fac.lower @ r - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
+
+    def test_quadratic_form(self):
+        rng = rng_stream(13)
+        a = random_psd(rng, 6)
+        v = rng.normal(size=(6, 2))
+        fac = cholesky(a)
+        r = solve_lower(fac, v)
+        assert np.allclose(r.T @ r, v.T @ solve_psd(fac, v), rtol=1e-12, atol=0.0)
+
+    def test_vector_rhs(self):
+        a = np.array([[4.0, 2.0], [2.0, 3.0]])
+        fac = cholesky(a)
+        r = solve_lower(fac, np.array([1.0, 0.0]))
+        assert r.shape == (2,)
+        assert np.allclose(r, [0.5, -0.5 / np.sqrt(2.0)], atol=1e-12)
+        assert np.array_equal(r, solve_lower(fac, np.array([[1.0], [0.0]]))[:, 0])
+
+    def test_dimension_mismatch(self):
+        fac = cholesky(np.eye(3))
+        for b in (np.ones((4, 1)), np.ones(4), np.ones((3, 1, 1))):
+            with pytest.raises(DimensionMismatch):
+                solve_lower(fac, b)
 
 
 class TestSymEig:

@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 from lagp import lla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
 from lagp.kernel import KernelContext, jacobian, kernel_block_fast, kernel_diag_blocks
-from lagp.linalg import cholesky, logdet, rng_stream, solve_psd
+from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from lagp.lla import (
     GaussianPredictive,
     LikelihoodModel,
     curvature_roots,
-    deflated_blocks,
     fit_diag,
     fit_exact,
     fit_last_layer,
     fit_weight_space,
+    gram_blocks,
     grid_search_hyperparameters,
     last_layer_jacobian,
     predict_exact_batch,
@@ -24,8 +24,23 @@ from lagp.lla import (
     whiten,
 )
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
+from lagp.ella import _features, ella_fit
+from lagp.valla import _capacity_factor
 
 from test_kernel import random_ctx
+from test_valla import make_state
+
+
+def two_solve_blocks(prior, v, factor):
+    """Oracle: blocks prior[i] - v_i^T (L L^T)^-1 v_i from both triangular solves, symmetrized.
+
+    v_i is the (q, C) column block of point i in the point-major (q, N*C) v.
+    """
+    n, c, _ = prior.shape
+    q = v.shape[0]
+    w = solve_psd(factor, v)
+    cov = prior - v.reshape(q, n, c).transpose(1, 2, 0) @ w.reshape(q, n, c).transpose(1, 0, 2)
+    return 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
 def curvature(lik, g):
@@ -137,7 +152,7 @@ class TestFitExact:
         monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", chunk * 5 * 2 * 2)
         x_star = rng.normal(size=(chunk + 1, 2))
         v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
-        whole = deflated_blocks(kernel_diag_blocks(ctx, x_star), v, solve_psd(state.q_factor, v))
+        whole = gram_blocks(solve_lower(state.q_factor, v), 2, kernel_diag_blocks(ctx, x_star))
         pred = predict_exact_batch(state, x_star)
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
         assert np.max(np.abs(pred.covariance - whole)) <= 1e-12 * np.max(np.abs(whole))
@@ -152,6 +167,52 @@ class TestFitExact:
         outputs = forward(ctx.net, x_star).output
         for i, p in enumerate(preds):
             assert np.array_equal(p.mean, outputs[i])
+
+
+def assert_matches_oracle(cov, oracle):
+    """Symmetric blocks within 1e-12 of the oracle, relative to its largest entry."""
+    assert cov.shape == oracle.shape
+    assert np.array_equal(cov, cov.transpose(0, 2, 1))
+    assert np.max(np.abs(cov - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+class TestOneSolveForm:
+    """Exact, VaLLA and ELLA covariances from r = L^-1 v against the two-solve oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 6), max_size=2),
+        st.integers(1, 6),
+        st.sampled_from(["gaussian", "categorical"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_two_solve_oracle(self, d, c, hidden, n_query, kind, seed):
+        rng = rng_stream(seed)
+        ctx = random_ctx(rng, d, hidden, c, log_prior_variance=float(rng.normal(scale=0.5)))
+        lik = LikelihoodModel(kind=kind, noise_variance=0.3)
+        x = rng.normal(size=(5, d))
+        x_star = rng.normal(size=(n_query, d))
+
+        exact = fit_exact(ctx, lik, x)
+        v = whiten(exact.sqrt_lambda, kernel_block_fast(ctx, x, x_star).values)
+        oracle = two_solve_blocks(kernel_diag_blocks(ctx, x_star), v, exact.q_factor)
+        assert_matches_oracle(exact.predict(x_star).covariance, oracle)
+
+        valla_state = make_state(rng, ctx, m=3, kind=kind)
+        scaled = valla_state.scaled_ctx
+        t = valla_state.a_factor.T @ kernel_block_fast(scaled, valla_state.inducing, x_star).values
+        oracle = two_solve_blocks(kernel_diag_blocks(scaled, x_star), t, _capacity_factor(valla_state)[2])
+        assert_matches_oracle(valla_state.predict(x_star).covariance, oracle)
+
+        ella_state = ella_fit(ctx, lik, x, m=4, k=None, seed=0)
+        phi = _features(ctx, ella_state.projection, ella_state.anchors, x_star)  # (N, C, K)
+        v = phi.reshape(-1, ella_state.feature_dim).T
+        oracle = -two_solve_blocks(np.zeros((n_query, c, c)), v, ella_state.precision_factor)
+        cov = ella_state.predict(x_star).covariance
+        assert_matches_oracle(cov, oracle)
+        assert np.min(np.linalg.eigvalsh(cov)) >= -1e-12 * np.max(np.abs(cov))
 
 
 class TestWeightSpaceEquivalence:
