@@ -16,7 +16,9 @@ the layer inputs, is
 
 because the derivative w.r.t. weight (i, j) factorizes into
 sensitivity_j * input_i, and the bias derivatives contribute the
-trailing +1. Each layer's sensitivity pairs are one GEMM.
+trailing +1. Each layer's sensitivity pairs are one GEMM. ``layer_walk``
+yields the same layer inputs and sensitivities to the diagonal and
+last-layer baselines of ``lla``.
 
 Gradients with respect to the second argument are taken in reverse mode
 (``kernel_input_vjp``): a cotangent on the Gram blocks is pushed through
@@ -106,6 +108,23 @@ def _layer_inputs(net, x):
         current = np.tanh(current @ net.weights[l] + net.biases[l])
         acts.append(current)
     return acts
+
+
+def layer_walk(net, x):
+    """Yield (l, a~, s) for each layer l, from the last layer down.
+
+    a~ = [a_{l-1}, 1] is the (N, w_{l-1}+1) layer input with a bias column
+    and s the (N, C, w_l) sensitivities. The checkpoint stores W_l row-major
+    and then b_l, so the Jacobian row of output c at point n over layer l's
+    parameters is kron(a~[n], s[n, c]).
+    """
+    acts = _layer_inputs(net, x)
+    n = x.shape[0]
+    sens = _initial_sensitivity(n, net.arch.output_dim)
+    for l in range(net.arch.depth - 1, -1, -1):
+        yield l, np.concatenate([acts[l], np.ones((n, 1))], axis=1), sens
+        if l > 0:
+            sens = _next_sensitivity(net, sens, acts[l], l)
 
 
 def _next_sensitivity(net, sens, post, l_next):

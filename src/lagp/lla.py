@@ -3,8 +3,15 @@
 The function-space route conditions the tangent-kernel prior on the
 training data; the weight-space route assembles the Gauss-Newton
 precision explicitly. The two agree through the Woodbury identity and
-serve as mutual oracles in the tests. Diagonal and last-layer variants
-restrict the weight-space construction.
+serve as mutual oracles in the tests.
+
+The diagonal and last-layer variants never form a Jacobian. The
+checkpoint stores each layer's W_l (w_{l-1} x w_l, row-major) and then
+b_l, so over layer l's parameters the Jacobian row of output c at input
+x is kron(a~(x), s(x)_c), with a~ = [a_{l-1}, 1] the layer input and a
+bias column and s the sensitivities (``kernel.layer_walk``). A diagonal
+weighting of layer l's parameters then reduces to one GEMM of a~^2
+against the sensitivities; the last layer's a~ is the feature vector phi.
 
 The curvature block of the likelihood at a data point,
 
@@ -33,13 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, NonFiniteValue
+from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
 from .kernel import (
     KernelContext,
     as_inputs,
     jacobian,
     kernel_block_fast,
     kernel_diag_blocks,
+    layer_walk,
     _layer_inputs,
 )
 from .linalg import CholeskyFactor, cholesky, solve_lower, solve_psd, sym_eig
@@ -47,7 +55,7 @@ from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
 WEIGHT_SPACE_CAP = 2000  # max parameter count for the explicit precision
-PREDICT_BLOCK_FLOATS = 2**22  # max entries of one cross-kernel block in predict_exact_batch (32 MB)
+PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in predict_exact_batch and predict_last_layer_batch (32 MB)
 EVIDENCE_CAP = 500  # training points the CLI's evidence search reads (the first ones)
 PRIOR_GRID = tuple(np.logspace(-3, 3, 10))  # prior variances of the default evidence search
 NOISE_GRID = tuple(np.logspace(-4, 1, 10))  # noise variances of the default evidence search
@@ -131,7 +139,8 @@ class PosteriorState:
     factors named in ``FACTORS`` by their lower triangles (a factor that
     is None is left out), and the scalars in ``META`` (name -> type) as
     metadata. Every state also has ``ctx`` and ``likelihood``, which
-    ``serialize`` stores.
+    ``serialize`` stores. ``check`` runs on every state read from a
+    payload and raises FormatError when its arrays do not fit the network.
     """
 
     KIND = None
@@ -154,7 +163,12 @@ class PosteriorState:
             lower = arrays.get(name)
             fields[name] = None if lower is None else CholeskyFactor(lower=lower, dim=lower.shape[0])
         fields.update((name, meta[name]) for name in cls.META)
-        return cls(ctx=ctx, likelihood=likelihood, **fields)
+        state = cls(ctx=ctx, likelihood=likelihood, **fields)
+        state.check()
+        return state
+
+    def check(self):
+        pass
 
 
 def gram_blocks(r, c, prior=None):
@@ -266,8 +280,8 @@ def _whitened_jacobians(ctx, likelihood, x):
 def _per_point(state, x_star, block):
     """Predictive whose covariance at each input x is ``block(x)``, symmetrized.
 
-    For the methods that need one Jacobian per input: stacking the
-    Jacobians of a whole batch would take N*C*P floats.
+    For the weight-space route, which needs one Jacobian per input:
+    stacking the Jacobians of a whole batch would take N*C*P floats.
     """
     x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
     means = forward(state.ctx.net, x_star).output
@@ -318,6 +332,14 @@ def predict_weight_space_batch(state, x_star):
     return _per_point(state, x_star, block)
 
 
+def _layer_blocks(arch, params):
+    """Views of a (P,) parameter vector, one (w_{l-1}+1, w_l) block per layer: W_l rows, then b_l."""
+    dims = arch.layer_dims
+    sizes = [(dims[l] + 1) * dims[l + 1] for l in range(arch.depth)]
+    parts = np.split(params, np.cumsum(sizes)[:-1])
+    return [part.reshape(dims[l] + 1, dims[l + 1]) for l, part in enumerate(parts)]
+
+
 @dataclass(frozen=True)
 class LlaDiagState(PosteriorState):
     KIND = "lla-diag"
@@ -330,25 +352,41 @@ class LlaDiagState(PosteriorState):
     def predict(self, x):
         return predict_diag_batch(self, x)
 
+    def check(self):
+        p = self.ctx.net.param_count
+        diag = self.precision_diag
+        if diag.shape != (p,) or not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+            raise FormatError(f"precision_diag must hold {p} finite positive entries, got shape {diag.shape}")
+
 
 def fit_diag(net, likelihood, x, prior_variance=1.0):
-    """Keep only the diagonal of the Gauss-Newton precision."""
+    """Keep only the diagonal of the Gauss-Newton precision.
+
+    With G_n = B_n^T s_n, layer l's block of the diagonal adds
+    sum_n outer(a~_n^2, sum_k G_n[k]^2), one GEMM over the training points.
+    """
     x = as_inputs(x, net.arch.input_dim)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     diag = np.full(net.param_count, 1.0 / prior_variance)
-    for g in _whitened_jacobians(ctx, likelihood, x):
-        diag += (g * g).sum(axis=0)
+    blocks = _layer_blocks(net.arch, diag)
+    roots_t = curvature_roots(likelihood, forward(net, x).output).transpose(0, 2, 1)
+    for l, a, s in layer_walk(net, x):
+        g = roots_t @ s
+        blocks[l] += (a * a).T @ (g * g).sum(axis=1)
     return LlaDiagState(ctx=ctx, likelihood=likelihood, precision_diag=diag)
 
 
 def predict_diag_batch(state, x_star):
-    inv_root = 1.0 / np.sqrt(state.precision_diag)
-
-    def block(x):
-        scaled = jacobian(state.ctx, x) * inv_root[None, :]
-        return scaled @ scaled.T
-
-    return _per_point(state, x_star, block)
+    """Covariance sum_l (s * (a~^2 D_l)) s^T, with D_l layer l's block of 1 / precision_diag."""
+    net = state.ctx.net
+    x_star = as_inputs(x_star, net.arch.input_dim)
+    means = forward(net, x_star).output
+    n, c = means.shape
+    inv = _layer_blocks(net.arch, 1.0 / state.precision_diag)
+    covs = np.zeros((n, c, c))
+    for l, a, s in layer_walk(net, x_star):
+        covs += (s * ((a * a) @ inv[l])[:, None, :]) @ s.transpose(0, 2, 1)
+    return GaussianPredictive(means, 0.5 * (covs + covs.transpose(0, 2, 1)), state.likelihood)
 
 
 @dataclass(frozen=True)
@@ -363,27 +401,18 @@ class LlaLastLayerState(PosteriorState):
     def predict(self, x):
         return predict_last_layer_batch(self, x)
 
+    def check(self):
+        arch = self.ctx.net.arch
+        dim = (arch.layer_dims[-2] + 1) * arch.output_dim
+        if self.precision_factor is None or self.precision_factor.lower.shape != (dim, dim):
+            raise FormatError(f"precision_factor must be a ({dim}, {dim}) lower triangle")
+
 
 def last_layer_features(net, x):
     """(N, width+1) inputs to the final layer with the bias column appended."""
     x = as_inputs(x, net.arch.input_dim)
     acts = _layer_inputs(net, x)
     return np.concatenate([acts[-1], np.ones((x.shape[0], 1))], axis=1)
-
-
-def last_layer_jacobian(net, x):
-    """(C, (width+1)*C) Jacobian w.r.t. final-layer parameters only.
-
-    Column ordering matches the checkpoint layout of the final layer:
-    weight (i, j) at i*C + j, then the C bias entries, which together
-    equal the feature index i paired with class j.
-    """
-    phi = last_layer_features(net, x)[0]
-    c = net.arch.output_dim
-    jac = np.zeros((c, phi.shape[0] * c))
-    for o in range(c):
-        jac[o, o :: c] = phi
-    return jac
 
 
 def fit_last_layer(net, likelihood, x, prior_variance=1.0):
@@ -407,11 +436,26 @@ def fit_last_layer(net, likelihood, x, prior_variance=1.0):
 
 
 def predict_last_layer_batch(state, x_star):
-    def block(x):
-        j = last_layer_jacobian(state.ctx.net, x)
-        return j @ solve_psd(state.precision_factor, j.T)
+    """Covariance r^T r at each input, with r = L^-1 J^T and L the precision factor.
 
-    return _per_point(state, x_star, block)
+    J's row for output o holds phi_i at column i*C + o, so with L^-1
+    regrouped as (F*C, F, C), r = phi . L^-1 is one batched product per
+    query chunk of at most ``PREDICT_BLOCK_FLOATS`` entries of r.
+    """
+    net = state.ctx.net
+    x_star = as_inputs(x_star, net.arch.input_dim)
+    means = forward(net, x_star).output
+    phi = last_layer_features(net, x_star)
+    n, c = means.shape
+    fc = phi.shape[1] * c
+    inv_lower = solve_lower(state.precision_factor, np.eye(fc)).reshape(fc, -1, c)
+    chunk = max(1, PREDICT_BLOCK_FLOATS // (fc * c))
+    covs = np.empty((n, c, c))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        r = np.matmul(phi[rows], inv_lower)  # (F*C, chunk, C): r[:, q] = L^-1 J(x_q)^T
+        covs[rows] = gram_blocks(r.reshape(fc, -1), c)
+    return GaussianPredictive(means, covs, state.likelihood)
 
 
 def _variance_grid(grid, default, name):

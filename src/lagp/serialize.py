@@ -190,8 +190,11 @@ def load_state(path):
     kind, meta, arrays = read_container(path)
     if kind not in STATE_KINDS:
         raise FormatError(f"unknown state kind {kind!r}")
-    net = _net_from_payload(meta, arrays)
-    likelihood = _likelihood_from_payload(meta["likelihood"])
-    ctx = KernelContext(net=net, log_prior_variance=meta["log_prior_variance"])
-    state = STATE_KINDS[kind].from_payload(ctx, likelihood, meta, arrays)
+    try:
+        net = _net_from_payload(meta, arrays)
+        likelihood = _likelihood_from_payload(meta["likelihood"])
+        ctx = KernelContext(net=net, log_prior_variance=meta["log_prior_variance"])
+        state = STATE_KINDS[kind].from_payload(ctx, likelihood, meta, arrays)
+    except KeyError as exc:
+        raise FormatError(f"{kind} state file lacks {exc.args[0]!r}") from None
     return state, _normalization_from_arrays(arrays)

@@ -1,10 +1,12 @@
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from lagp import lla
+from lagp import kernel, lla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
 from lagp.kernel import KernelContext, jacobian, kernel_block_fast, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
@@ -18,8 +20,10 @@ from lagp.lla import (
     fit_weight_space,
     gram_blocks,
     grid_search_hyperparameters,
-    last_layer_jacobian,
+    last_layer_features,
+    predict_diag_batch,
     predict_exact_batch,
+    predict_last_layer_batch,
     softmax,
     whiten,
 )
@@ -41,6 +45,21 @@ def two_solve_blocks(prior, v, factor):
     w = solve_psd(factor, v)
     cov = prior - v.reshape(q, n, c).transpose(1, 2, 0) @ w.reshape(q, n, c).transpose(1, 0, 2)
     return 0.5 * (cov + cov.transpose(0, 2, 1))
+
+
+def last_layer_jacobian(net, x):
+    """Oracle: (C, (width+1)*C) Jacobian of one input w.r.t. the final layer's parameters only.
+
+    Column ordering matches the checkpoint layout of the final layer:
+    weight (i, j) at i*C + j, then the C bias entries, which together
+    equal the feature index i paired with class j.
+    """
+    phi = last_layer_features(net, x)[0]
+    c = net.arch.output_dim
+    jac = np.zeros((c, phi.shape[0] * c))
+    for o in range(c):
+        jac[o, o :: c] = phi
+    return jac
 
 
 def curvature(lik, g):
@@ -361,6 +380,89 @@ class TestLastLayer:
         x_star = rng.normal(size=2)
         pred = ll.predict(x_star)[0]
         assert np.array_equal(pred.mean, forward(ctx.net, x_star[None, :]).output[0])
+
+    def test_query_chunks_match_one_chunk(self, monkeypatch):
+        rng = rng_stream(26)
+        ctx = random_ctx(rng, 2, [4], 3)
+        ll = fit_last_layer(ctx.net, LikelihoodModel(kind="categorical"), rng.normal(size=(5, 2)))
+        x_star = rng.normal(size=(7, 2))
+        whole = predict_last_layer_batch(ll, x_star)
+        blocks = []
+
+        def counted(r, c, prior=None):
+            blocks.append(r.shape[1] // c)
+            return gram_blocks(r, c, prior)
+
+        monkeypatch.setattr(lla, "gram_blocks", counted)
+        monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", 3 * (4 + 1) * 3 * 3)  # 3 queries per chunk
+        chunked = predict_last_layer_batch(ll, x_star)
+        assert blocks == [3, 3, 1]
+        assert np.array_equal(chunked.mean, whole.mean)
+        assert np.max(np.abs(chunked.covariance - whole.covariance)) <= 1e-12 * np.max(np.abs(whole.covariance))
+
+
+def assert_close_relative(got, oracle):
+    """Within 1e-12 of the oracle, relative to its largest entry; empty arrays match by shape alone."""
+    assert got.shape == oracle.shape
+    if oracle.size:
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+class TestLayerwise:
+    """Diagonal and last-layer LLA from one pass per layer, against explicit Jacobians."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 6), max_size=2),
+        st.sampled_from(["gaussian", "categorical"]),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_jacobian_oracles(self, d, c, hidden, kind, n, n_query, seed):
+        rng = rng_stream(seed)
+        ctx = random_ctx(rng, d, hidden, c)
+        lik = LikelihoodModel(kind=kind, noise_variance=0.3)
+        pv = float(np.exp(rng.normal(scale=0.5)))
+        x = rng.normal(size=(n, d))
+        x_star = rng.normal(size=(n_query, d))
+
+        diag = fit_diag(ctx.net, lik, x, prior_variance=pv)
+        assert_close_relative(diag.precision_diag, np.diag(fit_weight_space(ctx.net, lik, x, pv).precision))
+        pred = predict_diag_batch(diag, x_star)
+        jacs = [jacobian(ctx, xi) for xi in x_star]
+        oracle = np.array([(j / diag.precision_diag) @ j.T for j in jacs])
+        assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
+        assert_close_relative(pred.covariance, oracle.reshape(n_query, c, c))
+
+        ll = fit_last_layer(ctx.net, lik, x, prior_variance=pv)
+        pred = predict_last_layer_batch(ll, x_star)
+        jacs = [last_layer_jacobian(ctx.net, xi) for xi in x_star]
+        oracle = np.array([j @ solve_psd(ll.precision_factor, j.T) for j in jacs])
+        assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
+        assert_close_relative(pred.covariance, oracle.reshape(n_query, c, c))
+
+    def test_no_per_point_jacobian(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel.jacobian called")
+
+        original = kernel.jacobian
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("lagp"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, refuse)
+        rng = rng_stream(27)
+        ctx = random_ctx(rng, 3, [5, 4], 3)
+        lik = LikelihoodModel(kind="categorical")
+        x, x_star = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+        for fit in (fit_diag, fit_last_layer):
+            pred = fit(ctx.net, lik, x, prior_variance=0.8).predict(x_star)
+            assert pred.covariance.shape == (4, 3, 3)
+        with pytest.raises(AssertionError, match="kernel.jacobian"):
+            fit_weight_space(ctx.net, lik, x)
 
 
 def unit_kernel_and_residuals(net, x, y):

@@ -151,3 +151,69 @@ class TestStateRoundtrips:
         write_container(tmp_path / "s.bin", "bogus", {}, {})
         with pytest.raises(FormatError):
             load_state(tmp_path / "s.bin")
+
+
+def with_arrays_changed(tmp_path, state, change):
+    """Path of a copy of ``state``'s file whose arrays went through ``change`` (edits the dict in place)."""
+    save_state(tmp_path / "ok.bin", state)
+    kind, meta, arrays = read_container(tmp_path / "ok.bin")
+    change(arrays)
+    write_container(tmp_path / "bad.bin", kind, meta, arrays)
+    return tmp_path / "bad.bin"
+
+
+def _set(name, edit):
+    def change(arrays):
+        arrays[name] = edit(arrays[name])
+
+    return change
+
+
+def _with_entry(value):
+    def edit(d):
+        d = d.copy()
+        d[1] = value
+        return d
+
+    return edit
+
+
+BAD_DIAGONALS = {
+    "one-short": _set("precision_diag", lambda d: d[:-1]),
+    "one-long": _set("precision_diag", lambda d: np.append(d, 1.0)),
+    "row-matrix": _set("precision_diag", lambda d: d[None, :]),
+    "negated": _set("precision_diag", lambda d: -d),
+    "zero-entry": _set("precision_diag", _with_entry(0.0)),
+    "nan-entry": _set("precision_diag", _with_entry(np.nan)),
+    "inf-entry": _set("precision_diag", _with_entry(np.inf)),
+}
+BAD_LAST_LAYER_FACTORS = {
+    "one-short": _set("precision_factor", lambda f: f[:-1, :-1]),
+    "one-long": _set("precision_factor", lambda f: np.eye(f.shape[0] + 1)),
+    "not-square": _set("precision_factor", lambda f: f[:, :-1]),
+    "missing": lambda arrays: arrays.pop("precision_factor"),
+}
+
+
+class TestMalformedStates:
+    """States whose arrays do not fit the network are refused at load, before any predict."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize("change", BAD_DIAGONALS.values(), ids=BAD_DIAGONALS.keys())
+    def test_bad_precision_diag_rejected(self, tmp_path, kind, change):
+        state, _ = fitted_states(2, kind)["lla-diag"]
+        with pytest.raises(FormatError, match="precision_diag"):
+            load_state(with_arrays_changed(tmp_path, state, change))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize("change", BAD_LAST_LAYER_FACTORS.values(), ids=BAD_LAST_LAYER_FACTORS.keys())
+    def test_bad_last_layer_factor_rejected(self, tmp_path, kind, change):
+        state, _ = fitted_states(2, kind)["lla-last-layer"]
+        with pytest.raises(FormatError, match="precision_factor"):
+            load_state(with_arrays_changed(tmp_path, state, change))
+
+    @pytest.mark.parametrize("name", ["precision_diag", "net_w0", "net_b1"])
+    def test_missing_array_rejected(self, tmp_path, name):
+        state, _ = fitted_states(2, "categorical")["lla-diag"]
+        with pytest.raises(FormatError, match=name):
+            load_state(with_arrays_changed(tmp_path, state, lambda arrays: arrays.pop(name)))
