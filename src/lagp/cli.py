@@ -371,11 +371,9 @@ def evaluate_regression(pred, y):
 
 def evaluate_classification(pred, labels):
     probs = metrics_mod.predictive_class_probs(pred.mean, pred.covariance)
-    labels = np.asarray(labels).astype(int).ravel()
-    nll = float(np.mean(-np.log(np.maximum(probs[np.arange(len(pred)), labels], 1e-300))))
     report = metrics_mod.MetricsReport(
         n_points=len(pred),
-        nll=nll,
+        nll=metrics_mod.nll_categorical(probs, labels),
         ece=metrics_mod.ece(probs, labels),
         brier=metrics_mod.brier(probs, labels),
         acc=metrics_mod.accuracy(probs, labels),

@@ -54,12 +54,10 @@ class EllaState(PosteriorState):
 def _features(state_ctx, projection, anchors, x):
     """(N, C, K) feature rows per output channel."""
     unscaled = state_ctx.with_log_prior_variance(0.0)
-    k, mc = projection.shape
+    k = projection.shape[0]
     n = x.shape[0]
     c = state_ctx.net.arch.output_dim
-    # kernel_block_fast rejects an empty batch, whose cross kernel is (M*C, 0)
-    cross = kernel_block_fast(unscaled, anchors, x).values if n else np.zeros((mc, 0))
-    proj = projection @ cross  # (K, N*C)
+    proj = projection @ kernel_block_fast(unscaled, anchors, x).values  # (K, N*C)
     return proj.reshape(k, n, c).transpose(1, 2, 0)
 
 

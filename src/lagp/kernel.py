@@ -5,20 +5,24 @@ The prior covariance between two inputs is the scaled tangent kernel
     kappa(x, x') = prior_variance * J(x) @ J(x').T
 
 with J(x) the (C, P) Jacobian of the network output at its trained
-parameters. The explicit Jacobian (``jacobian``) serves as the oracle;
-the Gram paths accumulate layer by layer and never materialize a
-(N, C, P) tensor. The layerwise identity per layer l, with s_l(x) the
-back-propagated sensitivities d(output)/d(pre-activation_l) and a_{l-1}(x)
-the layer inputs, is
+parameters. The Gram paths accumulate layer by layer and never
+materialize a (N, C, P) tensor. With s_l(x) the back-propagated
+sensitivities d(output)/d(pre-activation_l) and a~_l(x) = [a_{l-1}(x), 1]
+the layer input with a bias column, the identity per layer l is
 
     sum over layer-l weights and biases of paired partials
-        = <s_l(x)_o, s_l(x')_o'> * (<a_{l-1}(x), a_{l-1}(x')> + 1)
+        = <s_l(x)_o, s_l(x')_o'> * <a~_l(x), a~_l(x')>
 
 because the derivative w.r.t. weight (i, j) factorizes into
-sensitivity_j * input_i, and the bias derivatives contribute the
-trailing +1. Each layer's sensitivity pairs are one GEMM. ``layer_walk``
-yields the same layer inputs and sensitivities to the diagonal and
-last-layer baselines of ``lla``.
+sensitivity_j * input_i, and the bias column supplies the bias
+derivatives' +1. Each layer's sensitivity pairs are one GEMM.
+
+``layer_walk`` is the one walk that yields (a~, s) per layer: the Gram
+(``kernel_block_fast``), diagonal (``kernel_diag_blocks``) and gradient
+(``kernel_input_vjp``) paths read it, and so do the diagonal and
+last-layer baselines of ``lla``. The explicit Jacobian (``jacobian``)
+keeps a sensitivity loop of its own and serves as the independent
+oracle.
 
 Gradients with respect to the second argument are taken in reverse mode
 (``kernel_input_vjp``): a cotangent on the Gram blocks is pushed through
@@ -101,12 +105,19 @@ def as_inputs(x, input_dim):
 
 
 def _layer_inputs(net, x):
-    """Inputs to each layer: [x, tanh(h_1), ..., tanh(h_{L-1})]."""
-    acts = [x]
-    current = x
+    """Layer inputs with their bias column: [x, 1], [tanh(h_1), 1], ..., [tanh(h_{L-1}), 1].
+
+    Each a~ is one (N, w_{l-1}+1) buffer: a column of ones after the
+    activations, which are written in place.
+    """
+    acts = [np.empty((x.shape[0], w + 1)) for w in net.arch.layer_dims[:-1]]
+    for a in acts:
+        a[:, -1] = 1.0
+    acts[0][:, :-1] = x
     for l in range(net.arch.depth - 1):
-        current = np.tanh(current @ net.weights[l] + net.biases[l])
-        acts.append(current)
+        h = acts[l][:, :-1] @ net.weights[l]
+        h += net.biases[l]
+        np.tanh(h, out=acts[l + 1][:, :-1])
     return acts
 
 
@@ -119,17 +130,18 @@ def layer_walk(net, x):
     parameters is kron(a~[n], s[n, c]).
     """
     acts = _layer_inputs(net, x)
-    n = x.shape[0]
-    sens = _initial_sensitivity(n, net.arch.output_dim)
+    sens = _initial_sensitivity(x.shape[0], net.arch.output_dim)
     for l in range(net.arch.depth - 1, -1, -1):
-        yield l, np.concatenate([acts[l], np.ones((n, 1))], axis=1), sens
+        yield l, acts[l], sens
         if l > 0:
-            sens = _next_sensitivity(net, sens, acts[l], l)
+            sens = _next_sensitivity(net, sens, acts[l][:, :-1], l)
 
 
 def _next_sensitivity(net, sens, post, l_next):
-    """Propagate (N, C, w_{l+1}) sensitivities down one layer."""
-    return (sens @ net.weights[l_next].T) * (1.0 - post * post)[:, None, :]
+    """Propagate (N, C, w_{l+1}) sensitivities down one layer, with one GEMM over the N*C rows."""
+    n, c, k = sens.shape
+    w = net.weights[l_next]
+    return (sens.reshape(n * c, k) @ w.T).reshape(n, c, w.shape[0]) * (1.0 - post * post)[:, None, :]
 
 
 def _pair(sx, sz):
@@ -140,13 +152,18 @@ def _pair(sx, sz):
 
 
 def _initial_sensitivity(n, c):
-    return np.broadcast_to(np.eye(c), (n, c, c)).copy()
+    """(N, C, C) identities, the sensitivities of the output layer."""
+    sens = np.zeros((n, c, c))
+    sens.reshape(n, c * c)[:, :: c + 1] = 1.0
+    return sens
 
 
 def jacobian(ctx, x):
     """Explicit (C, P) Jacobian of the network output at one input.
 
-    Columns are layer-major and match the checkpoint parameter order.
+    Columns are layer-major and match the checkpoint parameter order. Its
+    sensitivity loop is its own, apart from ``layer_walk``, so that it can
+    serve as the oracle of the layerwise paths.
     """
     x = as_inputs(x, ctx.net.arch.input_dim)
     if x.shape[0] != 1:
@@ -158,76 +175,53 @@ def jacobian(ctx, x):
     blocks = [None] * depth
     sens = _initial_sensitivity(1, c)
     for l in range(depth - 1, -1, -1):
-        a_in = acts[l][0]  # (w_{l-1},)
-        s = sens[0]  # (C, w_l)
-        w_part = (a_in[None, :, None] * s[:, None, :]).reshape(c, -1)
-        blocks[l] = np.concatenate([w_part, s], axis=1)
+        blocks[l] = (acts[l][0, :, None] * sens[0][:, None, :]).reshape(c, -1)  # kron(a~, s_c) per row
         if l > 0:
-            sens = _next_sensitivity(net, sens, acts[l], l)
+            sens = _next_sensitivity(net, sens, acts[l][:, :-1], l)
     return np.concatenate(blocks, axis=1)
 
 
 def kernel_block_fast(ctx, batch_x, batch_z):
-    """Gram matrix of kernel blocks for two batches.
+    """Gram matrix of kernel blocks for two batches; an empty batch gives an empty block.
 
-    Accumulates the per-layer identity from the module docstring, so no
-    buffer ever scales with the parameter count. Equals the pairwise
-    Jacobian products to floating-point accuracy.
+    Accumulates the per-layer identity from the module docstring over one
+    ``layer_walk`` per distinct batch, so no buffer ever scales with the
+    parameter count. Equals the pairwise Jacobian products to
+    floating-point accuracy.
     """
     x = as_inputs(batch_x, ctx.net.arch.input_dim)
     z = as_inputs(batch_z, ctx.net.arch.input_dim)
-    if x.shape[0] == 0 or z.shape[0] == 0:
-        raise DimensionMismatch("batches must be nonempty")
     net = ctx.net
-    depth = net.arch.depth
     n1, n2 = x.shape[0], z.shape[0]
     c = net.arch.output_dim
     same = x.shape == z.shape and np.array_equal(x, z)
+    walk = layer_walk(net, x)
+    steps = ((step, step) for step in walk) if same else zip(walk, layer_walk(net, z))
 
     fast_path_counter.reset()
-    acts_x = _layer_inputs(net, x)
-    fast_path_counter.add(sum(a.size for a in acts_x))
-    if same:
-        acts_z = acts_x
-    else:
-        acts_z = _layer_inputs(net, z)
-        fast_path_counter.add(sum(a.size for a in acts_z))
-
+    fast_path_counter.add((n1 if same else n1 + n2) * sum(net.arch.layer_dims[:-1]))
     total = np.zeros((n1, c, n2, c))
-    sx = _initial_sensitivity(n1, c)
-    sz = sx if same else _initial_sensitivity(n2, c)
-    fast_path_counter.add(sx.size + (0 if same else sz.size))
-    for l in range(depth - 1, -1, -1):
+    held = 0  # two sensitivity levels coexist during each step down
+    for (_, ax, sx), (_, az, sz) in steps:
+        level = sx.size + (0 if same else sz.size)
+        fast_path_counter.add(level)
+        fast_path_counter.release(held)
+        held = level
         pair = _pair(sx, sz)
-        pair *= (acts_x[l] @ acts_z[l].T + 1.0)[:, None, :, None]
+        pair *= (ax @ az.T)[:, None, :, None]
         total += pair
-        if l > 0:
-            released = sx.size + (0 if same else sz.size)
-            sx = _next_sensitivity(net, sx, acts_x[l], l)
-            sz = sx if same else _next_sensitivity(net, sz, acts_z[l], l)
-            fast_path_counter.add(sx.size + (0 if same else sz.size))
-            fast_path_counter.release(released)
 
     values = ctx.prior_variance * total.reshape(n1 * c, n2 * c)
     return KernelBlockMatrix(left_points=n1, right_points=n2, outputs=c, values=values)
 
 
 def kernel_diag_blocks(ctx, batch_x):
-    """(N, C, C) diagonal blocks kappa(x_i, x_i) without the full Gram."""
+    """(N, C, C) diagonal blocks kappa(x_i, x_i) without the full Gram: sum_l (s s^T) |a~|^2."""
     x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    net = ctx.net
-    depth = net.arch.depth
-    n = x.shape[0]
-    c = net.arch.output_dim
-    acts = _layer_inputs(net, x)
-    total = np.zeros((n, c, c))
-    sens = _initial_sensitivity(n, c)
-    for l in range(depth - 1, -1, -1):
-        pair = np.einsum("ick,idk->icd", sens, sens)
-        gain = np.einsum("ik,ik->i", acts[l], acts[l]) + 1.0
-        total += pair * gain[:, None, None]
-        if l > 0:
-            sens = _next_sensitivity(net, sens, acts[l], l)
+    c = ctx.net.arch.output_dim
+    total = np.zeros((x.shape[0], c, c))
+    for _, a, s in layer_walk(ctx.net, x):
+        total += (s @ s.transpose(0, 2, 1)) * np.einsum("ik,ik->i", a, a)[:, None, None]
     return ctx.prior_variance * total
 
 
@@ -251,22 +245,17 @@ def kernel_input_vjp(ctx, batch_x, batch_z, cotangent):
     if g.shape != (n, c, m, c):
         raise DimensionMismatch(f"cotangent has shape {g.shape}, expected {(n, c, m, c)}")
 
-    acts_x = _layer_inputs(net, x)
-    acts_z = _layer_inputs(net, z)
-    act_bar = [None] * depth
+    acts_z = [None] * depth  # z-side views and sensitivities, kept for the reverse half
     sens_z = [None] * depth
+    act_bar = [None] * depth
     sens_bar = [None] * depth
-    sx = _initial_sensitivity(n, c)
-    sens_z[depth - 1] = _initial_sensitivity(m, c)
-    for l in range(depth - 1, -1, -1):
-        gain = acts_x[l] @ acts_z[l].T + 1.0  # (N, M)
-        gain_bar = (g * _pair(sx, sens_z[l])).sum(axis=(1, 3))  # (N, M)
-        act_bar[l] = gain_bar.T @ acts_x[l]
-        weighted = (g * gain[:, None, :, None]).reshape(n * c, m * c)
-        sens_bar[l] = (weighted.T @ sx.reshape(n * c, -1)).reshape(m, c, -1)
-        if l > 0:
-            sx = _next_sensitivity(net, sx, acts_x[l], l)
-            sens_z[l - 1] = _next_sensitivity(net, sens_z[l], acts_z[l], l)
+    for (l, ax, sx), (_, az, sz) in zip(layer_walk(net, x), layer_walk(net, z)):
+        acts_z[l], sens_z[l] = az[:, :-1], sz
+        gain_bar = (g * _pair(sx, sz)).sum(axis=(1, 3))  # (N, M)
+        act_bar[l] = gain_bar.T @ ax[:, :-1]
+        weighted = (g * (ax @ az.T)[:, None, :, None]).reshape(n * c, m * c)
+        width = sx.shape[2]
+        sens_bar[l] = (weighted.T @ sx.reshape(n * c, width)).reshape(m, c, width)
 
     # sensitivity cotangents flow up from layer 0; the top layer's
     # sensitivities are the constant identity and pass nothing on

@@ -48,7 +48,6 @@ from .kernel import (
     kernel_block_fast,
     kernel_diag_blocks,
     layer_walk,
-    _layer_inputs,
 )
 from .linalg import CholeskyFactor, cholesky, solve_lower, solve_psd, sym_eig
 from .nn import forward
@@ -409,10 +408,9 @@ class LlaLastLayerState(PosteriorState):
 
 
 def last_layer_features(net, x):
-    """(N, width+1) inputs to the final layer with the bias column appended."""
-    x = as_inputs(x, net.arch.input_dim)
-    acts = _layer_inputs(net, x)
-    return np.concatenate([acts[-1], np.ones((x.shape[0], 1))], axis=1)
+    """(N, width+1) inputs to the final layer with the bias column: the top a~ of ``layer_walk``."""
+    _, phi, _ = next(layer_walk(net, as_inputs(x, net.arch.input_dim)))
+    return phi
 
 
 def fit_last_layer(net, likelihood, x, prior_variance=1.0):

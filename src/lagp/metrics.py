@@ -53,6 +53,13 @@ def nll_gaussian(pred, y):
     return float(np.mean(0.5 * np.log(2.0 * np.pi * variances) + (y - means) ** 2 / (2.0 * variances)))
 
 
+def nll_categorical(probabilities, labels):
+    """Average negative log probability of each label, floored at 1e-300."""
+    p = np.asarray(probabilities, dtype=np.float64)
+    labels = np.asarray(labels).astype(int).ravel()
+    return float(np.mean(-np.log(np.maximum(p[np.arange(p.shape[0]), labels], 1e-300))))
+
+
 def crps_gaussian(pred, y):
     """Closed-form CRPS for Gaussian predictives.
 

@@ -46,7 +46,7 @@ from .kernel import (
 )
 from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, gram_blocks
-from .metrics import predictive_class_probs
+from .metrics import nll_categorical, nll_gaussian, predictive_class_probs
 from .nn import AdamOptimizer, forward
 
 A_FACTOR_INIT_SCALE = 1e-3
@@ -203,9 +203,7 @@ def _batch_posterior(state, batch_x):
     ctx = state.scaled_ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
     k_ind, u, h_factor = _capacity_factor(state)
-    # kernel_block_fast rejects an empty batch, whose (q, B*C) cross kernel is (q, 0)
-    q = state.a_factor.shape[0]
-    cross = kernel_block_fast(ctx, state.inducing, batch_x).values if len(batch_x) else np.zeros((q, 0))
+    cross = kernel_block_fast(ctx, state.inducing, batch_x).values
     prior = kernel_diag_blocks(ctx, batch_x)  # (B, C, C)
     r = solve_lower(h_factor, state.a_factor.T @ cross)
     return {
@@ -220,6 +218,8 @@ def _batch_posterior(state, batch_x):
 
 
 def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
+    if not 0.0 < state.alpha <= 1.0:
+        raise DimensionMismatch("alpha must lie in (0, 1]")
     b = pieces["covs"].shape[0]
     n_scale = n_total / b
     if state.likelihood.kind == "gaussian":
@@ -252,28 +252,17 @@ def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
     return float(values.sum()), g_blocks, 0.0
 
 
-def alpha_objective(state, batch_x, batch_y, n_total):
-    """Mini-batch training objective: scaled data term minus the KL."""
-    if not 0.0 < state.alpha <= 1.0:
-        raise DimensionMismatch("alpha must lie in (0, 1]")
-    return _report(state, batch_x, batch_y, n_total, "alpha")
+def objective(state, batch_x, batch_y, n_total, mode="alpha"):
+    """Mini-batch training objective: scaled data term minus the KL.
 
-
-def elbo_objective(state, batch_x, batch_y, n_total):
-    """Plain evidence bound with the expected log likelihood as data term.
-
-    Gaussian case only: sum of log N(y | m, noise) - v/(2 noise), scaled
-    to the full dataset, minus the KL. Exposes the degeneracy that makes
-    the likelihood-power objective necessary: with the mean pinned, this
-    bound always improves as the prior variance shrinks to zero.
+    ``mode="alpha"`` takes the likelihood-power data term. ``mode="elbo"``
+    (Gaussian case only) takes the plain evidence bound, sum of
+    log N(y | m, noise) - v/(2 noise), scaled to the full dataset. The
+    bound exposes the degeneracy that makes the likelihood-power objective
+    necessary: with the mean pinned, it always improves as the prior
+    variance shrinks to zero. The KL comes from the batch's own capacity
+    factor.
     """
-    if state.likelihood.kind != "gaussian":
-        raise DimensionMismatch("elbo_objective requires the gaussian likelihood")
-    return _report(state, batch_x, batch_y, n_total, "elbo")
-
-
-def _report(state, batch_x, batch_y, n_total, mode):
-    """The objective on one batch, with the KL from the batch's own capacity factor."""
     pieces = _batch_posterior(state, batch_x)
     data, _, _ = _data_term(state, pieces, batch_y, n_total, mode=mode)
     h_factor = pieces["h_factor"]
@@ -402,12 +391,8 @@ def validation_nll(state, x, y):
     """Mean negative log likelihood on held-out data under the posterior."""
     pred = valla_predict_batch(state, x)
     if state.likelihood.kind == "gaussian":
-        var = pred.y_variance[:, 0]
-        r = np.asarray(y, dtype=np.float64).ravel() - pred.mean[:, 0]
-        return float(np.mean(0.5 * np.log(2.0 * math.pi * var) + r * r / (2.0 * var)))
-    probs = predictive_class_probs(pred.mean, pred.covariance)
-    label_probs = probs[np.arange(len(pred)), np.asarray(y).astype(int).ravel()]
-    return float(np.mean(-np.log(np.maximum(label_probs, 1e-300))))
+        return nll_gaussian(pred, y)
+    return nll_categorical(predictive_class_probs(pred.mean, pred.covariance), y)
 
 
 def fit_valla(

@@ -113,6 +113,17 @@ class TestFit:
         assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 2
         assert "lla_exact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["0", "-1", "1.5"])
+    def test_alpha_outside_unit_interval_exits_1(self, tmp_path, capsys, alpha):
+        checkpoint = train_checkpoint(tmp_path)
+        cfg = write_config(
+            tmp_path, "al.cfg", f"output_dir = {tmp_path / 'al'}\nmethod = valla\nmethod.alpha = {alpha}\n"
+        )
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert "alpha must lie in (0, 1]" in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "mc.cfg", f"output_dir = {tmp_path / 'mc'}\n")
         assert main(["fit", str(cfg), "--checkpoint", str(tmp_path / "nope.bin")]) == 2

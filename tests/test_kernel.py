@@ -72,7 +72,7 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
 
     # z side: activations, their input tangents, sensitivities, and the
     # sensitivities' input tangents, batched over the M locations
-    a_z = _layer_inputs(net, zs)
+    a_z = [a[:, :-1] for a in _layer_inputs(net, zs)]
     a_dot = [np.broadcast_to(np.eye(d), (m, d, d)).copy()]  # (M, w_{l-1}, D)
     for l in range(depth - 1):
         h_dot = np.einsum("ik,mid->mkd", net.weights[l], a_dot[l])
@@ -93,7 +93,7 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
         sens_dot[l] = back_dot * t[:, None, :, None] + back[:, :, :, None] * t_dot[:, None, :, :]
 
     # x side: plain activations and sensitivities, computed once
-    acts_x = _layer_inputs(net, x)
+    acts_x = [a[:, :-1] for a in _layer_inputs(net, x)]
     out = np.zeros((n, m, c, c, d))
     sx = _initial_sensitivity(n, c)
     for l in range(depth - 1, -1, -1):
@@ -286,10 +286,37 @@ class TestKernelBlockFast:
         )
         assert fast_path_counter.peak == acts + peak_sens
 
-    def test_empty_batch_rejected(self):
-        ctx = random_ctx(rng_stream(0), 2, [2], 1)
-        with pytest.raises(DimensionMismatch):
-            kernel_block_fast(ctx, np.zeros((0, 2)), np.zeros((1, 2)))
+    def test_empty_batches_give_empty_blocks(self):
+        ctx = random_ctx(rng_stream(0), 2, [3], 2)
+        x = rng_stream(1).normal(size=(3, 2))
+        empty = np.zeros((0, 2))
+        assert kernel_block_fast(ctx, empty, x).values.shape == (0, 6)
+        assert kernel_block_fast(ctx, x, empty).values.shape == (6, 0)
+        assert kernel_block_fast(ctx, empty, empty).values.shape == (0, 0)
+        assert kernel_diag_blocks(ctx, empty).shape == (0, 2, 2)
+        grad = kernel_input_vjp(ctx, empty, x, np.zeros((0, 2, 3, 2)))
+        assert np.array_equal(grad, np.zeros((3, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 6), max_size=2),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_gram_and_diagonal_match_pairwise_oracle(self, d, c, hidden, n, m, seed):
+        rng = rng_stream(seed)
+        ctx = random_ctx(rng, d, hidden, c, log_prior_variance=float(rng.normal(scale=0.5)))
+        xs = rng.normal(size=(n, d))
+        zs = rng.normal(size=(m, d))
+        for left, right in ((xs, zs), (xs, xs)):
+            ref = pairwise_gram(ctx, left, right)
+            tol = 1e-12 * np.max(np.abs(ref), initial=0.0)
+            assert np.max(np.abs(kernel_block_fast(ctx, left, right).values - ref), initial=0.0) <= tol
+        blocks = ref.reshape(n, c, n, c)[np.arange(n), :, np.arange(n)]
+        assert np.max(np.abs(kernel_diag_blocks(ctx, xs) - blocks), initial=0.0) <= tol
 
 
 class TestKernelInputGradient:

@@ -464,6 +464,37 @@ class TestLayerwise:
         with pytest.raises(AssertionError, match="kernel.jacobian"):
             fit_weight_space(ctx.net, lik, x)
 
+    def test_kernel_paths_read_layer_walk(self, monkeypatch):
+        walked = []
+        original = kernel.layer_walk
+
+        def counted(net, x):
+            walked.append(x.shape[0])
+            return original(net, x)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("lagp"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+        rng = rng_stream(28)
+        ctx = random_ctx(rng, 3, [5, 4], 3)
+        lik = LikelihoodModel(kind="categorical")
+        x, z = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
+        diag_state = fit_diag(ctx.net, lik, x)
+        paths = {
+            "gram": lambda: kernel_block_fast(ctx, x, z),
+            "diagonal": lambda: kernel_diag_blocks(ctx, x),
+            "vjp": lambda: kernel.kernel_input_vjp(ctx, x, z, np.ones((6, 3, 2, 3))),
+            "diagonal LLA fit": lambda: fit_diag(ctx.net, lik, x),
+            "diagonal LLA predict": lambda: predict_diag_batch(diag_state, x),
+            "last-layer features": lambda: last_layer_features(ctx.net, x),
+        }
+        for name, path in paths.items():
+            walked.clear()
+            path()
+            assert walked, f"the {name} path does not call layer_walk"
+
 
 def unit_kernel_and_residuals(net, x, y):
     """The symmetrized unit-prior tangent kernel K and the residuals y - g(X) the search reads."""

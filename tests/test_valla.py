@@ -11,11 +11,10 @@ from lagp.valla import (
     TrainSchedule,
     VallaState,
     a_factor_from_matrix,
-    alpha_objective,
-    elbo_objective,
     fit_valla,
     kl_dual,
     kmeans_init,
+    objective,
     objective_gradient,
     optimal_a,
     valla_predict_batch,
@@ -230,7 +229,7 @@ class TestAlphaObjective:
         )
         x = rng.normal(size=(6, 1))
         y = rng.normal(size=6)
-        report = alpha_objective(state, x, y, n_total=6)
+        report = objective(state, x, y, n_total=6)
         means = forward(ctx.net, x).output.ravel()
         plain = np.sum(
             -0.5 * np.log(2 * np.pi * 0.4) - (y - means) ** 2 / (2 * 0.4)
@@ -245,7 +244,7 @@ class TestAlphaObjective:
         state = make_state(rng, ctx, m=3, alpha=alpha, noise=0.3)
         x = rng.normal(size=(3, 1))
         y = rng.normal(size=3)
-        report = alpha_objective(state, x, y, n_total=3)
+        report = objective(state, x, y, n_total=3)
 
         preds = valla_predict_batch(state, x)
         mc_rng = rng_stream(123)
@@ -267,7 +266,7 @@ class TestAlphaObjective:
         ctx = random_ctx(rng, 1, [3], 1)
         state = make_state(rng, ctx, m=2, alpha=1.5)
         with pytest.raises(DimensionMismatch):
-            alpha_objective(state, np.zeros((2, 1)), np.zeros(2), 2)
+            objective(state, np.zeros((2, 1)), np.zeros(2), 2)
 
 
 def fd_gradient_check(state, x, y, n_total, mode="alpha", step=1e-6, tol=1e-4):
@@ -275,9 +274,7 @@ def fd_gradient_check(state, x, y, n_total, mode="alpha", step=1e-6, tol=1e-4):
     report, grads = objective_gradient(state, x, y, n_total, mode=mode)
 
     def value(s):
-        if mode == "alpha":
-            return alpha_objective(s, x, y, n_total).objective
-        return elbo_objective(s, x, y, n_total).objective
+        return objective(s, x, y, n_total, mode=mode).objective
 
     def rebuild(**kw):
         fields = {
@@ -502,7 +499,7 @@ class TestElboDegeneracy:
                 log_prior_variance=float(np.log(pv)),
                 log_noise_variance=float(np.log(0.05)),
             )
-            values.append(elbo_objective(state, x, y, 15).objective)
-            alpha_values.append(alpha_objective(state, x, y, 15).objective)
+            values.append(objective(state, x, y, 15, mode="elbo").objective)
+            alpha_values.append(objective(state, x, y, 15).objective)
         assert values[0] < values[1] < values[2]
         assert np.argmax(alpha_values) != 2
