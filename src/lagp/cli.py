@@ -1,10 +1,14 @@
 """Experiment harness: train a network, fit a posterior, evaluate, compare.
 
 Configuration files are plain text, one ``key = value`` per line, ``#``
-comments allowed. Values parse as int, float, bool (true/false), a
-comma-separated list of numbers, or a bare string. Unknown keys are
-rejected before any compute. ``lagp show-defaults`` prints every key with
-its default and meaning.
+comments allowed. ``CONFIG_KEYS`` declares each key's default and type:
+an integer, a finite number, ``true``/``false``, a path, one of a set of
+words, an integer or one word, or a comma-separated list. Every value is
+read as its key's type when the file loads, and a value that does not
+fit, like an unknown key, is a ``ConfigError`` (exit 2) raised before any
+output is written. An empty value unsets a key whose default is None
+and is an error for any other key. ``lagp show-defaults`` prints every
+key with its default, meaning and type.
 
 Each command writes into ``output_dir`` (one directory per run): a copy
 of the input config, the resolved config with defaults applied, logs,
@@ -15,6 +19,7 @@ with the same seed.
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,7 +31,7 @@ from . import ella as ella_mod
 from . import lla as lla_mod
 from . import metrics as metrics_mod
 from . import valla as valla_mod
-from .errors import CapExceeded, ConfigError, LagpError
+from .errors import CapExceeded, ConfigError, LagpError, NonFiniteValue, ParseError
 from .kernel import KernelContext
 from .lla import EVIDENCE_CAP, NOISE_GRID, PRIOR_GRID, GaussianPredictive, LikelihoodModel
 from .nn import MlpArchitecture, TrainConfig, load_network, save_network, train_map
@@ -34,68 +39,89 @@ from .serialize import load_state, save_state
 
 METHODS = ("map", "lla_exact", "lla_diag", "lla_last_layer", "valla", "ella")
 
-# key -> (default, help); None default means optional/unset
+
+def _type(expected, parse=str, ok=lambda value: True):
+    """A value type: what it expects, and a reader that raises ValueError on a misfit."""
+
+    def read(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+
+    return expected, read
+
+
+def _words(*choices):
+    return _type(" | ".join(choices), ok=lambda raw: raw in choices)
+
+
+def _int_or(word):
+    return _type(f"an integer or {word}", lambda raw: raw if raw == word else int(raw))
+
+
+INT = _type("an integer", int)
+FLOAT = _type("a finite number", float, math.isfinite)
+POSITIVE = _type("a finite number > 0", float, lambda value: math.isfinite(value) and value > 0.0)
+BOOL = _type("true or false", lambda raw: {"true": True, "false": False}.get(raw.lower()), lambda v: v is not None)
+PATH = _type("a path", ok=bool)
+INTS = _type("comma-separated integers", lambda raw: tuple(int(part) for part in raw.split(",")))
+FRACTIONS = _type(
+    "three comma-separated finite numbers",
+    lambda raw: tuple(float(part) for part in raw.split(",")),
+    lambda values: len(values) == 3 and all(map(math.isfinite, values)),
+)
+
+# key -> (default, type, help); None default means optional/unset
 CONFIG_KEYS = {
-    "seed": (0, "global seed for training and fitting"),
-    "output_dir": ("runs/out", "directory receiving all artifacts of the run"),
-    "dataset.kind": ("toy1d", "toy1d | csv | idx"),
-    "dataset.n": (200, "number of points for the synthetic generator"),
-    "dataset.seed": (0, "seed of the synthetic generator"),
-    "dataset.path": (None, "csv file path (dataset.kind = csv)"),
-    "dataset.target_column": (0, "target column index in the csv"),
-    "dataset.images": (None, "idx image file (dataset.kind = idx)"),
-    "dataset.labels": (None, "idx label file (dataset.kind = idx)"),
-    "dataset.limit": (None, "optional cap on idx records"),
-    "dataset.standardize": (True, "standardize inputs (and regression targets) on train stats"),
-    "split.fractions": ((0.8, 0.1, 0.1), "train, validation, test fractions"),
-    "split.shuffle": (0, "shuffle seed, or 'sequential' for in-order splits"),
-    "arch.hidden": ((50, 50), "hidden layer widths"),
-    "train.iterations": (12000, "MAP training iterations"),
-    "train.batch_size": (100, "MAP training batch size"),
-    "train.learning_rate": (1e-3, "MAP training Adam step size"),
-    "train.weight_decay": (0.0, "L2 coefficient added to the gradient"),
-    "train.loss": ("rmse", "rmse | nll_classification"),
-    "method": ("valla", " | ".join(METHODS)),
-    "method.prior_variance": (None, "prior variance; grid-searched when unset (regression)"),
-    "method.noise_variance": (None, "observation noise variance; grid-searched when unset"),
-    "method.inducing": (20, "number of inducing locations (valla)"),
-    "method.alpha": (1.0, "likelihood power in (0, 1] (valla)"),
-    "method.objective": ("alpha", "alpha | elbo training objective (valla)"),
-    "method.iterations": (10000, "fit iterations (valla)"),
-    "method.batch_size": (100, "fit batch size (valla)"),
-    "method.learning_rate": (1e-2, "fit Adam step size (valla)"),
-    "method.validate_every": (100, "iterations between validation checks (valla)"),
-    "method.patience": (3, "non-improving checks before stopping (valla)"),
-    "method.train_inducing": (True, "optimize inducing locations (valla)"),
-    "method.train_prior_variance": (True, "optimize the prior variance (valla)"),
-    "method.train_noise_variance": (True, "optimize the noise variance (valla)"),
-    "method.early_stopping": (True, "use validation-based early stopping (valla)"),
-    "method.anchors": (20, "anchor subset size (ella)"),
-    "method.features": ("auto", "feature count, or 'auto' for the usable rank (ella)"),
-    "method.max_points": (None, "optional cap on the accumulation pass (ella)"),
-    "grid.range": ((-3.0, 3.0), "predict-grid input range"),
-    "grid.resolution": (200, "predict-grid point count"),
+    "seed": (0, INT, "global seed for training and fitting"),
+    "output_dir": ("runs/out", PATH, "directory receiving all artifacts of the run"),
+    "dataset.kind": ("toy1d", _words("toy1d", "csv", "idx"), "dataset source"),
+    "dataset.n": (200, INT, "number of points for the synthetic generator"),
+    "dataset.seed": (0, INT, "seed of the synthetic generator"),
+    "dataset.path": (None, PATH, "csv file path (dataset.kind = csv)"),
+    "dataset.target_column": (0, INT, "target column index in the csv"),
+    "dataset.images": (None, PATH, "idx image file (dataset.kind = idx)"),
+    "dataset.labels": (None, PATH, "idx label file (dataset.kind = idx)"),
+    "dataset.limit": (None, INT, "optional cap on idx records"),
+    "dataset.standardize": (True, BOOL, "standardize inputs (and regression targets) on train stats"),
+    "split.fractions": ((0.8, 0.1, 0.1), FRACTIONS, "train, validation, test fractions"),
+    "split.shuffle": (0, _int_or("sequential"), "shuffle seed, or sequential for in-order splits"),
+    "arch.hidden": ((50, 50), INTS, "hidden layer widths"),
+    "train.iterations": (12000, INT, "MAP training iterations"),
+    "train.batch_size": (100, INT, "MAP training batch size"),
+    "train.learning_rate": (1e-3, FLOAT, "MAP training Adam step size"),
+    "train.weight_decay": (0.0, FLOAT, "L2 coefficient added to the gradient"),
+    "train.loss": ("rmse", _words("rmse", "nll_classification"), "MAP training loss"),
+    "method": ("valla", _words(*METHODS), "posterior to fit"),
+    "method.prior_variance": (None, POSITIVE, "prior variance; grid-searched when unset (regression)"),
+    "method.noise_variance": (None, POSITIVE, "observation noise variance; grid-searched when unset"),
+    "method.inducing": (20, INT, "number of inducing locations (valla)"),
+    "method.alpha": (1.0, FLOAT, "likelihood power in (0, 1] (valla)"),
+    "method.objective": ("alpha", _words("alpha", "elbo"), "training objective (valla)"),
+    "method.iterations": (10000, INT, "fit iterations (valla)"),
+    "method.batch_size": (100, INT, "fit batch size (valla)"),
+    "method.learning_rate": (1e-2, FLOAT, "fit Adam step size (valla)"),
+    "method.validate_every": (100, INT, "iterations between validation checks (valla)"),
+    "method.patience": (3, INT, "non-improving checks before stopping (valla)"),
+    "method.train_inducing": (True, BOOL, "optimize inducing locations (valla)"),
+    "method.train_prior_variance": (True, BOOL, "optimize the prior variance (valla)"),
+    "method.train_noise_variance": (True, BOOL, "optimize the noise variance (valla)"),
+    "method.early_stopping": (True, BOOL, "use validation-based early stopping (valla)"),
+    "method.anchors": (20, INT, "anchor subset size (ella)"),
+    "method.features": ("auto", _int_or("auto"), "feature count, or auto for the usable rank (ella)"),
+    "method.max_points": (None, INT, "optional cap on the accumulation pass (ella)"),
 }
 
 
-def _parse_value(raw):
-    raw = raw.strip()
-    if raw == "":
+def _read_value(key, raw):
+    default, (expected, parse), _ = CONFIG_KEYS[key]
+    if raw == "" and default is None:
         return None
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if "," in raw:
-        return tuple(_parse_value(part) for part in raw.split(","))
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+        raise ConfigError(f"{key} = {raw!r}: expected {expected}") from None
 
 
 def parse_config_text(text):
@@ -112,7 +138,7 @@ def parse_config_text(text):
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        out[key] = _parse_value(raw)
+        out[key] = _read_value(key, raw.strip())
     return out
 
 
@@ -121,38 +147,20 @@ def load_config(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cfg = dict((k, v) for k, (v, _) in CONFIG_KEYS.items())
+    cfg = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
     cfg.update(parse_config_text(text))
     validate_config(cfg)
     return cfg, text
 
 
 def validate_config(cfg):
+    """Check that the files a csv or idx dataset needs are named and exist."""
     kind = cfg["dataset.kind"]
-    if kind not in ("toy1d", "csv", "idx"):
-        raise ConfigError(f"dataset.kind must be toy1d|csv|idx, got {kind!r}")
-    if kind == "csv":
-        if not cfg["dataset.path"]:
-            raise ConfigError("dataset.path required for csv datasets")
-        if not Path(cfg["dataset.path"]).exists():
-            raise ConfigError(f"dataset.path {cfg['dataset.path']!r} does not exist")
-    if kind == "idx":
-        for key in ("dataset.images", "dataset.labels"):
-            if not cfg[key]:
-                raise ConfigError(f"{key} required for idx datasets")
-            if not Path(cfg[key]).exists():
-                raise ConfigError(f"{key} {cfg[key]!r} does not exist")
-    if cfg["method"] not in METHODS:
-        raise ConfigError(f"method must be one of {', '.join(METHODS)}; got {cfg['method']!r}")
-    if cfg["train.loss"] not in ("rmse", "nll_classification"):
-        raise ConfigError(f"train.loss invalid: {cfg['train.loss']!r}")
-    if cfg["method.objective"] not in ("alpha", "elbo"):
-        raise ConfigError(f"method.objective invalid: {cfg['method.objective']!r}")
-    fractions = cfg["split.fractions"]
-    if not (isinstance(fractions, tuple) and len(fractions) == 3):
-        raise ConfigError("split.fractions must be three comma-separated numbers")
-    if int(cfg["grid.resolution"]) < 1:
-        raise ConfigError("grid.resolution must be >= 1")
+    for key in {"csv": ("dataset.path",), "idx": ("dataset.images", "dataset.labels")}.get(kind, ()):
+        if cfg[key] is None:
+            raise ConfigError(f"{key} required for {kind} datasets")
+        if not Path(cfg[key]).exists():
+            raise ConfigError(f"{key} {cfg[key]!r} does not exist")
 
 
 def resolved_config_text(cfg):
@@ -174,9 +182,9 @@ def prepare_splits(cfg):
     """Load, split, and (optionally) standardize with train statistics."""
     kind = cfg["dataset.kind"]
     if kind == "toy1d":
-        ds = data_mod.synth_toy1d(int(cfg["dataset.n"]), seed=int(cfg["dataset.seed"]))
+        ds = data_mod.synth_toy1d(cfg["dataset.n"], seed=cfg["dataset.seed"])
     elif kind == "csv":
-        ds = data_mod.load_csv_regression(cfg["dataset.path"], int(cfg["dataset.target_column"]))
+        ds = data_mod.load_csv_regression(cfg["dataset.path"], cfg["dataset.target_column"])
     else:
         ds = data_mod.load_idx_images(cfg["dataset.images"], cfg["dataset.labels"], cfg["dataset.limit"])
     spec = data_mod.SplitSpec(fractions=cfg["split.fractions"], shuffle_seed=cfg["split.shuffle"])
@@ -191,15 +199,14 @@ def prepare_splits(cfg):
 
 
 def architecture_for(cfg, train):
-    hidden = cfg["arch.hidden"]
-    if isinstance(hidden, (int, float)):
-        hidden = (int(hidden),)
     output_dim = train.n_classes if train.task == "classification" else train.targets.shape[1]
-    return MlpArchitecture(
-        input_dim=train.inputs.shape[1],
-        hidden_dims=tuple(int(h) for h in hidden),
-        output_dim=output_dim,
-    )
+    return MlpArchitecture(input_dim=train.inputs.shape[1], hidden_dims=cfg["arch.hidden"], output_dim=output_dim)
+
+
+def _existing(path, what):
+    if not Path(path).exists():
+        raise ConfigError(f"{what} {path} does not exist")
+    return Path(path)
 
 
 def _prepare_outdir(cfg, config_text):
@@ -219,11 +226,11 @@ def cmd_train_map(args):
     if train.task == "classification" and loss == "rmse":
         loss = "nll_classification"
     tc = TrainConfig(
-        iterations=int(cfg["train.iterations"]),
-        batch_size=int(cfg["train.batch_size"]),
-        learning_rate=float(cfg["train.learning_rate"]),
-        weight_decay=float(cfg["train.weight_decay"]),
-        seed=int(cfg["seed"]),
+        iterations=cfg["train.iterations"],
+        batch_size=cfg["train.batch_size"],
+        learning_rate=cfg["train.learning_rate"],
+        weight_decay=cfg["train.weight_decay"],
+        seed=cfg["seed"],
         loss=loss,
     )
     started = time.monotonic()
@@ -246,16 +253,16 @@ def _choose_hyperparameters(cfg, net, train):
     pv = cfg["method.prior_variance"]
     nv = cfg["method.noise_variance"]
     if train.task == "classification":
-        return float(pv) if pv is not None else 1.0, None, {}
+        return pv if pv is not None else 1.0, None, {}
     if pv is not None and nv is not None:
-        return float(pv), float(nv), {}
+        return pv, nv, {}
     x, y = train.inputs[:EVIDENCE_CAP], train.targets.ravel()[:EVIDENCE_CAP]
     best_pv, best_nv, _ = lla_mod.grid_search_hyperparameters(net, x, y)
     edge = (pv is None and best_pv in (PRIOR_GRID[0], PRIOR_GRID[-1])) or (
         nv is None and best_nv in (NOISE_GRID[0], NOISE_GRID[-1])
     )
     search = {"evidence_points": int(x.shape[0]), "evidence_at_grid_edge": bool(edge)}
-    return (float(pv) if pv is not None else best_pv, float(nv) if nv is not None else best_nv, search)
+    return (pv if pv is not None else best_pv, nv if nv is not None else best_nv, search)
 
 
 def fit_method(cfg, net, train, val, log_dir=None):
@@ -286,21 +293,21 @@ def fit_method(cfg, net, train, val, log_dir=None):
             ctx,
             likelihood,
             train.inputs,
-            m=int(cfg["method.anchors"]),
-            k=None if features == "auto" else int(features),
-            seed=int(cfg["seed"]),
+            m=cfg["method.anchors"],
+            k=None if features == "auto" else features,
+            seed=cfg["seed"],
             max_points=cfg["method.max_points"],
         )
         info["features"] = state.feature_dim
         return state, info
 
     schedule = valla_mod.TrainSchedule(
-        iterations=int(cfg["method.iterations"]),
-        batch_size=int(cfg["method.batch_size"]),
-        learning_rate=float(cfg["method.learning_rate"]),
-        seed=int(cfg["seed"]),
-        validate_every=int(cfg["method.validate_every"]),
-        patience=int(cfg["method.patience"]),
+        iterations=cfg["method.iterations"],
+        batch_size=cfg["method.batch_size"],
+        learning_rate=cfg["method.learning_rate"],
+        seed=cfg["seed"],
+        validate_every=cfg["method.validate_every"],
+        patience=cfg["method.patience"],
     )
     log_path = None if log_dir is None else Path(log_dir) / f"fit_log_{method}.csv"
     state = valla_mod.fit_valla(
@@ -308,13 +315,13 @@ def fit_method(cfg, net, train, val, log_dir=None):
         likelihood,
         (train.inputs, train.targets),
         (val.inputs, val.targets) if val is not None and val.n else None,
-        int(cfg["method.inducing"]),
+        cfg["method.inducing"],
         schedule,
-        alpha=float(cfg["method.alpha"]),
-        train_inducing=bool(cfg["method.train_inducing"]),
-        train_prior_variance=bool(cfg["method.train_prior_variance"]),
-        train_noise_variance=bool(cfg["method.train_noise_variance"]),
-        early_stopping=bool(cfg["method.early_stopping"]) and val is not None and val.n > 0,
+        alpha=cfg["method.alpha"],
+        train_inducing=cfg["method.train_inducing"],
+        train_prior_variance=cfg["method.train_prior_variance"],
+        train_noise_variance=cfg["method.train_noise_variance"],
+        early_stopping=cfg["method.early_stopping"] and val is not None and val.n > 0,
         objective=cfg["method.objective"],
         log_path=log_path,
     )
@@ -327,10 +334,7 @@ def fit_method(cfg, net, train, val, log_dir=None):
 def cmd_fit(args):
     cfg, text = load_config(args.config)
     out = _prepare_outdir(cfg, text)
-    checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        raise ConfigError(f"checkpoint {checkpoint} does not exist")
-    net = load_network(checkpoint)
+    net = load_network(_existing(args.checkpoint, "checkpoint"))
     train, val, _, normalization = prepare_splits(cfg)
     started = time.monotonic()
     state, info = fit_method(cfg, net, train, val, log_dir=out)
@@ -360,27 +364,6 @@ def _to_original_units(pred, normalization):
     return GaussianPredictive(mean=shift + scale * pred.mean, covariance=scale**2 * pred.covariance, likelihood=lik)
 
 
-def evaluate_regression(pred, y):
-    return metrics_mod.MetricsReport(
-        n_points=len(pred),
-        nll=metrics_mod.nll_gaussian(pred, y),
-        crps=metrics_mod.crps_gaussian(pred, y),
-        cqm=metrics_mod.cqm(pred, y),
-    )
-
-
-def evaluate_classification(pred, labels):
-    probs = metrics_mod.predictive_class_probs(pred.mean, pred.covariance)
-    report = metrics_mod.MetricsReport(
-        n_points=len(pred),
-        nll=metrics_mod.nll_categorical(probs, labels),
-        ece=metrics_mod.ece(probs, labels),
-        brier=metrics_mod.brier(probs, labels),
-        acc=metrics_mod.accuracy(probs, labels),
-    )
-    return report, probs
-
-
 def evaluate_split(state, part, normalization):
     """Metrics of a state on a split, and the curve ``evaluate`` writes with them.
 
@@ -390,22 +373,46 @@ def evaluate_split(state, part, normalization):
     """
     pred = state.predict(part.inputs)
     if part.task == "classification":
-        report, probs = evaluate_classification(pred, part.targets)
+        probs = metrics_mod.predictive_class_probs(pred.mean, pred.covariance)
+        report = metrics_mod.MetricsReport(
+            n_points=len(pred),
+            nll=metrics_mod.nll_categorical(probs, part.targets),
+            ece=metrics_mod.ece(probs, part.targets),
+            brier=metrics_mod.brier(probs, part.targets),
+            acc=metrics_mod.accuracy(probs, part.targets),
+        )
         return report, metrics_mod.predictive_entropy(probs)
     pred = _to_original_units(pred, normalization)
     y = part.targets.ravel()
     if normalization is not None:
         y = y * float(normalization.target_std[0]) + float(normalization.target_mean[0])
-    return evaluate_regression(pred, y), metrics_mod.coverage_curve(pred, y)
+    report = metrics_mod.MetricsReport(
+        n_points=len(pred),
+        nll=metrics_mod.nll_gaussian(pred, y),
+        crps=metrics_mod.crps_gaussian(pred, y),
+        cqm=metrics_mod.cqm(pred, y),
+    )
+    return report, metrics_mod.coverage_curve(pred, y)
+
+
+def _read_scores(path):
+    """The scores of an entropy csv written by ``evaluate`` (one header row)."""
+    try:
+        scores = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+    except OSError as exc:
+        raise ConfigError(f"cannot read scores {path}: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteValue(f"{path}: scores contain NaN or Inf")
+    return scores
 
 
 def cmd_evaluate(args):
     if args.ood_in is not None or args.ood_out is not None:
         if not (args.ood_in and args.ood_out):
             raise ConfigError("ood mode needs both --ood-in and --ood-out entropy files")
-        score_in = np.loadtxt(args.ood_in, delimiter=",", skiprows=1, ndmin=1)
-        score_out = np.loadtxt(args.ood_out, delimiter=",", skiprows=1, ndmin=1)
-        value = metrics_mod.ood_auc(score_in, score_out)
+        value = metrics_mod.ood_auc(_read_scores(args.ood_in), _read_scores(args.ood_out))
         print(json.dumps({"ood_auc": value}))
         return 0
 
@@ -413,10 +420,7 @@ def cmd_evaluate(args):
         raise ConfigError("evaluate needs a config and --state (or --ood-in/--ood-out)")
     cfg, text = load_config(args.config)
     out = _prepare_outdir(cfg, text)
-    state_path = Path(args.state)
-    if not state_path.exists():
-        raise ConfigError(f"state file {state_path} does not exist")
-    state, normalization = load_state(state_path)
+    state, normalization = load_state(_existing(args.state, "state file"))
     train, val, test, _ = prepare_splits(cfg)
     part = {"train": train, "validation": val, "test": test}[args.split]
     if part.n == 0:
@@ -436,16 +440,12 @@ def cmd_evaluate(args):
 
 
 def cmd_predict_grid(args):
-    state_path = Path(args.state)
-    if not state_path.exists():
-        raise ConfigError(f"state file {state_path} does not exist")
     if args.resolution < 1:
         raise ConfigError("resolution must be >= 1")
-    state, normalization = load_state(state_path)
+    state, normalization = load_state(_existing(args.state, "state file"))
     if state.ctx.net.arch.input_dim != 1:
         raise ConfigError("predict-grid supports 1-D inputs only")
-    lo, hi = float(args.range[0]), float(args.range[1])
-    grid = np.linspace(lo, hi, int(args.resolution))
+    grid = np.linspace(*args.range, args.resolution)
     x = grid[:, None]
     if normalization is not None:
         x = (x - normalization.input_mean) / normalization.input_std
@@ -465,13 +465,9 @@ def cmd_predict_grid(args):
 def cmd_compare(args):
     cfg, text = load_config(args.config)
     out = _prepare_outdir(cfg, text)
-    checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        raise ConfigError(f"checkpoint {checkpoint} does not exist")
+    checkpoint = _existing(args.checkpoint, "checkpoint")
     methods = args.methods.split(",") if args.methods else ["lla_exact", "valla", "ella", "lla_diag", "lla_last_layer"]
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+    methods = [_read_value("method", m) for m in methods]
     net = load_network(checkpoint)
     train, val, test, normalization = prepare_splits(cfg)
     if test.n == 0:
@@ -502,8 +498,8 @@ def cmd_compare(args):
 
 def cmd_show_defaults(args):
     for key in sorted(CONFIG_KEYS):
-        default, help_text = CONFIG_KEYS[key]
-        print(f"{key} = {format_value(default)}  # {help_text}")
+        default, (expected, _), help_text = CONFIG_KEYS[key]
+        print(f"{key} = {format_value(default)}  # {help_text} [{expected}]")
     return 0
 
 

@@ -200,7 +200,7 @@ def load_idx_images(images_path, labels_path, limit=None):
     return Dataset(inputs=x, targets=labels.astype(int), task="classification", n_classes=n_classes)
 
 
-def standardize(ds, stats=None, standardize_targets=True):
+def standardize(ds, stats=None):
     """Zero-mean unit-variance columns; stats from ``ds`` unless supplied.
 
     When ``stats`` is given (taken from the training split) it is applied
@@ -215,7 +215,7 @@ def standardize(ds, stats=None, standardize_targets=True):
         if np.any(degenerate):
             warnings.warn(f"{int(degenerate.sum())} constant input column(s); std forced to 1")
             x_std = np.where(degenerate, 1.0, x_std)
-        if ds.task == "regression" and standardize_targets:
+        if ds.task == "regression":
             t_mean = ds.targets.mean(axis=0)
             t_std = ds.targets.std(axis=0)
             bad = t_std <= 0.0
@@ -233,19 +233,6 @@ def standardize(ds, stats=None, standardize_targets=True):
     else:
         new_y = ds.targets
     return replace(ds, inputs=new_x, targets=new_y, normalization=stats)
-
-
-def inverse_standardize(ds):
-    """Undo standardize, restoring original units."""
-    stats = ds.normalization
-    if stats is None:
-        return ds
-    x = ds.inputs * stats.input_std + stats.input_mean
-    if ds.task == "regression":
-        y = ds.targets * stats.target_std + stats.target_mean
-    else:
-        y = ds.targets
-    return replace(ds, inputs=x, targets=y, normalization=None)
 
 
 def split(ds, spec):

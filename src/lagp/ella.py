@@ -31,6 +31,7 @@ from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, curvature_
 from .nn import forward
 
 EIGEN_FLOOR_FACTOR = 1e-10
+PASS_CHUNK = 256  # training points per GEMM of the accumulation pass
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def _features(state_ctx, projection, anchors, x):
     return proj.reshape(k, n, c).transpose(1, 2, 0)
 
 
-def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None, chunk=256):
+def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
     """Anchor, eigendecompose, then accumulate the precision in one pass.
 
     ``k=None`` keeps every eigenpair above the floor, which is the
@@ -100,8 +101,8 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None, chunk=256)
 
     n_pass = n if max_points is None else min(int(max_points), n)
     precision = np.eye(k) / ctx.prior_variance
-    for start in range(0, n_pass, chunk):
-        stop = min(start + chunk, n_pass)
+    for start in range(0, n_pass, PASS_CHUNK):
+        stop = min(start + PASS_CHUNK, n_pass)
         xb = x[start:stop]
         phi = _features(ctx, projection, anchors, xb)  # (B, C, K)
         roots = curvature_roots(likelihood, forward(ctx.net, xb).output)

@@ -58,26 +58,23 @@ def check_symmetric(a, name="matrix", tol=SYMMETRY_TOL):
     return a
 
 
-def cholesky(a, jitter=0.0):
+def cholesky(a):
     """Factor a symmetric matrix as L @ L.T, escalating jitter on failure.
 
-    The first attempt adds exactly ``jitter`` to the diagonal. If LAPACK
-    rejects the matrix, the jitter restarts at
-    ``JITTER_START_FACTOR * trace(a) / dim`` and grows tenfold per retry
-    until ``JITTER_CAP_FACTOR * trace(a) / dim``, after which
-    NotPositiveDefinite is raised.
+    The first attempt adds no jitter. If LAPACK rejects the matrix, the
+    jitter starts at ``JITTER_START_FACTOR * trace(a) / dim`` and grows
+    tenfold per retry until ``JITTER_CAP_FACTOR * trace(a) / dim``, after
+    which NotPositiveDefinite is raised.
     """
     a = check_symmetric(a, "cholesky input")
     n = a.shape[0]
     if n < 1:
         raise DimensionMismatch("cholesky needs dim >= 1")
-    if jitter < 0:
-        raise NotPositiveDefinite("jitter must be nonnegative")
 
     scale = float(np.trace(a)) / n
     if scale <= 0.0:
         scale = 1.0
-    attempt = float(jitter)
+    attempt = 0.0
     cap = JITTER_CAP_FACTOR * scale
     while True:
         try:
@@ -86,8 +83,6 @@ def cholesky(a, jitter=0.0):
             return CholeskyFactor(lower=lower, dim=n, jitter=attempt)
         except np.linalg.LinAlgError:
             nxt = JITTER_START_FACTOR * scale if attempt == 0.0 else attempt * 10.0
-            if nxt <= attempt:
-                nxt = attempt * 10.0
             if nxt > cap:
                 raise NotPositiveDefinite(
                     f"matrix not positive definite after jitter cap {cap:.3e}"

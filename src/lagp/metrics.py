@@ -27,11 +27,10 @@ class MetricsReport:
     ece: float = None
     brier: float = None
     acc: float = None
-    ood_auc: float = None
 
     def to_dict(self):
         out = {"n_points": self.n_points}
-        for key in ("nll", "crps", "cqm", "ece", "brier", "acc", "ood_auc"):
+        for key in ("nll", "crps", "cqm", "ece", "brier", "acc"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value

@@ -22,6 +22,7 @@ _ACTIVATION_IDS = {v: k for k, v in _ACTIVATIONS.items()}
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LOG_EVERY = 100  # iterations between rows of the MAP training log
 
 
 @dataclass(frozen=True)
@@ -224,13 +225,40 @@ def _loss_and_output_grad(outputs, targets, loss):
     return nll, grad / n
 
 
-def train_map(arch, data, cfg, log_path=None, log_every=100):
+def minibatches(n, batch_size, seed):
+    """Endless index batches of min(batch_size, n) points out of n.
+
+    Batches run through a seeded permutation that is redrawn when too few
+    points are left for a full batch, so a fixed seed gives the same
+    batches every time.
+    """
+    rng = rng_stream(seed)
+    batch = min(batch_size, n)
+    order = rng.permutation(n)
+    cursor = 0
+    while True:
+        if cursor + batch > n:
+            order = rng.permutation(n)
+            cursor = 0
+        yield order[cursor : cursor + batch]
+        cursor += batch
+
+
+def write_log(path, header, rows):
+    """CSV of (iteration, value, ...) rows: ``repr(float(v))`` per value, an empty cell for None."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for it, *values in rows:
+            fh.write(",".join([str(it)] + ["" if v is None else repr(float(v)) for v in values]) + "\n")
+
+
+def train_map(arch, data, cfg, log_path=None):
     """Train a network to the MAP point with mini-batch Adam.
 
-    ``data`` is an (inputs, targets) pair. Batches are drawn from a
-    seeded permutation that reshuffles each epoch, so a fixed seed gives
-    a bitwise-identical result. When ``log_path`` is given, a CSV of
-    (iteration, loss) rows is written every ``log_every`` iterations.
+    ``data`` is an (inputs, targets) pair. Batches come from
+    ``minibatches`` seeded with ``cfg.seed + 1``, so a fixed seed gives a
+    bitwise-identical result. When ``log_path`` is given, a CSV of
+    (iteration, loss) rows is written every ``LOG_EVERY`` iterations.
     """
     x, y = data
     x = np.asarray(x, dtype=np.float64)
@@ -244,20 +272,9 @@ def train_map(arch, data, cfg, log_path=None, log_every=100):
     biases = [b.copy() for b in net.biases]
     shapes = [w.shape for w in weights] + [b.shape for b in biases]
     opt = AdamOptimizer(shapes, cfg.learning_rate, cfg.weight_decay)
-    batch_rng = rng_stream(cfg.seed + 1)
-
-    n = x.shape[0]
-    batch = min(cfg.batch_size, n)
-    order = batch_rng.permutation(n)
-    cursor = 0
     log_rows = []
-    for it in range(1, cfg.iterations + 1):
-        if cursor + batch > n:
-            order = batch_rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + batch]
-        cursor += batch
-
+    batches = minibatches(x.shape[0], cfg.batch_size, cfg.seed + 1)
+    for it, idx in zip(range(1, cfg.iterations + 1), batches):
         current = MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
         trace = forward(current, x[idx], keep_trace=True)
         loss, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
@@ -268,14 +285,11 @@ def train_map(arch, data, cfg, log_path=None, log_every=100):
         updated = opt.step(list(weights) + list(biases), list(w_grads) + list(b_grads))
         weights = updated[: len(weights)]
         biases = updated[len(weights) :]
-        if it % log_every == 0 or it == cfg.iterations:
+        if it % LOG_EVERY == 0 or it == cfg.iterations:
             log_rows.append((it, loss))
 
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("iteration,loss\n")
-            for it, loss in log_rows:
-                fh.write(f"{it},{loss!r}\n")
+        write_log(log_path, "iteration,loss", log_rows)
     return MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
 
 

@@ -47,7 +47,7 @@ from .kernel import (
 from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, gram_blocks
 from .metrics import nll_categorical, nll_gaussian, predictive_class_probs
-from .nn import AdamOptimizer, forward
+from .nn import AdamOptimizer, forward, minibatches, write_log
 
 A_FACTOR_INIT_SCALE = 1e-3
 
@@ -252,34 +252,23 @@ def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
     return float(values.sum()), g_blocks, 0.0
 
 
-def objective(state, batch_x, batch_y, n_total, mode="alpha"):
-    """Mini-batch training objective: scaled data term minus the KL.
-
-    ``mode="alpha"`` takes the likelihood-power data term. ``mode="elbo"``
-    (Gaussian case only) takes the plain evidence bound, sum of
-    log N(y | m, noise) - v/(2 noise), scaled to the full dataset. The
-    bound exposes the degeneracy that makes the likelihood-power objective
-    necessary: with the mean pinned, it always improves as the prior
-    variance shrinks to zero. The KL comes from the batch's own capacity
-    factor.
-    """
-    pieces = _batch_posterior(state, batch_x)
-    data, _, _ = _data_term(state, pieces, batch_y, n_total, mode=mode)
-    h_factor = pieces["h_factor"]
-    kl = _kl(h_factor, solve_psd(h_factor, np.eye(h_factor.dim)))
-    return DualBasisReport(kl_value=kl, data_term=data, objective=data - kl)
-
-
 def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradient=True, mode="alpha"):
-    """Closed-form gradient of the objective w.r.t. all trainable leaves.
+    """Mini-batch objective and its closed-form gradient w.r.t. all trainable leaves.
+
+    The objective is the scaled data term minus the KL of the batch's own
+    capacity factor. ``mode="alpha"`` takes the likelihood-power data
+    term. ``mode="elbo"`` (Gaussian case only) takes the plain evidence
+    bound, sum of log N(y | m, noise) - v/(2 noise), scaled to the full
+    dataset. The bound exposes the degeneracy that makes the
+    likelihood-power objective necessary: with the mean pinned, it always
+    improves as the prior variance shrinks to zero.
 
     Returns (report, grads) with grads holding 'a_factor' (masked to the
     lower triangle), 'inducing', 'log_prior_variance' and, for Gaussian
     likelihoods, 'log_noise_variance'. The inducing-location gradient is
     one reverse-mode pass through the kernel (``kernel_input_vjp``) with
     the cotangents of K_Z and of the cross blocks; it is left at zero when
-    the locations are frozen. ``mode`` selects the data term: the
-    likelihood-power objective or the plain evidence bound.
+    the locations are frozen.
     """
     ctx = state.scaled_ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
@@ -448,23 +437,13 @@ def fit_valla(
     train_noise = train_noise_variance and likelihood.kind == "gaussian"
     param_shapes = [lower.shape, inducing.shape, (), ()]
     opt = AdamOptimizer(param_shapes, schedule.learning_rate)
-    batch_rng = rng_stream(schedule.seed + 1)
-    batch = min(schedule.batch_size, n)
-    order = batch_rng.permutation(n)
-    cursor = 0
 
     best_state = make_state()
     best_nll = math.inf
     bad_checks = 0
     log_rows = []
-
-    for it in range(1, schedule.iterations + 1):
-        if cursor + batch > n:
-            order = batch_rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + batch]
-        cursor += batch
-
+    batches = minibatches(n, schedule.batch_size, schedule.seed + 1)
+    for it, idx in zip(range(1, schedule.iterations + 1), batches):
         state = make_state()
         try:
             report, grads = objective_gradient(
@@ -504,11 +483,7 @@ def fit_valla(
                 break
 
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("iteration,objective,kl,data_term,validation_nll\n")
-            for row in log_rows:
-                vals = [str(row[0])] + [repr(float(v)) if v is not None else "" for v in row[1:]]
-                fh.write(",".join(vals) + "\n")
+        write_log(log_path, "iteration,objective,kl,data_term,validation_nll", log_rows)
 
     if early_stopping and best_nll < math.inf:
         return best_state

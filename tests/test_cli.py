@@ -1,9 +1,12 @@
 import json
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lagp.cli import main
+from lagp.cli import BOOL, CONFIG_KEYS, FLOAT, INT, POSITIVE, main, parse_config_text, validate_config
+from lagp.errors import ConfigError
 from lagp.serialize import load_state
 
 TOY_BASE = """
@@ -47,6 +50,88 @@ class TestShowDefaults:
         assert "dataset.kind" in out
 
 
+def _wrong_values():
+    """(key, value) pairs that do not fit the key's type."""
+    wrong = {INT: ("abc", "2.7"), FLOAT: ("abc", "nan", "inf"), POSITIVE: ("abc", "nan", "inf"), BOOL: ("abc", "maybe")}
+    for key, (default, kind, _) in CONFIG_KEYS.items():
+        for value in wrong.get(kind, ()):
+            yield key, value
+        if default is not None:
+            yield key, ""
+    yield from [
+        ("dataset.standardize", "0"),
+        ("arch.hidden", "abc"),
+        ("arch.hidden", "50,,50"),
+        ("method.features", "foo"),
+        ("method.features", "2.5"),
+        ("split.shuffle", "abc"),
+        ("split.fractions", "0.5,0.5"),
+        ("split.fractions", "0.5,nan,0.5"),
+        ("method.prior_variance", "0"),
+        ("method.prior_variance", "-1"),
+        ("method.noise_variance", "0"),
+        ("dataset.kind", "Toy1d"),
+        ("train.loss", "mse"),
+        ("method.objective", "ELBO"),
+    ]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(("key", "value"), list(_wrong_values()))
+    def test_wrong_value_exits_2_before_output(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        lines = {"output_dir": str(out), key: value}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["train-map", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} = {value!r}: expected ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_typed_values(self):
+        cfg = parse_config_text(
+            "output_dir = 5\narch.hidden = 7\nsplit.shuffle = sequential\nmethod.features = 3\n"
+            "train.learning_rate = 1\nmethod.early_stopping = False\ndataset.limit =\n"
+        )
+        assert cfg == {
+            "output_dir": "5",
+            "arch.hidden": (7,),
+            "split.shuffle": "sequential",
+            "method.features": 3,
+            "train.learning_rate": 1.0,
+            "method.early_stopping": False,
+            "dataset.limit": None,
+        }
+        assert isinstance(cfg["train.learning_rate"], float)
+
+    def test_show_defaults_loads_back_as_defaults(self, capsys):
+        assert main(["show-defaults"]) == 0
+        text = "".join(line.split("#", 1)[0] + "\n" for line in capsys.readouterr().out.splitlines())
+        loaded = parse_config_text(text)
+        assert {k: (type(v), v) for k, v in loaded.items()} == {
+            k: (type(default), default) for k, (default, _, _) in CONFIG_KEYS.items()
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(CONFIG_KEYS)),
+        st.one_of(
+            st.text(string.printable, max_size=20),
+            st.integers().map(str),
+            st.floats().map(str),
+            st.sampled_from(["true", "false", "auto", "sequential", "csv", "idx", "elbo", "lla_diag", "3,4"]),
+        ),
+    )
+    def test_any_value_loads_or_raises_config_error(self, key, value):
+        cfg = {k: default for k, (default, _, _) in CONFIG_KEYS.items()}
+        try:
+            cfg.update(parse_config_text(f"{key} = {value}\n"))
+            validate_config(cfg)
+        except ConfigError:
+            pass
+
+
 class TestTrainMap:
     def test_writes_checkpoint_and_log(self, tmp_path):
         cfg = write_config(tmp_path, "t.cfg", f"output_dir = {tmp_path / 'run'}\n")
@@ -56,6 +141,9 @@ class TestTrainMap:
         lines = (out / "train_log.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,loss"
         assert len(lines) == 1 + 600 // 100
+        for line in lines[1:]:
+            it, loss = line.split(",")
+            int(it), float(loss)
         assert (out / "config.txt").exists()
 
     def test_rerun_bitwise_identical(self, tmp_path):
@@ -216,6 +304,21 @@ class TestEvaluate:
         assert main(["evaluate", "--ood-in", str(a), "--ood-out", str(b)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"ood_auc": 1.0}
+
+    @pytest.mark.parametrize(
+        ("scores", "code"),
+        [(None, 2), ("entropy\n0.1\nabc\n", 1), ("entropy\n0.1\nnan\n", 1), ("entropy\n0.1\ninf\n", 1)],
+    )
+    def test_ood_bad_scores(self, tmp_path, capsys, scores, code):
+        good = tmp_path / "in.csv"
+        good.write_text("entropy\n0.1\n0.2\n")
+        bad = tmp_path / "out.csv"
+        if scores is not None:
+            bad.write_text(scores)
+        assert main(["evaluate", "--ood-in", str(good), "--ood-out", str(bad)]) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
 
     def test_missing_state_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "ms.cfg", f"output_dir = {tmp_path / 'ms'}\n")

@@ -13,6 +13,7 @@ from lagp.nn import (
     forward,
     init_network,
     load_network,
+    minibatches,
     save_network,
     train_map,
 )
@@ -221,6 +222,22 @@ class TestTrainMap:
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "iteration,loss"
         assert len(lines) == 1 + 3  # logged at 100, 200, 300
+
+
+class TestMinibatches:
+    @pytest.mark.parametrize(("n", "batch_size"), [(7, 3), (6, 3), (5, 9), (1, 1)])
+    def test_matches_permutation_and_cursor_loop(self, n, batch_size):
+        rng = rng_stream(5)
+        batch = min(batch_size, n)
+        order, cursor, expected = rng.permutation(n), 0, []
+        for _ in range(12):
+            if cursor + batch > n:
+                order, cursor = rng.permutation(n), 0
+            expected.append(order[cursor : cursor + batch])
+            cursor += batch
+        batches = minibatches(n, batch_size, 5)
+        for want in expected:
+            assert np.array_equal(next(batches), want)
 
 
 class TestCheckpoint:

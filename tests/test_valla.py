@@ -14,7 +14,6 @@ from lagp.valla import (
     fit_valla,
     kl_dual,
     kmeans_init,
-    objective,
     objective_gradient,
     optimal_a,
     valla_predict_batch,
@@ -229,7 +228,7 @@ class TestAlphaObjective:
         )
         x = rng.normal(size=(6, 1))
         y = rng.normal(size=6)
-        report = objective(state, x, y, n_total=6)
+        report = objective_gradient(state, x, y, n_total=6, compute_inducing_gradient=False)[0]
         means = forward(ctx.net, x).output.ravel()
         plain = np.sum(
             -0.5 * np.log(2 * np.pi * 0.4) - (y - means) ** 2 / (2 * 0.4)
@@ -244,7 +243,7 @@ class TestAlphaObjective:
         state = make_state(rng, ctx, m=3, alpha=alpha, noise=0.3)
         x = rng.normal(size=(3, 1))
         y = rng.normal(size=3)
-        report = objective(state, x, y, n_total=3)
+        report = objective_gradient(state, x, y, n_total=3, compute_inducing_gradient=False)[0]
 
         preds = valla_predict_batch(state, x)
         mc_rng = rng_stream(123)
@@ -266,7 +265,7 @@ class TestAlphaObjective:
         ctx = random_ctx(rng, 1, [3], 1)
         state = make_state(rng, ctx, m=2, alpha=1.5)
         with pytest.raises(DimensionMismatch):
-            objective(state, np.zeros((2, 1)), np.zeros(2), 2)
+            objective_gradient(state, np.zeros((2, 1)), np.zeros(2), 2, compute_inducing_gradient=False)
 
 
 def fd_gradient_check(state, x, y, n_total, mode="alpha", step=1e-6, tol=1e-4):
@@ -274,7 +273,7 @@ def fd_gradient_check(state, x, y, n_total, mode="alpha", step=1e-6, tol=1e-4):
     report, grads = objective_gradient(state, x, y, n_total, mode=mode)
 
     def value(s):
-        return objective(s, x, y, n_total, mode=mode).objective
+        return objective_gradient(s, x, y, n_total, compute_inducing_gradient=False, mode=mode)[0].objective
 
     def rebuild(**kw):
         fields = {
@@ -499,7 +498,7 @@ class TestElboDegeneracy:
                 log_prior_variance=float(np.log(pv)),
                 log_noise_variance=float(np.log(0.05)),
             )
-            values.append(objective(state, x, y, 15, mode="elbo").objective)
-            alpha_values.append(objective(state, x, y, 15).objective)
+            values.append(objective_gradient(state, x, y, 15, compute_inducing_gradient=False, mode="elbo")[0].objective)
+            alpha_values.append(objective_gradient(state, x, y, 15, compute_inducing_gradient=False)[0].objective)
         assert values[0] < values[1] < values[2]
         assert np.argmax(alpha_values) != 2
