@@ -2,9 +2,10 @@
 
 Configuration files are plain text, one ``key = value`` per line, ``#``
 comments allowed. ``CONFIG_KEYS`` declares each key's default and type:
-an integer, a finite number, ``true``/``false``, a path, one of a set of
-words, an integer or one word, or a comma-separated list. Every value is
-read as its key's type when the file loads, and a value that does not
+an integer, a non-negative integer (seeds), a finite number,
+``true``/``false``, a path, one of a set of words, a non-negative
+integer or one word, or a comma-separated list. Every value is read as
+its key's type when the file loads, and a value that does not
 fit, like an unknown key, is a ``ConfigError`` (exit 2) raised before any
 output is written. An empty value unsets a key whose default is None
 and is an error for any other key. ``lagp show-defaults`` prints every
@@ -56,11 +57,16 @@ def _words(*choices):
     return _type(" | ".join(choices), ok=lambda raw: raw in choices)
 
 
-def _int_or(word):
-    return _type(f"an integer or {word}", lambda raw: raw if raw == word else int(raw))
+def _natural_or(word):
+    return _type(
+        f"a non-negative integer or {word}",
+        lambda raw: raw if raw == word else int(raw),
+        lambda value: value == word or value >= 0,
+    )
 
 
 INT = _type("an integer", int)
+NATURAL = _type("a non-negative integer", int, lambda value: value >= 0)
 FLOAT = _type("a finite number", float, math.isfinite)
 POSITIVE = _type("a finite number > 0", float, lambda value: math.isfinite(value) and value > 0.0)
 BOOL = _type("true or false", lambda raw: {"true": True, "false": False}.get(raw.lower()), lambda v: v is not None)
@@ -74,11 +80,11 @@ FRACTIONS = _type(
 
 # key -> (default, type, help); None default means optional/unset
 CONFIG_KEYS = {
-    "seed": (0, INT, "global seed for training and fitting"),
+    "seed": (0, NATURAL, "global seed for training and fitting"),
     "output_dir": ("runs/out", PATH, "directory receiving all artifacts of the run"),
     "dataset.kind": ("toy1d", _words("toy1d", "csv", "idx"), "dataset source"),
     "dataset.n": (200, INT, "number of points for the synthetic generator"),
-    "dataset.seed": (0, INT, "seed of the synthetic generator"),
+    "dataset.seed": (0, NATURAL, "seed of the synthetic generator"),
     "dataset.path": (None, PATH, "csv file path (dataset.kind = csv)"),
     "dataset.target_column": (0, INT, "target column index in the csv"),
     "dataset.images": (None, PATH, "idx image file (dataset.kind = idx)"),
@@ -86,7 +92,7 @@ CONFIG_KEYS = {
     "dataset.limit": (None, INT, "optional cap on idx records"),
     "dataset.standardize": (True, BOOL, "standardize inputs (and regression targets) on train stats"),
     "split.fractions": ((0.8, 0.1, 0.1), FRACTIONS, "train, validation, test fractions"),
-    "split.shuffle": (0, _int_or("sequential"), "shuffle seed, or sequential for in-order splits"),
+    "split.shuffle": (0, _natural_or("sequential"), "shuffle seed, or sequential for in-order splits"),
     "arch.hidden": ((50, 50), INTS, "hidden layer widths"),
     "train.iterations": (12000, INT, "MAP training iterations"),
     "train.batch_size": (100, INT, "MAP training batch size"),
@@ -109,7 +115,7 @@ CONFIG_KEYS = {
     "method.train_noise_variance": (True, BOOL, "optimize the noise variance (valla)"),
     "method.early_stopping": (True, BOOL, "use validation-based early stopping (valla)"),
     "method.anchors": (20, INT, "anchor subset size (ella)"),
-    "method.features": ("auto", _int_or("auto"), "feature count, or auto for the usable rank (ella)"),
+    "method.features": ("auto", _natural_or("auto"), "feature count, or auto for the usable rank (ella)"),
     "method.max_points": (None, INT, "optional cap on the accumulation pass (ella)"),
 }
 

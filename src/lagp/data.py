@@ -91,8 +91,10 @@ def synth_toy1d(n, seed=0):
     generator is the repository's canonical regression fixture, so the
     noise floor 0.1 is a known constant for training tests.
     """
-    rng = rng_stream(seed)
     n = int(n)
+    if n < 0:
+        raise DimensionMismatch(f"need n >= 0 points, got {n}")
+    rng = rng_stream(seed)
     n_left = n // 2
     lo0, hi0 = TOY1D_CLUSTER_CENTERS[0] - TOY1D_CLUSTER_HALF_WIDTH, TOY1D_CLUSTER_CENTERS[0] + TOY1D_CLUSTER_HALF_WIDTH
     lo1, hi1 = TOY1D_CLUSTER_CENTERS[1] - TOY1D_CLUSTER_HALF_WIDTH, TOY1D_CLUSTER_CENTERS[1] + TOY1D_CLUSTER_HALF_WIDTH

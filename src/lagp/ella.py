@@ -78,6 +78,8 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
         raise DimensionMismatch(f"need 1 <= M <= N, got M={m}, N={n}")
     if k is not None and not 1 <= k <= m * c:
         raise DimensionMismatch(f"need 1 <= K <= M*C, got K={k}")
+    if max_points is not None and max_points < 1:
+        raise DimensionMismatch(f"need max_points >= 1, got {max_points}")
 
     rng = rng_stream(seed)
     anchor_idx = np.sort(rng.choice(n, size=m, replace=False))
@@ -99,7 +101,7 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
     vecs = eig.vectors[:, :k]
     projection = vecs.T / np.sqrt(vals)[:, None]
 
-    n_pass = n if max_points is None else min(int(max_points), n)
+    n_pass = n if max_points is None else min(max_points, n)
     precision = np.eye(k) / ctx.prior_variance
     for start in range(0, n_pass, PASS_CHUNK):
         stop = min(start + PASS_CHUNK, n_pass)

@@ -18,17 +18,22 @@ sensitivity_j * input_i, and the bias column supplies the bias
 derivatives' +1. Each layer's sensitivity pairs are one GEMM.
 
 ``layer_walk`` is the one walk that yields (a~, s) per layer: the Gram
-(``kernel_block_fast``), diagonal (``kernel_diag_blocks``) and gradient
-(``kernel_input_vjp``) paths read it, and so do the diagonal and
-last-layer baselines of ``lla``. The explicit Jacobian (``jacobian``)
-keeps a sensitivity loop of its own and serves as the independent
-oracle.
+(``kernel_block_fast``), diagonal (``kernel_diag_blocks``) and tape
+(``kernel_tape``) paths read it, and so do the diagonal and last-layer
+baselines of ``lla``. The explicit Jacobian (``jacobian``) keeps a
+sensitivity loop of its own and serves as the independent oracle.
 
-Gradients with respect to the second argument are taken in reverse mode
-(``kernel_input_vjp``): a cotangent on the Gram blocks is pushed through
-the same per-layer pairs and gains, then back up the sensitivity chain and
-down the tanh activations to the inputs, for about the cost of one more
-kernel pass.
+A sparse-posterior step needs K_Z, the cross block kappa(X, Z), the prior
+blocks kappa(x_i, x_i) and the gradient of the objective with respect to
+Z. ``kernel_tape`` gets all of them from one walk over the stacked rows
+[Z; X]: the block kappa([Z; X], Z), whose first rows are K_Z and whose
+rest is the cross block, the prior blocks of the X rows, and each layer's
+(a~, s) over every row. ``kernel_input_vjp`` reads that tape and takes the
+gradient in reverse mode: a cotangent on the block is pushed through each
+layer's pair and gain (recomputed, one GEMM each, so the tape never holds
+anything the size of the block per layer), then back up the sensitivity
+chain and down the tanh activations to Z, for about the cost of one more
+kernel pass and no second walk.
 
 Multi-output Gram matrices are laid out point-major: row i*C + c holds
 output c of point i, keeping each (C, C) pair block contiguous.
@@ -151,6 +156,18 @@ def _pair(sx, sz):
     return (sx.reshape(n1 * c, k) @ sz.reshape(n2 * c, k).T).reshape(n1, c, n2, c)
 
 
+def _gram_term(ax, sx, az, sz):
+    """(N1, C, N2, C) layer term of kappa(x_i, z_j): pair times gain <a~x_i, a~z_j>."""
+    pair = _pair(sx, sz)
+    pair *= (ax @ az.T)[:, None, :, None]
+    return pair
+
+
+def _diag_term(a, s):
+    """(N, C, C) layer term of kappa(x_i, x_i): (s s^T) |a~|^2."""
+    return (s @ s.transpose(0, 2, 1)) * np.einsum("ik,ik->i", a, a)[:, None, None]
+
+
 def _initial_sensitivity(n, c):
     """(N, C, C) identities, the sensitivities of the output layer."""
     sens = np.zeros((n, c, c))
@@ -207,9 +224,7 @@ def kernel_block_fast(ctx, batch_x, batch_z):
         fast_path_counter.add(level)
         fast_path_counter.release(held)
         held = level
-        pair = _pair(sx, sz)
-        pair *= (ax @ az.T)[:, None, :, None]
-        total += pair
+        total += _gram_term(ax, sx, az, sz)
 
     values = ctx.prior_variance * total.reshape(n1 * c, n2 * c)
     return KernelBlockMatrix(left_points=n1, right_points=n2, outputs=c, values=values)
@@ -221,41 +236,83 @@ def kernel_diag_blocks(ctx, batch_x):
     c = ctx.net.arch.output_dim
     total = np.zeros((x.shape[0], c, c))
     for _, a, s in layer_walk(ctx.net, x):
-        total += (s @ s.transpose(0, 2, 1)) * np.einsum("ik,ik->i", a, a)[:, None, None]
+        total += _diag_term(a, s)
     return ctx.prior_variance * total
 
 
-def kernel_input_vjp(ctx, batch_x, batch_z, cotangent):
-    """(M, D) gradient of <cotangent, kappa(X, Z)> w.r.t. the locations Z.
+@dataclass(frozen=True)
+class KernelTape:
+    """One layer walk over the stacked rows [Z; X] and the kernel blocks read from it.
 
-    ``cotangent`` is (N, C, M, C); entry [i, o, m, p] weights the (o, p)
-    entry of kappa(x_i, z_m). Per layer, the pair and gain of the forward
-    kernel give cotangents on the z-side layer inputs and sensitivities,
-    each one GEMM. The sensitivity cotangents then run up the sensitivity
-    chain s_{l-1} = (s_l W_l^T) * (1 - a_l^2), and the input cotangents
-    down the tanh activations to Z.
+    ``stacked`` is kappa([Z; X], Z), ((M+N)*C, M*C) and point-major, so its
+    first M*C rows are K_Z and the rest are kappa(X, Z). ``prior`` holds the
+    (N, C, C) blocks kappa(x_i, x_i) of the X rows, and ``walk`` each
+    layer's (a~, s) over all M+N rows, indexed by layer.
     """
-    x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    z = as_inputs(batch_z, ctx.net.arch.input_dim)
+
+    stacked: np.ndarray
+    prior: np.ndarray
+    walk: tuple
+
+    @property
+    def k_z(self):
+        return self.stacked[: self.stacked.shape[1]]
+
+    @property
+    def cross(self):
+        return self.stacked[self.stacked.shape[1] :]
+
+
+def kernel_tape(ctx, z, x):
+    """The ``KernelTape`` of the locations z and the inputs x, from one ``layer_walk``."""
+    net = ctx.net
+    z = as_inputs(z, net.arch.input_dim)
+    x = as_inputs(x, net.arch.input_dim)
+    m, n = z.shape[0], x.shape[0]
+    c = net.arch.output_dim
+    walk = [None] * net.arch.depth
+    stacked = np.zeros((m + n, c, m, c))
+    prior = np.zeros((n, c, c))
+    for l, a, s in layer_walk(net, np.vstack([z, x])):
+        walk[l] = (a, s)
+        stacked += _gram_term(a, s, a[:m], s[:m])
+        prior += _diag_term(a[m:], s[m:])
+    stacked *= ctx.prior_variance
+    prior *= ctx.prior_variance
+    return KernelTape(stacked=stacked.reshape((m + n) * c, m * c), prior=prior, walk=tuple(walk))
+
+
+def kernel_input_vjp(ctx, tape, cotangent):
+    """(M, D) gradient of <cotangent, kappa([Z; X], Z)> w.r.t. the locations Z of the second argument.
+
+    ``tape`` is the ``kernel_tape`` of Z and X, and ``cotangent`` is
+    (M+N, C, M, C); entry [i, o, m, p] weights the (o, p) entry of
+    kappa(row_i, z_m). Per layer, the pair and gain of the forward kernel
+    are recomputed from the tape and give cotangents on the z-side layer
+    inputs and sensitivities, each one GEMM. The sensitivity cotangents
+    then run up the sensitivity chain s_{l-1} = (s_l W_l^T) * (1 - a_l^2),
+    and the input cotangents down the tanh activations to Z.
+    """
     net = ctx.net
     depth = net.arch.depth
-    n, m = x.shape[0], z.shape[0]
     c = net.arch.output_dim
+    n, m = tape.stacked.shape[0] // c, tape.stacked.shape[1] // c
     g = np.asarray(cotangent, dtype=np.float64)
     if g.shape != (n, c, m, c):
         raise DimensionMismatch(f"cotangent has shape {g.shape}, expected {(n, c, m, c)}")
 
-    acts_z = [None] * depth  # z-side views and sensitivities, kept for the reverse half
-    sens_z = [None] * depth
+    acts_z = [a[:m, :-1] for a, _ in tape.walk]  # z-side views of the tape
+    sens_z = [s[:m] for _, s in tape.walk]
     act_bar = [None] * depth
     sens_bar = [None] * depth
-    for (l, ax, sx), (_, az, sz) in zip(layer_walk(net, x), layer_walk(net, z)):
-        acts_z[l], sens_z[l] = az[:, :-1], sz
-        gain_bar = (g * _pair(sx, sz)).sum(axis=(1, 3))  # (N, M)
-        act_bar[l] = gain_bar.T @ ax[:, :-1]
-        weighted = (g * (ax @ az.T)[:, None, :, None]).reshape(n * c, m * c)
-        width = sx.shape[2]
-        sens_bar[l] = (weighted.T @ sx.reshape(n * c, width)).reshape(m, c, width)
+    for l, (a, s) in enumerate(tape.walk):
+        pair = _pair(s, sens_z[l])
+        pair *= g
+        gain_bar = pair.sum(axis=(1, 3))  # (M+N, M)
+        act_bar[l] = gain_bar.T @ a[:, :-1]
+        weighted = (g * (a @ a[:m].T)[:, None, :, None]).reshape(n * c, m * c)
+        width = s.shape[2]
+        sens_bar[l] = (weighted.T @ s.reshape(n * c, width)).reshape(m, c, width)
 
     # sensitivity cotangents flow up from layer 0; the top layer's
     # sensitivities are the constant identity and pass nothing on

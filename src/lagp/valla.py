@@ -21,6 +21,13 @@ the quadratic mean term of the general decoupled-basis divergence is
 constant here because the mean is not trained, so it is dropped from the
 objective.
 
+Every prediction, validation check and training step reads one kernel
+tape (``kernel.kernel_tape``): a single layer walk over the stacked rows
+[Z; X] gives K_Z, the cross block kappa(X, Z) and the prior blocks of X,
+and the step's inducing-location gradient is one reverse pass over the
+same tape (``kernel.kernel_input_vjp``). The mean is ``nn.forward`` of the
+network, bit for bit, not a by-product of the walk.
+
 Training maximizes a likelihood-power data term minus the KL. For
 alpha = 1 and Gaussian noise the data term is the exact log marginal of
 each observation, log N(y | m(x), noise + v(x)); general alpha in (0, 1]
@@ -37,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .kernel import (
-    KernelContext,
-    as_inputs,
-    kernel_block_fast,
-    kernel_diag_blocks,
-    kernel_input_vjp,
-)
+from .kernel import KernelContext, as_inputs, kernel_block_fast, kernel_input_vjp, kernel_tape
 from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, gram_blocks
 from .metrics import nll_categorical, nll_gaussian, predictive_class_probs
@@ -109,15 +110,12 @@ class DualBasisReport:
     objective: float
 
 
-def _capacity_factor(state):
-    """Cholesky of I + L^T K_Z L, shared by prediction, KL, and gradients."""
-    ctx = state.scaled_ctx
-    k_ind = kernel_block_fast(ctx, state.inducing, state.inducing).values
+def _capacity_factor(lower, k_ind):
+    """Symmetrized K_Z, U = L^T K_Z L and the Cholesky of I + U, shared by prediction, KL, and gradients."""
     k_ind = 0.5 * (k_ind + k_ind.T)
-    u = state.a_factor.T @ k_ind @ state.a_factor
+    u = lower.T @ k_ind @ lower
     u = 0.5 * (u + u.T)
-    h = np.eye(u.shape[0]) + u
-    return k_ind, u, cholesky(h)
+    return k_ind, u, cholesky(np.eye(u.shape[0]) + u)
 
 
 def valla_predict_batch(state, x_star):
@@ -132,38 +130,9 @@ def _kl(h_factor, h_inv):
 
 def kl_dual(state):
     """Covariance part of the divergence from the prior; zero at L = 0."""
-    _, _, h_factor = _capacity_factor(state)
+    k_ind = kernel_block_fast(state.scaled_ctx, state.inducing, state.inducing).values
+    _, _, h_factor = _capacity_factor(state.a_factor, k_ind)
     return _kl(h_factor, solve_psd(h_factor, np.eye(h_factor.dim)))
-
-
-def optimal_a(ctx, inducing, x, noise_variance):
-    """Closed-form optimum of the correction matrix for Gaussian noise.
-
-    A = (1/noise) K_Z^{-1} K_{Z,X} K_{X,Z} K_Z^{-1}; with the inducing set
-    equal to the training inputs this reproduces the exact posterior. Used
-    as a test oracle, not during training.
-    """
-    inducing = as_inputs(inducing, ctx.net.arch.input_dim)
-    x = as_inputs(x, ctx.net.arch.input_dim)
-    q = inducing.shape[0] * ctx.net.arch.output_dim
-    if x.shape[0] == 0:
-        return np.zeros((q, q))
-    k_ind = kernel_block_fast(ctx, inducing, inducing).values
-    k_ind = 0.5 * (k_ind + k_ind.T)
-    k_cross = kernel_block_fast(ctx, inducing, x).values
-    w = solve_psd(cholesky(k_ind), k_cross)
-    a = w @ w.T / noise_variance
-    return 0.5 * (a + a.T)
-
-
-def a_factor_from_matrix(a):
-    """Lower-triangular L with L L^T = A, tolerating singular A."""
-    a = 0.5 * (np.asarray(a, dtype=np.float64) + np.asarray(a, dtype=np.float64).T)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        factor = cholesky(a)
-        return factor.lower
 
 
 def _gaussian_power_data_terms(y, means, variances, noise, alpha, n_scale):
@@ -199,20 +168,18 @@ def _categorical_data_terms(labels, means, variance_diags, n_scale):
 
 
 def _batch_posterior(state, batch_x):
-    """Shared pieces for prediction, the objective and its gradient on one batch."""
+    """Shared pieces for prediction, the objective and its gradient on one batch, from one kernel tape."""
     ctx = state.scaled_ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    k_ind, u, h_factor = _capacity_factor(state)
-    cross = kernel_block_fast(ctx, state.inducing, batch_x).values
-    prior = kernel_diag_blocks(ctx, batch_x)  # (B, C, C)
-    r = solve_lower(h_factor, state.a_factor.T @ cross)
+    tape = kernel_tape(ctx, state.inducing, batch_x)
+    k_ind, u, h_factor = _capacity_factor(state.a_factor, tape.k_z)
+    r = solve_lower(h_factor, state.a_factor.T @ tape.cross.T)
     return {
+        "tape": tape,
         "k_ind": k_ind,
         "u": u,
         "h_factor": h_factor,
-        "cross": cross,
-        "prior": prior,
-        "covs": gram_blocks(r, prior.shape[1], prior),
+        "covs": gram_blocks(r, tape.prior.shape[1], tape.prior),
         "means": forward(ctx.net, batch_x).output,
     }
 
@@ -266,9 +233,9 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     Returns (report, grads) with grads holding 'a_factor' (masked to the
     lower triangle), 'inducing', 'log_prior_variance' and, for Gaussian
     likelihoods, 'log_noise_variance'. The inducing-location gradient is
-    one reverse-mode pass through the kernel (``kernel_input_vjp``) with
-    the cotangents of K_Z and of the cross blocks; it is left at zero when
-    the locations are frozen.
+    one reverse-mode pass over the batch's kernel tape
+    (``kernel_input_vjp``) with the cotangents of K_Z and of the cross
+    blocks; it is left at zero when the locations are frozen.
     """
     ctx = state.scaled_ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
@@ -278,8 +245,8 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     lower = state.a_factor
 
     pieces = _batch_posterior(state, batch_x)
-    k_ind, u, h_factor = pieces["k_ind"], pieces["u"], pieces["h_factor"]
-    cross = pieces["cross"]
+    k_ind, u, h_factor, tape = pieces["k_ind"], pieces["u"], pieces["h_factor"], pieces["tape"]
+    cross = tape.cross  # (B*C, q), kappa(X, Z)
 
     data, g_blocks, d_dnoise = _data_term(state, pieces, batch_y, n_total, mode=mode)
     h_inv = solve_psd(h_factor, np.eye(q))
@@ -292,26 +259,24 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
 
     # data pieces through the posterior quadratic form
     proj = lower @ h_inv @ lower.T  # (q, q)
-    cross_blocks = cross.reshape(q, b, c)
-    weighted = np.einsum("qbc,bcd->qbd", cross_blocks, g_blocks).reshape(q, b * c)
-    omega = -weighted @ cross.T  # d(data)/d(proj)
+    weighted = (g_blocks.transpose(0, 2, 1) @ cross.reshape(b, c, q)).reshape(b * c, q)
+    omega = -weighted.T @ cross  # d(data)/d(proj)
     omega = 0.5 * (omega + omega.T)
     w_data = h_inv @ lower.T @ omega @ lower @ h_inv
     w_data = 0.5 * (w_data + w_data.T)
 
-    grad_lower = 2.0 * omega @ lower @ h_inv - 2.0 * k_ind @ lower @ w_data
-    grad_lower -= 2.0 * k_ind @ lower @ w_kl
-    grad_lower = np.tril(grad_lower)
+    w_both = w_data + w_kl
+    grad_lower = np.tril(2.0 * omega @ lower @ h_inv - 2.0 * k_ind @ lower @ w_both)
 
-    psi = -lower @ (w_data + w_kl) @ lower.T  # d(objective)/d(K_Z)
+    psi = -lower @ w_both @ lower.T  # d(objective)/d(K_Z)
     psi = 0.5 * (psi + psi.T)
-    grad_cross = -2.0 * proj @ weighted  # (q, B*C), d(data)/d(cross)
+    grad_cross = -2.0 * weighted @ proj.T  # (B*C, q), d(data)/d(cross)
 
     # log prior variance: every kernel matrix is linear in the variance
     grad_lpv = float(
         np.sum(psi * k_ind)
         + np.sum(grad_cross * cross)
-        + np.einsum("bcd,bcd->", g_blocks, pieces["prior"])
+        + np.einsum("bcd,bcd->", g_blocks, tape.prior)
     )
 
     grads = {
@@ -325,13 +290,10 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
         grads["inducing"] = np.zeros_like(state.inducing)
         return report, grads
     m = state.inducing.shape[0]
-    # inducing locations: one reverse pass over kappa([Z; X], Z). K_Z takes
-    # psi twice (it depends on Z through both arguments); cross block (j, b)
-    # holds kappa(z_j, x_b), whose (p, o) entry is kappa_{o p}(x_b, z_j)
-    cotangent = np.concatenate(
-        [2.0 * psi.reshape(m, c, m, c), grad_cross.reshape(m, c, b, c).transpose(2, 3, 0, 1)]
-    )
-    grads["inducing"] = kernel_input_vjp(ctx, np.vstack([state.inducing, batch_x]), state.inducing, cotangent)
+    # inducing locations: one reverse pass over the tape's kappa([Z; X], Z).
+    # K_Z takes psi twice, because it depends on Z through both arguments
+    cotangent = np.vstack([2.0 * psi, grad_cross]).reshape(m + b, c, m, c)
+    grads["inducing"] = kernel_input_vjp(ctx, tape, cotangent)
     return report, grads
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagp.cli import BOOL, CONFIG_KEYS, FLOAT, INT, POSITIVE, main, parse_config_text, validate_config
+from lagp.cli import BOOL, CONFIG_KEYS, FLOAT, INT, NATURAL, POSITIVE, main, parse_config_text, validate_config
 from lagp.errors import ConfigError
 from lagp.serialize import load_state
 
@@ -52,7 +52,13 @@ class TestShowDefaults:
 
 def _wrong_values():
     """(key, value) pairs that do not fit the key's type."""
-    wrong = {INT: ("abc", "2.7"), FLOAT: ("abc", "nan", "inf"), POSITIVE: ("abc", "nan", "inf"), BOOL: ("abc", "maybe")}
+    wrong = {
+        INT: ("abc", "2.7"),
+        NATURAL: ("abc", "2.7", "-1"),
+        FLOAT: ("abc", "nan", "inf"),
+        POSITIVE: ("abc", "nan", "inf"),
+        BOOL: ("abc", "maybe"),
+    }
     for key, (default, kind, _) in CONFIG_KEYS.items():
         for value in wrong.get(kind, ()):
             yield key, value
@@ -65,6 +71,8 @@ def _wrong_values():
         ("method.features", "foo"),
         ("method.features", "2.5"),
         ("split.shuffle", "abc"),
+        ("split.shuffle", "-3"),
+        ("method.features", "-1"),
         ("split.fractions", "0.5,0.5"),
         ("split.fractions", "0.5,nan,0.5"),
         ("method.prior_variance", "0"),
@@ -165,6 +173,14 @@ class TestTrainMap:
         cfg.write_text("no.such.key = 1\n")
         assert main(["train-map", str(cfg)]) == 2
 
+    def test_negative_toy_size_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "neg.cfg", f"output_dir = {tmp_path / 'neg'}\n").read_text()
+        (tmp_path / "neg.cfg").write_text(cfg.replace("dataset.n = 60", "dataset.n = -5"))
+        assert main(["train-map", str(tmp_path / "neg.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert "n >= 0" in err
+        assert "Traceback" not in err
+
 
 class TestFit:
     def test_valla_fit_writes_state_and_log(self, tmp_path):
@@ -210,6 +226,17 @@ class TestFit:
         assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 1
         err = capsys.readouterr().err
         assert "alpha must lie in (0, 1]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_ella_cap_below_one_exits_1(self, tmp_path, capsys, cap):
+        checkpoint = train_checkpoint(tmp_path)
+        cfg = write_config(
+            tmp_path, "cap.cfg", f"output_dir = {tmp_path / 'cap'}\nmethod = ella\nmethod.max_points = {cap}\n"
+        )
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert "max_points >= 1" in err
         assert "Traceback" not in err
 
     def test_missing_checkpoint_exits_2(self, tmp_path):

@@ -14,6 +14,7 @@ from lagp.kernel import (
     kernel_block_fast,
     kernel_diag_blocks,
     kernel_input_vjp,
+    kernel_tape,
 )
 from lagp.linalg import rng_stream
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
@@ -294,8 +295,13 @@ class TestKernelBlockFast:
         assert kernel_block_fast(ctx, x, empty).values.shape == (6, 0)
         assert kernel_block_fast(ctx, empty, empty).values.shape == (0, 0)
         assert kernel_diag_blocks(ctx, empty).shape == (0, 2, 2)
-        grad = kernel_input_vjp(ctx, empty, x, np.zeros((0, 2, 3, 2)))
+        tape = kernel_tape(ctx, x, empty)  # the tape over Z alone
+        assert tape.cross.shape == (0, 6) and tape.prior.shape == (0, 2, 2)
+        grad = kernel_input_vjp(ctx, tape, np.zeros((3, 2, 3, 2)))
         assert np.array_equal(grad, np.zeros((3, 2)))
+        tape = kernel_tape(ctx, empty, x)
+        assert tape.stacked.shape == (6, 0)
+        assert kernel_input_vjp(ctx, tape, np.zeros((3, 2, 0, 2))).shape == (0, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -317,6 +323,12 @@ class TestKernelBlockFast:
             assert np.max(np.abs(kernel_block_fast(ctx, left, right).values - ref), initial=0.0) <= tol
         blocks = ref.reshape(n, c, n, c)[np.arange(n), :, np.arange(n)]
         assert np.max(np.abs(kernel_diag_blocks(ctx, xs) - blocks), initial=0.0) <= tol
+
+        tape = kernel_tape(ctx, zs, xs)
+        ref = pairwise_gram(ctx, np.vstack([zs, xs]), zs)
+        tol = 1e-12 * np.max(np.abs(ref), initial=0.0)
+        assert np.max(np.abs(tape.stacked - ref), initial=0.0) <= tol
+        assert np.max(np.abs(tape.prior - blocks), initial=0.0) <= 1e-12 * np.max(np.abs(blocks), initial=0.0)
 
 
 class TestKernelInputGradient:
@@ -373,7 +385,7 @@ class TestKernelInputVjp:
         st.integers(1, 4),
         st.integers(1, 4),
         st.lists(st.integers(1, 6), max_size=2),
-        st.integers(1, 5),
+        st.integers(0, 5),
         st.integers(1, 5),
         st.integers(0, 5),
         st.integers(0, 2**31 - 1),
@@ -385,13 +397,15 @@ class TestKernelInputVjp:
         xs = rng.normal(size=(n, d))
         shared = min(shared, n, m)
         xs[:shared] = zs[:shared]
-        g = rng.normal(size=(n, c, m, c))
-        got = kernel_input_vjp(ctx, xs, zs, g)
-        ref = np.einsum("iomp,imopd->md", g, kernel_input_gradient_multi(ctx, xs, zs))
+        rows = np.vstack([zs, xs])
+        g = rng.normal(size=(m + n, c, m, c))
+        got = kernel_input_vjp(ctx, kernel_tape(ctx, zs, xs), g)
+        ref = np.einsum("iomp,imopd->md", g, kernel_input_gradient_multi(ctx, rows, zs))
         assert got.shape == (m, d)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wrong_cotangent_shape_rejected(self):
         ctx = random_ctx(rng_stream(0), 2, [3], 2)
+        tape = kernel_tape(ctx, np.zeros((2, 2)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
-            kernel_input_vjp(ctx, np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((3, 2, 2, 1)))
+            kernel_input_vjp(ctx, tape, np.zeros((3, 2, 2, 1)))

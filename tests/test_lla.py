@@ -29,7 +29,7 @@ from lagp.lla import (
 )
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
 from lagp.ella import _features, ella_fit
-from lagp.valla import _capacity_factor
+from lagp.valla import _capacity_factor, objective_gradient, valla_predict_batch
 
 from test_kernel import random_ctx
 from test_valla import make_state
@@ -221,8 +221,10 @@ class TestOneSolveForm:
 
         valla_state = make_state(rng, ctx, m=3, kind=kind)
         scaled = valla_state.scaled_ctx
-        t = valla_state.a_factor.T @ kernel_block_fast(scaled, valla_state.inducing, x_star).values
-        oracle = two_solve_blocks(kernel_diag_blocks(scaled, x_star), t, _capacity_factor(valla_state)[2])
+        z = valla_state.inducing
+        t = valla_state.a_factor.T @ kernel_block_fast(scaled, z, x_star).values
+        h_factor = _capacity_factor(valla_state.a_factor, kernel_block_fast(scaled, z, z).values)[2]
+        oracle = two_solve_blocks(kernel_diag_blocks(scaled, x_star), t, h_factor)
         assert_matches_oracle(valla_state.predict(x_star).covariance, oracle)
 
         ella_state = ella_fit(ctx, lik, x, m=4, k=None, seed=0)
@@ -485,7 +487,7 @@ class TestLayerwise:
         paths = {
             "gram": lambda: kernel_block_fast(ctx, x, z),
             "diagonal": lambda: kernel_diag_blocks(ctx, x),
-            "vjp": lambda: kernel.kernel_input_vjp(ctx, x, z, np.ones((6, 3, 2, 3))),
+            "tape": lambda: kernel.kernel_tape(ctx, z, x),
             "diagonal LLA fit": lambda: fit_diag(ctx.net, lik, x),
             "diagonal LLA predict": lambda: predict_diag_batch(diag_state, x),
             "last-layer features": lambda: last_layer_features(ctx.net, x),
@@ -494,6 +496,23 @@ class TestLayerwise:
             walked.clear()
             path()
             assert walked, f"the {name} path does not call layer_walk"
+
+        # a VaLLA step and a VaLLA prediction each walk [Z; X] once, and
+        # the inducing gradient reads the step's tape without walking again
+        valla_state = make_state(rng, ctx, m=2, kind="categorical")
+        tape = kernel.kernel_tape(ctx, z, x)
+        paths = {
+            "VaLLA step": (lambda: objective_gradient(valla_state, x, rng.integers(0, 3, size=6), 6), 8),
+            "VaLLA predict": (lambda: valla_predict_batch(valla_state, x), 8),
+            "VaLLA zero-query predict": (lambda: valla_predict_batch(valla_state, x[:0]), 2),
+        }
+        for name, (path, rows) in paths.items():
+            walked.clear()
+            path()
+            assert walked == [rows], f"the {name} path walks {walked} rows, not one walk over [Z; X]"
+        walked.clear()
+        kernel.kernel_input_vjp(ctx, tape, np.ones((8, 3, 2, 3)))
+        assert walked == []
 
 
 def unit_kernel_and_residuals(net, x, y):

@@ -1,25 +1,51 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagp.errors import DimensionMismatch
-from lagp.kernel import kernel_block_fast
-from lagp.linalg import rng_stream
+from lagp.kernel import kernel_block_fast, kernel_diag_blocks
+from lagp.linalg import cholesky, rng_stream, solve_psd
 from lagp.lla import LikelihoodModel, fit_exact
 from lagp.nn import forward
 from lagp.valla import (
     DualBasisReport,
     TrainSchedule,
     VallaState,
-    a_factor_from_matrix,
+    _data_term,
     fit_valla,
     kl_dual,
     kmeans_init,
     objective_gradient,
-    optimal_a,
     valla_predict_batch,
 )
 
-from test_kernel import random_ctx
+from test_kernel import kernel_input_gradient_multi, random_ctx
+
+
+def optimal_a(ctx, inducing, x, noise_variance):
+    """Oracle: closed-form optimum of the correction matrix for Gaussian noise.
+
+    A = (1/noise) K_Z^{-1} K_{Z,X} K_{X,Z} K_Z^{-1}; with the inducing set
+    equal to the training inputs this reproduces the exact posterior.
+    """
+    q = inducing.shape[0] * ctx.net.arch.output_dim
+    if x.shape[0] == 0:
+        return np.zeros((q, q))
+    k_ind = kernel_block_fast(ctx, inducing, inducing).values
+    k_ind = 0.5 * (k_ind + k_ind.T)
+    k_cross = kernel_block_fast(ctx, inducing, x).values
+    w = solve_psd(cholesky(k_ind), k_cross)
+    a = w @ w.T / noise_variance
+    return 0.5 * (a + a.T)
+
+
+def a_factor_from_matrix(a):
+    """Lower-triangular L with L L^T = A, tolerating singular A."""
+    a = 0.5 * (a + a.T)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return cholesky(a).lower
 
 
 def make_state(rng, ctx, m=4, kind="gaussian", alpha=1.0, lower_scale=0.3, noise=0.25):
@@ -355,6 +381,104 @@ class TestObjectiveGradient:
         x[1] = state.inducing[2]
         y = rng.normal(size=4) if kind == "gaussian" else rng.integers(0, c, size=4)
         fd_gradient_check(state, x, y, n_total=10, mode="alpha")
+
+
+def assembled_objective_gradient(state, x, y, n_total, mode="alpha"):
+    """Oracle: (objective, grads, scales) assembled from separate kernel calls.
+
+    K_Z, the cross block kappa(Z, X) and the prior blocks each come from
+    their own kernel call, in the (M*C, B*C) cross layout, and H^{-1} from
+    a dense inverse. The inducing gradient contracts the cotangents of K_Z
+    and of the cross block with the forward-mode derivatives of
+    ``kernel_input_gradient_multi``. ``scales`` holds, for each scalar, the
+    size of the terms it sums, against which its error is measured.
+    """
+    ctx = state.scaled_ctx
+    z, lower = state.inducing, state.a_factor
+    m, b, c = z.shape[0], x.shape[0], ctx.net.arch.output_dim
+    q = m * c
+    k_ind = kernel_block_fast(ctx, z, z).values
+    k_ind = 0.5 * (k_ind + k_ind.T)
+    cross = kernel_block_fast(ctx, z, x).values
+    prior = kernel_diag_blocks(ctx, x)
+    u = lower.T @ k_ind @ lower
+    u = 0.5 * (u + u.T)
+    h = np.eye(q) + u
+    h_inv = np.linalg.inv(h)
+    proj = lower @ h_inv @ lower.T
+    blocks = cross.reshape(q, b, c)
+    covs = prior - np.einsum("qbc,qp,pbd->bcd", blocks, proj, blocks)
+    pieces = {"covs": 0.5 * (covs + covs.transpose(0, 2, 1)), "means": forward(ctx.net, x).output}
+    data, g_blocks, d_dnoise = _data_term(state, pieces, y, n_total, mode=mode)
+    kl = 0.5 * np.linalg.slogdet(h)[1] - 0.5 * (q - np.trace(h_inv))
+
+    w_kl = 0.5 * h_inv @ u @ h_inv
+    weighted = np.einsum("qbc,bcd->qbd", blocks, g_blocks).reshape(q, b * c)
+    omega = -weighted @ cross.T
+    omega = 0.5 * (omega + omega.T)
+    w_data = h_inv @ lower.T @ omega @ lower @ h_inv
+    w_both = 0.5 * (w_data + w_data.T) + 0.5 * (w_kl + w_kl.T)
+    psi = -lower @ w_both @ lower.T
+    psi = 0.5 * (psi + psi.T)
+    grad_cross = -2.0 * proj @ weighted
+    lpv_terms = (np.sum(psi * k_ind), np.sum(grad_cross * cross), np.sum(g_blocks * prior))
+    # psi weighs kappa(z_j, z_m) through both arguments; cross entry
+    # (j p, b o) is kappa_{o p}(x_b, z_j)
+    d_zz, d_xz = kernel_input_gradient_multi(ctx, z, z), kernel_input_gradient_multi(ctx, x, z)
+    grad_z = 2.0 * np.einsum("jomp,jmopd->md", psi.reshape(m, c, m, c), d_zz)
+    grad_z += np.einsum("jpbo,bjopd->jd", grad_cross.reshape(m, c, b, c), d_xz)
+    grads = {
+        "a_factor": np.tril(2.0 * omega @ lower @ h_inv - 2.0 * k_ind @ lower @ w_both),
+        "inducing": grad_z,
+        "log_prior_variance": sum(lpv_terms),
+    }
+    scales = {"objective": abs(data) + abs(kl), "log_prior_variance": sum(map(abs, lpv_terms))}
+    if state.likelihood.kind == "gaussian":
+        grads["log_noise_variance"] = state.noise_variance * d_dnoise
+        scales["log_noise_variance"] = max(abs(grads["log_noise_variance"]), 1.0)  # its terms are O(n_total)
+    return data - kl, grads, scales
+
+
+def assert_matches_assembly(state, x, y, n_total, mode="alpha", tol=1e-10):
+    report, grads = objective_gradient(state, x, y, n_total, mode=mode)
+    objective, ref, scales = assembled_objective_gradient(state, x, y, n_total, mode=mode)
+    assert abs(report.objective - objective) <= tol * scales["objective"]
+    assert set(grads) == set(ref)
+    for name, want in ref.items():
+        scale = scales.get(name, np.max(np.abs(want)))
+        assert np.max(np.abs(grads[name] - want)) <= tol * scale, name
+
+
+class TestObjectiveGradientAssembly:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 1, 2, 3]),
+        st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 5),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_separate_kernel_calls(self, d, c, hidden, m, b, shared, seed):
+        rng = rng_stream(seed)
+        ctx = random_ctx(rng, d, hidden, c)
+        kind = "gaussian" if c == 1 else "categorical"
+        state = make_state(rng, ctx, m=m, kind=kind, alpha=float(rng.uniform(0.3, 1.0)))
+        x = rng.normal(size=(b, d))
+        shared = min(shared, m, b)
+        x[:shared] = state.inducing[:shared]  # X rows equal to Z rows
+        y = rng.normal(size=b) if kind == "gaussian" else rng.integers(0, c, size=b)
+        assert_matches_assembly(state, x, y, n_total=3 * b)
+        if kind == "gaussian":
+            assert_matches_assembly(state, x, y, n_total=3 * b, mode="elbo")
+
+    def test_matches_separate_kernel_calls_at_twenty_locations(self):
+        rng = rng_stream(30)
+        ctx = random_ctx(rng, 1, [8, 8], 1)
+        state = make_state(rng, ctx, m=20)
+        x = rng.normal(size=(40, 1))
+        assert_matches_assembly(state, x, rng.normal(size=40), n_total=400)
 
 
 class TestKmeansInit:
