@@ -290,9 +290,9 @@ def fit_method(cfg, net, train, val, log_dir=None):
         except CapExceeded as exc:
             raise CapExceeded(f"{exc}; use method = valla for datasets this large") from None
     if method == "lla_diag":
-        return lla_mod.fit_diag(net, likelihood, train.inputs, prior_variance), info
+        return lla_mod.fit_diag(ctx, likelihood, train.inputs), info
     if method == "lla_last_layer":
-        return lla_mod.fit_last_layer(net, likelihood, train.inputs, prior_variance), info
+        return lla_mod.fit_last_layer(ctx, likelihood, train.inputs), info
     if method == "ella":
         features = cfg["method.features"]
         state = ella_mod.ella_fit(
@@ -331,9 +331,9 @@ def fit_method(cfg, net, train, val, log_dir=None):
         objective=cfg["method.objective"],
         log_path=log_path,
     )
-    info["prior_variance"] = state.prior_variance
+    info["prior_variance"] = state.ctx.prior_variance
     if likelihood.kind == "gaussian":
-        info["noise_variance"] = state.noise_variance
+        info["noise_variance"] = state.likelihood.noise_variance
     return state, info
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, EigenFloorExhausted
 from .kernel import as_inputs, kernel_block_fast
 from .linalg import cholesky, rng_stream, solve_lower, sym_eig
-from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, curvature_roots, gram_blocks, whiten
+from .lla import LikelihoodModel, PosteriorState, curvature_roots, gram_blocks, whiten
 from .nn import forward
 
 EIGEN_FLOOR_FACTOR = 1e-10
@@ -48,8 +48,8 @@ class EllaState(PosteriorState):
     projection: np.ndarray  # (K, M*C), maps unscaled kernel columns to features
     precision_factor: object  # Cholesky of G
 
-    def predict(self, x):
-        return ella_predict_batch(self, x)
+    def covariances(self, x):
+        return ella_covariances(self, x)
 
 
 def _features(state_ctx, projection, anchors, x):
@@ -121,9 +121,8 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
     )
 
 
-def ella_predict_batch(state, x_star):
-    x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
-    means = forward(state.ctx.net, x_star).output
+def ella_covariances(state, x_star):
+    """r^T r at each query, r = L_G^-1 phi(x*)^T, from one triangular solve over every query."""
     phi = _features(state.ctx, state.projection, state.anchors, x_star)  # (N, C, K)
     r = solve_lower(state.precision_factor, phi.reshape(-1, state.feature_dim).T)
-    return GaussianPredictive(means, gram_blocks(r, phi.shape[1]), state.likelihood)
+    return gram_blocks(r, phi.shape[1])

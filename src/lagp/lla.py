@@ -54,7 +54,7 @@ from .nn import forward
 
 EXACT_CAP = 3000  # max N*C for the function-space route
 WEIGHT_SPACE_CAP = 2000  # max parameter count for the explicit precision
-PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in predict_exact_batch and predict_last_layer_batch (32 MB)
+PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in exact_covariances and last_layer_covariances (32 MB)
 EVIDENCE_CAP = 500  # training points the CLI's evidence search reads (the first ones)
 PRIOR_GRID = tuple(np.logspace(-3, 3, 10))  # prior variances of the default evidence search
 NOISE_GRID = tuple(np.logspace(-4, 1, 10))  # noise variances of the default evidence search
@@ -132,20 +132,28 @@ def whiten(roots, m):
 class PosteriorState:
     """What every fitted state offers: ``predict`` and a payload for ``serialize``.
 
+    A state is its ``ctx`` (the network and the prior variance), its
+    ``likelihood`` (with the noise variance) and the arrays of its kind.
     ``predict(x)`` returns the GaussianPredictive at the inputs x, read by
-    ``kernel.as_inputs``. ``KIND`` tags the state in a state file. The
-    payload holds the fields named in ``ARRAYS`` as arrays, the Cholesky
-    factors named in ``FACTORS`` by their lower triangles (a factor that
-    is None is left out), and the scalars in ``META`` (name -> type) as
-    metadata. Every state also has ``ctx`` and ``likelihood``, which
-    ``serialize`` stores. ``check`` runs on every state read from a
-    payload and raises FormatError when its arrays do not fit the network.
+    ``kernel.as_inputs``: the mean is the network's output, and each kind
+    supplies only ``covariances(x)``, the (N, C, C) function-space
+    covariances at an (N, D) array x. ``KIND`` tags the state in a state
+    file. The payload holds the fields named in ``ARRAYS`` as arrays, the
+    Cholesky factors named in ``FACTORS`` by their lower triangles (a
+    factor that is None is left out), and the scalars in ``META`` (name ->
+    type) as metadata; ``serialize`` stores ctx and likelihood itself.
+    ``check`` runs on every state read from a payload and raises
+    FormatError when its arrays do not fit the network.
     """
 
     KIND = None
     ARRAYS = ()
     FACTORS = ()
     META = {}
+
+    def predict(self, x):
+        x = as_inputs(x, self.ctx.net.arch.input_dim)
+        return GaussianPredictive(forward(self.ctx.net, x).output, self.covariances(x), self.likelihood)
 
     def payload(self):
         """(meta, arrays) of the fields this kind adds to ctx and likelihood."""
@@ -194,15 +202,9 @@ class MapState(PosteriorState):
     ctx: KernelContext
     likelihood: LikelihoodModel
 
-    def predict(self, x):
-        return predict_map_batch(self, x)
-
-
-def predict_map_batch(state, x_star):
-    x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
-    means = forward(state.ctx.net, x_star).output
-    n, c = means.shape
-    return GaussianPredictive(means, np.zeros((n, c, c)), state.likelihood)
+    def covariances(self, x):
+        c = self.ctx.net.arch.output_dim
+        return np.zeros((x.shape[0], c, c))
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,8 @@ class LlaExactState(PosteriorState):
     sqrt_lambda: np.ndarray  # (N, C, C) roots B with B B^T the curvature block (older files: symmetric roots)
     q_factor: object  # Cholesky of I + B^T kappa(X, X) B; None when N = 0
 
-    def predict(self, x):
-        return predict_exact_batch(self, x)
+    def covariances(self, x):
+        return exact_covariances(self, x)
 
 
 def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
@@ -250,14 +252,12 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     )
 
 
-def predict_exact_batch(state, x_star):
-    """Predictives at each query point; mean comes from the network forward pass."""
+def exact_covariances(state, x_star):
+    """Prior blocks minus r^T r at each query, r = L^-1 B^T kappa(X, x*), in query chunks."""
     ctx = state.ctx
-    x_star = as_inputs(x_star, ctx.net.arch.input_dim)
-    means = forward(ctx.net, x_star).output
     prior = kernel_diag_blocks(ctx, x_star)
     if state.train_inputs.shape[0] == 0:
-        return GaussianPredictive(means, prior, state.likelihood)
+        return prior
     # queries in chunks, so the (N*C, chunk*C) cross kernel stays within the block size
     n, c = state.sqrt_lambda.shape[:2]
     chunk = max(1, PREDICT_BLOCK_FLOATS // (n * c * c))
@@ -266,27 +266,7 @@ def predict_exact_batch(state, x_star):
         rows = slice(start, start + chunk)
         v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star[rows]).values)
         covs[rows] = gram_blocks(solve_lower(state.q_factor, v), c, prior[rows])
-    return GaussianPredictive(means, covs, state.likelihood)
-
-
-def _whitened_jacobians(ctx, likelihood, x):
-    """B_n^T J(x_n) for each training input in turn, so G^T G sums to J^T Lambda J."""
-    roots = curvature_roots(likelihood, forward(ctx.net, x).output)
-    for root, xi in zip(roots, x):
-        yield root.T @ jacobian(ctx, xi)
-
-
-def _per_point(state, x_star, block):
-    """Predictive whose covariance at each input x is ``block(x)``, symmetrized.
-
-    For the weight-space route, which needs one Jacobian per input:
-    stacking the Jacobians of a whole batch would take N*C*P floats.
-    """
-    x_star = as_inputs(x_star, state.ctx.net.arch.input_dim)
-    means = forward(state.ctx.net, x_star).output
-    n, c = means.shape
-    covs = np.array([block(x) for x in x_star]).reshape(n, c, c)
-    return GaussianPredictive(means, 0.5 * (covs + covs.transpose(0, 2, 1)), state.likelihood)
+    return covs
 
 
 @dataclass(frozen=True)
@@ -300,19 +280,20 @@ class LlaWeightState(PosteriorState):
     precision: np.ndarray
     covariance_factor: object
 
-    def predict(self, x):
-        return predict_weight_space_batch(self, x)
+    def covariances(self, x):
+        return weight_space_covariances(self, x)
 
 
-def fit_weight_space(net, likelihood, x, prior_variance=1.0, cap=WEIGHT_SPACE_CAP):
+def fit_weight_space(ctx, likelihood, x, cap=WEIGHT_SPACE_CAP):
     """Assemble the Gauss-Newton precision over all parameters explicitly."""
-    p = net.param_count
+    p = ctx.net.param_count
     if p > cap:
         raise CapExceeded(f"P = {p} exceeds weight-space cap {cap}")
-    x = as_inputs(x, net.arch.input_dim)
-    ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
-    precision = np.eye(p) / prior_variance
-    for g in _whitened_jacobians(ctx, likelihood, x):
+    x = as_inputs(x, ctx.net.arch.input_dim)
+    precision = np.eye(p) / ctx.prior_variance
+    roots = curvature_roots(likelihood, forward(ctx.net, x).output)
+    for root, xi in zip(roots, x):
+        g = root.T @ jacobian(ctx, xi)  # G_n = B_n^T J(x_n), so G^T G sums to J^T Lambda J
         precision += g.T @ g
     precision = 0.5 * (precision + precision.T)
     return LlaWeightState(
@@ -323,12 +304,12 @@ def fit_weight_space(net, likelihood, x, prior_variance=1.0, cap=WEIGHT_SPACE_CA
     )
 
 
-def predict_weight_space_batch(state, x_star):
-    def block(x):
-        j = jacobian(state.ctx, x)
-        return j @ solve_psd(state.covariance_factor, j.T)
-
-    return _per_point(state, x_star, block)
+def weight_space_covariances(state, x_star):
+    """J P^-1 J^T at each query, symmetrized, one Jacobian at a time: a batch of them would take N*C*P floats."""
+    c = state.ctx.net.arch.output_dim
+    jacs = (jacobian(state.ctx, x) for x in x_star)
+    covs = np.array([j @ solve_psd(state.covariance_factor, j.T) for j in jacs]).reshape(-1, c, c)
+    return 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 def _layer_blocks(arch, params):
@@ -348,8 +329,8 @@ class LlaDiagState(PosteriorState):
     likelihood: LikelihoodModel
     precision_diag: np.ndarray
 
-    def predict(self, x):
-        return predict_diag_batch(self, x)
+    def covariances(self, x):
+        return diag_covariances(self, x)
 
     def check(self):
         p = self.ctx.net.param_count
@@ -358,15 +339,15 @@ class LlaDiagState(PosteriorState):
             raise FormatError(f"precision_diag must hold {p} finite positive entries, got shape {diag.shape}")
 
 
-def fit_diag(net, likelihood, x, prior_variance=1.0):
+def fit_diag(ctx, likelihood, x):
     """Keep only the diagonal of the Gauss-Newton precision.
 
     With G_n = B_n^T s_n, layer l's block of the diagonal adds
     sum_n outer(a~_n^2, sum_k G_n[k]^2), one GEMM over the training points.
     """
+    net = ctx.net
     x = as_inputs(x, net.arch.input_dim)
-    ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
-    diag = np.full(net.param_count, 1.0 / prior_variance)
+    diag = np.full(net.param_count, 1.0 / ctx.prior_variance)
     blocks = _layer_blocks(net.arch, diag)
     roots_t = curvature_roots(likelihood, forward(net, x).output).transpose(0, 2, 1)
     for l, a, s in layer_walk(net, x):
@@ -375,17 +356,15 @@ def fit_diag(net, likelihood, x, prior_variance=1.0):
     return LlaDiagState(ctx=ctx, likelihood=likelihood, precision_diag=diag)
 
 
-def predict_diag_batch(state, x_star):
+def diag_covariances(state, x_star):
     """Covariance sum_l (s * (a~^2 D_l)) s^T, with D_l layer l's block of 1 / precision_diag."""
     net = state.ctx.net
-    x_star = as_inputs(x_star, net.arch.input_dim)
-    means = forward(net, x_star).output
-    n, c = means.shape
+    c = net.arch.output_dim
     inv = _layer_blocks(net.arch, 1.0 / state.precision_diag)
-    covs = np.zeros((n, c, c))
+    covs = np.zeros((x_star.shape[0], c, c))
     for l, a, s in layer_walk(net, x_star):
         covs += (s * ((a * a) @ inv[l])[:, None, :]) @ s.transpose(0, 2, 1)
-    return GaussianPredictive(means, 0.5 * (covs + covs.transpose(0, 2, 1)), state.likelihood)
+    return 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -397,8 +376,8 @@ class LlaLastLayerState(PosteriorState):
     likelihood: LikelihoodModel
     precision_factor: object  # Cholesky over the (width+1)*C last-layer parameters
 
-    def predict(self, x):
-        return predict_last_layer_batch(self, x)
+    def covariances(self, x):
+        return last_layer_covariances(self, x)
 
     def check(self):
         arch = self.ctx.net.arch
@@ -413,10 +392,10 @@ def last_layer_features(net, x):
     return phi
 
 
-def fit_last_layer(net, likelihood, x, prior_variance=1.0):
+def fit_last_layer(ctx, likelihood, x):
     """Weight-space pipeline restricted to the final layer's parameters."""
+    net = ctx.net
     x = as_inputs(x, net.arch.input_dim)
-    ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
     n, c = x.shape[0], net.arch.output_dim
     phi = last_layer_features(net, x)
     roots = curvature_roots(likelihood, forward(net, x).output)
@@ -426,14 +405,14 @@ def fit_last_layer(net, likelihood, x, prior_variance=1.0):
     # one GEMM per column of B would take C times as many.
     lam = roots @ roots.transpose(0, 2, 1)
     cols = phi.shape[1] * c
-    precision = np.eye(cols) / prior_variance
+    precision = np.eye(cols) / ctx.prior_variance
     for j in range(c):
         precision[j::c] += phi.T @ (phi[:, :, None] * lam[:, None, j, :]).reshape(n, cols)
     precision = 0.5 * (precision + precision.T)
     return LlaLastLayerState(ctx=ctx, likelihood=likelihood, precision_factor=cholesky(precision))
 
 
-def predict_last_layer_batch(state, x_star):
+def last_layer_covariances(state, x_star):
     """Covariance r^T r at each input, with r = L^-1 J^T and L the precision factor.
 
     J's row for output o holds phi_i at column i*C + o, so with L^-1
@@ -441,10 +420,8 @@ def predict_last_layer_batch(state, x_star):
     query chunk of at most ``PREDICT_BLOCK_FLOATS`` entries of r.
     """
     net = state.ctx.net
-    x_star = as_inputs(x_star, net.arch.input_dim)
-    means = forward(net, x_star).output
     phi = last_layer_features(net, x_star)
-    n, c = means.shape
+    n, c = x_star.shape[0], net.arch.output_dim
     fc = phi.shape[1] * c
     inv_lower = solve_lower(state.precision_factor, np.eye(fc)).reshape(fc, -1, c)
     chunk = max(1, PREDICT_BLOCK_FLOATS // (fc * c))
@@ -453,7 +430,7 @@ def predict_last_layer_batch(state, x_star):
         rows = slice(start, start + chunk)
         r = np.matmul(phi[rows], inv_lower)  # (F*C, chunk, C): r[:, q] = L^-1 J(x_q)^T
         covs[rows] = gram_blocks(r.reshape(fc, -1), c)
-    return GaussianPredictive(means, covs, state.likelihood)
+    return covs
 
 
 def _variance_grid(grid, default, name):

@@ -161,29 +161,16 @@ def predictive_entropy(probabilities):
 def ood_auc(entropy_in, entropy_out):
     """AUC for ranking out-distribution above in-distribution by score.
 
-    Mann-Whitney form: ties count one half. Computed from ranks in
-    O(n log n).
+    Mann-Whitney form: ties count one half, through the averaged ranks of
+    tied values. Computed from ranks in O(n log n).
     """
     a = np.asarray(entropy_in, dtype=np.float64).ravel()
     b = np.asarray(entropy_out, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise DimensionMismatch("both score sets must be nonempty")
-    combined = np.concatenate([a, b])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty_like(combined)
-    ranks[order] = np.arange(1, combined.size + 1, dtype=np.float64)
-    # average the ranks of tied values
-    sorted_vals = combined[order]
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            idx = order[i : j + 1]
-            ranks[idx] = ranks[idx].mean()
-        i = j + 1
-    rank_sum_out = ranks[a.size :].sum()
+    from scipy.stats import rankdata  # imported here: loading scipy.stats costs a process ~40 MB of RSS and ~1 s
+
+    rank_sum_out = rankdata(np.concatenate([a, b]))[a.size :].sum()
     u = rank_sum_out - b.size * (b.size + 1) / 2.0
     return float(u / (a.size * b.size))
 

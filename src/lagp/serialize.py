@@ -16,6 +16,10 @@ its own to produce predictions. The rest of the payload belongs to the
 state's kind: ``STATE_KINDS`` maps each kind tag to its state class, whose
 ``payload`` and ``from_payload`` (see ``lla.PosteriorState``) write and
 read it.
+
+A VaLLA file keeps its fitted variances in the shared prior-variance key
+and likelihood record, so its own meta is ``alpha`` alone. Older ones also
+hold the fitted noise under ``log_noise_variance`` and load with it.
 """
 
 import json

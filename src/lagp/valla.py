@@ -21,6 +21,9 @@ the quadratic mean term of the general decoupled-basis divergence is
 constant here because the mean is not trained, so it is dropped from the
 objective.
 
+A fitted state is (ctx, likelihood, Z, L, alpha), with the fitted prior
+variance in ctx and the fitted noise variance in the likelihood.
+
 Every prediction, validation check and training step reads one kernel
 tape (``kernel.kernel_tape``): a single layer walk over the stacked rows
 [Z; X] gives K_Z, the cross block kappa(X, Z) and the prior blocks of X,
@@ -39,14 +42,14 @@ differences in the tests.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .kernel import KernelContext, as_inputs, kernel_block_fast, kernel_input_vjp, kernel_tape
+from .kernel import KernelContext, as_inputs, kernel_input_vjp, kernel_tape
 from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
-from .lla import GaussianPredictive, LikelihoodModel, PosteriorState, gram_blocks
+from .lla import LikelihoodModel, PosteriorState, gram_blocks
 from .metrics import nll_categorical, nll_gaussian, predictive_class_probs
 from .nn import AdamOptimizer, forward, minibatches, write_log
 
@@ -57,36 +60,28 @@ A_FACTOR_INIT_SCALE = 1e-3
 class VallaState(PosteriorState):
     KIND = "valla"
     ARRAYS = ("inducing", "a_factor")
-    META = {"log_prior_variance": float, "log_noise_variance": float, "alpha": float}
+    META = {"alpha": float}
 
-    ctx: KernelContext
-    likelihood: LikelihoodModel
+    ctx: KernelContext  # at the fitted prior variance
+    likelihood: LikelihoodModel  # at the fitted noise variance (regression)
     inducing: np.ndarray  # (M, D) locations of the covariance basis
     a_factor: np.ndarray  # (M*C, M*C) lower triangular, A = L L^T
-    log_prior_variance: float
-    log_noise_variance: float = 0.0  # regression only
     alpha: float = 1.0
 
     @property
-    def prior_variance(self):
-        return float(np.exp(self.log_prior_variance))
-
-    @property
-    def noise_variance(self):
-        return float(np.exp(self.log_noise_variance))
-
-    @property
     def scaled_ctx(self):
-        return self.ctx.with_log_prior_variance(self.log_prior_variance)
+        # the benchmark's output check still reads this name; it goes with ROADMAP item 1
+        return self.ctx
 
-    @property
-    def observation_likelihood(self):
-        if self.likelihood.kind == "gaussian":
-            return LikelihoodModel(kind="gaussian", noise_variance=self.noise_variance)
-        return self.likelihood
+    def covariances(self, x):
+        return valla_covariances(self, x)
 
-    def predict(self, x):
-        return valla_predict_batch(self, x)
+    @classmethod
+    def from_payload(cls, ctx, likelihood, meta, arrays):
+        # older files keep the pre-fit noise in the likelihood record and the fitted one here
+        if "log_noise_variance" in meta and likelihood.kind == "gaussian":
+            likelihood = LikelihoodModel(kind="gaussian", noise_variance=float(np.exp(meta["log_noise_variance"])))
+        return super().from_payload(ctx, likelihood, meta, arrays)
 
 
 @dataclass(frozen=True)
@@ -118,21 +113,14 @@ def _capacity_factor(lower, k_ind):
     return k_ind, u, cholesky(np.eye(u.shape[0]) + u)
 
 
-def valla_predict_batch(state, x_star):
-    pieces = _batch_posterior(state, x_star)
-    return GaussianPredictive(pieces["means"], pieces["covs"], state.observation_likelihood)
+def valla_covariances(state, x_star):
+    """Prior blocks minus r^T r at each query, r = L_H^-1 L^T k(Z, x*), from one kernel tape."""
+    return _batch_posterior(state, x_star)["covs"]
 
 
 def _kl(h_factor, h_inv):
     """The divergence from the Cholesky factor of H = I + L^T K_Z L and H^{-1}."""
     return 0.5 * logdet(h_factor) - 0.5 * (h_factor.dim - float(np.trace(h_inv)))
-
-
-def kl_dual(state):
-    """Covariance part of the divergence from the prior; zero at L = 0."""
-    k_ind = kernel_block_fast(state.scaled_ctx, state.inducing, state.inducing).values
-    _, _, h_factor = _capacity_factor(state.a_factor, k_ind)
-    return _kl(h_factor, solve_psd(h_factor, np.eye(h_factor.dim)))
 
 
 def _gaussian_power_data_terms(y, means, variances, noise, alpha, n_scale):
@@ -168,10 +156,8 @@ def _categorical_data_terms(labels, means, variance_diags, n_scale):
 
 
 def _batch_posterior(state, batch_x):
-    """Shared pieces for prediction, the objective and its gradient on one batch, from one kernel tape."""
-    ctx = state.scaled_ctx
-    batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    tape = kernel_tape(ctx, state.inducing, batch_x)
+    """Shared pieces for prediction, the objective and its gradient on an (N, D) batch, from one kernel tape."""
+    tape = kernel_tape(state.ctx, state.inducing, batch_x)
     k_ind, u, h_factor = _capacity_factor(state.a_factor, tape.k_z)
     r = solve_lower(h_factor, state.a_factor.T @ tape.cross.T)
     return {
@@ -180,7 +166,6 @@ def _batch_posterior(state, batch_x):
         "u": u,
         "h_factor": h_factor,
         "covs": gram_blocks(r, tape.prior.shape[1], tape.prior),
-        "means": forward(ctx.net, batch_x).output,
     }
 
 
@@ -195,7 +180,7 @@ def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
         y = np.asarray(batch_y, dtype=np.float64).ravel()
         variances = pieces["covs"][:, 0, 0]
         means = pieces["means"].ravel()
-        noise = state.noise_variance
+        noise = state.likelihood.noise_variance
         if mode == "elbo":
             r = y - means
             values = -0.5 * np.log(2.0 * math.pi * noise) - r * r / (2.0 * noise) - variances / (2.0 * noise)
@@ -237,7 +222,7 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     (``kernel_input_vjp``) with the cotangents of K_Z and of the cross
     blocks; it is left at zero when the locations are frozen.
     """
-    ctx = state.scaled_ctx
+    ctx = state.ctx
     batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
     c = ctx.net.arch.output_dim
     b = batch_x.shape[0]
@@ -245,6 +230,7 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     lower = state.a_factor
 
     pieces = _batch_posterior(state, batch_x)
+    pieces["means"] = forward(ctx.net, batch_x).output
     k_ind, u, h_factor, tape = pieces["k_ind"], pieces["u"], pieces["h_factor"], pieces["tape"]
     cross = tape.cross  # (B*C, q), kappa(X, Z)
 
@@ -284,7 +270,7 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
         "log_prior_variance": grad_lpv,
     }
     if state.likelihood.kind == "gaussian":
-        grads["log_noise_variance"] = float(state.noise_variance * d_dnoise)
+        grads["log_noise_variance"] = float(state.likelihood.noise_variance * d_dnoise)
 
     if not compute_inducing_gradient:
         grads["inducing"] = np.zeros_like(state.inducing)
@@ -340,7 +326,7 @@ def kmeans_init(x, m, seed):
 
 def validation_nll(state, x, y):
     """Mean negative log likelihood on held-out data under the posterior."""
-    pred = valla_predict_batch(state, x)
+    pred = state.predict(x)
     if state.likelihood.kind == "gaussian":
         return nll_gaussian(pred, y)
     return nll_categorical(predictive_class_probs(pred.mean, pred.covariance), y)
@@ -386,13 +372,12 @@ def fit_valla(
     lnv = float(np.log(likelihood.noise_variance)) if likelihood.kind == "gaussian" else 0.0
 
     def make_state():
+        noise = float(np.exp(lnv)) if likelihood.kind == "gaussian" else likelihood.noise_variance
         return VallaState(
-            ctx=ctx,
-            likelihood=likelihood,
-            inducing=inducing.copy(),
-            a_factor=lower.copy(),
-            log_prior_variance=lpv,
-            log_noise_variance=lnv,
+            ctx=ctx.with_log_prior_variance(lpv),
+            likelihood=replace(likelihood, noise_variance=noise),
+            inducing=inducing,
+            a_factor=lower,
             alpha=alpha,
         )
 
@@ -418,7 +403,7 @@ def fit_valla(
 
         step_grads = [
             -grads["a_factor"],
-            -grads["inducing"] if train_inducing else np.zeros_like(inducing),
+            -grads["inducing"],
             -np.asarray(grads["log_prior_variance"]) if train_prior_variance else np.asarray(0.0),
             -np.asarray(grads.get("log_noise_variance", 0.0)) if train_noise else np.asarray(0.0),
         ]

@@ -198,6 +198,10 @@ class TestFit:
             for cell in row.split(","):
                 if cell:
                     float(cell)
+        info = json.loads((out / "fit_info_valla.json").read_text())
+        state, _ = load_state(out / "state_valla.bin")
+        assert info["prior_variance"] == state.ctx.prior_variance
+        assert info["noise_variance"] == state.likelihood.noise_variance
         assert (out / "timing.json").exists()
 
     def test_exact_cap_exceeded_mentions_alternative(self, tmp_path, capsys):

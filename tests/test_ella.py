@@ -5,7 +5,7 @@ from lagp.errors import DimensionMismatch, EigenFloorExhausted
 from lagp.kernel import kernel_block_fast
 from lagp.linalg import rng_stream, solve_psd
 from lagp.lla import LikelihoodModel, fit_exact
-from lagp.ella import _features, ella_fit, ella_predict_batch
+from lagp.ella import _features, ella_fit
 from lagp.nn import forward
 
 from test_kernel import random_ctx
@@ -53,7 +53,7 @@ class TestEllaFit:
         ctx = random_ctx(rng, 2, [5], 2)
         x = rng.normal(size=(20, 2))
         state = ella_fit(ctx, LikelihoodModel(kind="categorical"), x, m=8, k=6, seed=1)
-        preds = ella_predict_batch(state, rng.normal(size=(1000, 2)))
+        preds = state.predict(rng.normal(size=(1000, 2)))
         for p in preds:
             assert np.all(np.diag(p.covariance) >= -1e-12)
 
@@ -67,7 +67,7 @@ class TestEllaFit:
         phi = _features(ctx, state.projection, state.anchors, x_star)  # (N, C, K)
         loop = np.stack([p @ solve_psd(state.precision_factor, p.T) for p in phi])
         loop = 0.5 * (loop + loop.transpose(0, 2, 1))
-        pred = ella_predict_batch(state, x_star)
+        pred = state.predict(x_star)
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
         assert pred.covariance.shape == (40, c, c)
         assert np.max(np.abs(pred.covariance - loop)) <= 1e-12 * np.max(np.abs(loop))
@@ -107,7 +107,7 @@ class TestEllaFit:
         x = rng.normal(size=(9, 2))
         state = ella_fit(ctx, LikelihoodModel(kind="categorical"), x, m=4, k=4, seed=0)
         probe = rng.normal(size=(3, 2))
-        preds = ella_predict_batch(state, probe)
+        preds = state.predict(probe)
         outputs = forward(ctx.net, probe).output
         for i, p in enumerate(preds):
             assert np.array_equal(p.mean, outputs[i])
@@ -147,7 +147,7 @@ class TestFidelity:
             devs = []
             for seed in range(5):
                 state = ella_fit(ctx, lik, ds.inputs, m=m, k=k, seed=seed)
-                got = np.array([p.covariance[0, 0] for p in ella_predict_batch(state, grid)])
+                got = np.array([p.covariance[0, 0] for p in state.predict(grid)])
                 devs.append(np.sqrt(np.mean((np.sqrt(got) - np.sqrt(ref)) ** 2)))
             medians.append(np.median(devs))
         assert medians[0] >= medians[1] >= medians[2] - 1e-12

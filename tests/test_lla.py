@@ -21,15 +21,12 @@ from lagp.lla import (
     gram_blocks,
     grid_search_hyperparameters,
     last_layer_features,
-    predict_diag_batch,
-    predict_exact_batch,
-    predict_last_layer_batch,
     softmax,
     whiten,
 )
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
 from lagp.ella import _features, ella_fit
-from lagp.valla import _capacity_factor, objective_gradient, valla_predict_batch
+from lagp.valla import _capacity_factor, objective_gradient
 
 from test_kernel import random_ctx
 from test_valla import make_state
@@ -172,7 +169,7 @@ class TestFitExact:
         x_star = rng.normal(size=(chunk + 1, 2))
         v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
         whole = gram_blocks(solve_lower(state.q_factor, v), 2, kernel_diag_blocks(ctx, x_star))
-        pred = predict_exact_batch(state, x_star)
+        pred = state.predict(x_star)
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
         assert np.max(np.abs(pred.covariance - whole)) <= 1e-12 * np.max(np.abs(whole))
 
@@ -182,7 +179,7 @@ class TestFitExact:
         x = rng.normal(size=(4, 2))
         state = fit_exact(ctx, LikelihoodModel(kind="categorical"), x)
         x_star = rng.normal(size=(3, 2))
-        preds = predict_exact_batch(state, x_star)
+        preds = state.predict(x_star)
         outputs = forward(ctx.net, x_star).output
         for i, p in enumerate(preds):
             assert np.array_equal(p.mean, outputs[i])
@@ -220,7 +217,7 @@ class TestOneSolveForm:
         assert_matches_oracle(exact.predict(x_star).covariance, oracle)
 
         valla_state = make_state(rng, ctx, m=3, kind=kind)
-        scaled = valla_state.scaled_ctx
+        scaled = valla_state.ctx
         z = valla_state.inducing
         t = valla_state.a_factor.T @ kernel_block_fast(scaled, z, x_star).values
         h_factor = _capacity_factor(valla_state.a_factor, kernel_block_fast(scaled, z, z).values)[2]
@@ -248,7 +245,7 @@ class TestWeightSpaceEquivalence:
             y = rng.normal(size=(8, c)) if kind == "gaussian" else None
             lik = LikelihoodModel(kind=kind, noise_variance=0.4)
             exact = fit_exact(ctx, lik, x)
-            weight = fit_weight_space(ctx.net, lik, x, prior_variance=ctx.prior_variance)
+            weight = fit_weight_space(ctx, lik, x)
             for _ in range(4):
                 x_star = rng.normal(size=2)
                 a = exact.predict(x_star)[0].covariance
@@ -260,7 +257,7 @@ class TestWeightSpaceEquivalence:
         rng = rng_stream(8)
         ctx = random_ctx(rng, 2, [3], 1, log_prior_variance=np.log(0.7))
         lik = LikelihoodModel(kind="gaussian", noise_variance=1.0)
-        weight = fit_weight_space(ctx.net, lik, np.zeros((0, 2)), prior_variance=0.7)
+        weight = fit_weight_space(ctx, lik, np.zeros((0, 2)))
         x_star = rng.normal(size=2)
         pred = weight.predict(x_star)[0]
         assert np.allclose(pred.covariance, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-10)
@@ -274,7 +271,7 @@ class TestWeightSpaceEquivalence:
         y = rng.normal(size=(1, 1))
         sigma2, prior = 0.5, 2.0
         lik = LikelihoodModel(kind=kind, noise_variance=sigma2)
-        weight = fit_weight_space(ctx.net, lik, x, prior_variance=prior)
+        weight = fit_weight_space(ctx.with_log_prior_variance(np.log(prior)), lik, x)
         j = jacobian(ctx, x[0])
         if kind == "gaussian":
             lam = np.eye(c) / sigma2
@@ -288,7 +285,7 @@ class TestWeightSpaceEquivalence:
         rng = rng_stream(10)
         ctx = random_ctx(rng, 10, [50], 10)
         with pytest.raises(CapExceeded):
-            fit_weight_space(ctx.net, LikelihoodModel(kind="categorical"), np.zeros((2, 10)), cap=100)
+            fit_weight_space(ctx, LikelihoodModel(kind="categorical"), np.zeros((2, 10)), cap=100)
 
 
 class TestDiag:
@@ -297,8 +294,9 @@ class TestDiag:
         ctx = random_ctx(rng, 2, [3], 2)
         x = rng.normal(size=(5, 2))
         lik = LikelihoodModel(kind="categorical")
-        full = fit_weight_space(ctx.net, lik, x, prior_variance=1.5)
-        diag = fit_diag(ctx.net, lik, x, prior_variance=1.5)
+        ctx = ctx.with_log_prior_variance(np.log(1.5))
+        full = fit_weight_space(ctx, lik, x)
+        diag = fit_diag(ctx, lik, x)
         assert np.max(np.abs(np.diag(full.precision) - diag.precision_diag)) <= 1e-10
 
     def test_equals_weight_space_when_ggn_diagonal(self):
@@ -309,8 +307,9 @@ class TestDiag:
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.3)
         x = np.zeros((1, 1))
         y = rng.normal(size=(1, 1))
-        d = fit_diag(net, lik, x, prior_variance=0.8)
-        w = fit_weight_space(net, lik, x, prior_variance=0.8)
+        ctx = KernelContext(net=net, log_prior_variance=np.log(0.8))
+        d = fit_diag(ctx, lik, x)
+        w = fit_weight_space(ctx, lik, x)
         for _ in range(5):
             x_star = rng.normal(size=1)
             assert np.allclose(
@@ -323,7 +322,7 @@ class TestDiag:
         rng = rng_stream(13)
         ctx = random_ctx(rng, 3, [6], 2)
         x = rng.normal(size=(10, 3))
-        diag = fit_diag(ctx.net, LikelihoodModel(kind="categorical"), x)
+        diag = fit_diag(ctx, LikelihoodModel(kind="categorical"), x)
         for _ in range(20):
             pred = diag.predict(rng.normal(size=3))[0]
             assert np.all(np.diag(pred.covariance) >= 0)
@@ -335,8 +334,9 @@ class TestLastLayer:
         ctx = random_ctx(rng, 3, [], 2)
         x = rng.normal(size=(6, 3))
         lik = LikelihoodModel(kind="categorical")
-        ll = fit_last_layer(ctx.net, lik, x, prior_variance=1.2)
-        w = fit_weight_space(ctx.net, lik, x, prior_variance=1.2)
+        ctx = ctx.with_log_prior_variance(np.log(1.2))
+        ll = fit_last_layer(ctx, lik, x)
+        w = fit_weight_space(ctx, lik, x)
         for _ in range(5):
             x_star = rng.normal(size=3)
             a = ll.predict(x_star)[0].covariance
@@ -356,7 +356,7 @@ class TestLastLayer:
         ctx = random_ctx(rng, 2, [4, 3], 3)
         x = rng.normal(size=(7, 2))
         lik = LikelihoodModel(kind="categorical")
-        ll = fit_last_layer(ctx.net, lik, x, prior_variance=0.9)
+        ll = fit_last_layer(ctx.with_log_prior_variance(np.log(0.9)), lik, x)
         last_cols = (3 + 1) * 3
         expected = np.eye(last_cols) / 0.9
         for xi, g in zip(x, forward(ctx.net, x).output):
@@ -369,7 +369,7 @@ class TestLastLayer:
     def test_no_data_covariance_is_prior(self):
         rng = rng_stream(24)
         ctx = random_ctx(rng, 2, [4], 3)
-        ll = fit_last_layer(ctx.net, LikelihoodModel(kind="categorical"), np.zeros((0, 2)), prior_variance=0.6)
+        ll = fit_last_layer(ctx.with_log_prior_variance(np.log(0.6)), LikelihoodModel(kind="categorical"), np.zeros((0, 2)))
         x_star = rng.normal(size=2)
         j = last_layer_jacobian(ctx.net, x_star)
         assert np.allclose(ll.predict(x_star)[0].covariance, 0.6 * j @ j.T, atol=1e-12)
@@ -378,7 +378,7 @@ class TestLastLayer:
         rng = rng_stream(16)
         ctx = random_ctx(rng, 2, [5], 3)
         x = rng.normal(size=(4, 2))
-        ll = fit_last_layer(ctx.net, LikelihoodModel(kind="categorical"), x)
+        ll = fit_last_layer(ctx, LikelihoodModel(kind="categorical"), x)
         x_star = rng.normal(size=2)
         pred = ll.predict(x_star)[0]
         assert np.array_equal(pred.mean, forward(ctx.net, x_star[None, :]).output[0])
@@ -386,9 +386,9 @@ class TestLastLayer:
     def test_query_chunks_match_one_chunk(self, monkeypatch):
         rng = rng_stream(26)
         ctx = random_ctx(rng, 2, [4], 3)
-        ll = fit_last_layer(ctx.net, LikelihoodModel(kind="categorical"), rng.normal(size=(5, 2)))
+        ll = fit_last_layer(ctx, LikelihoodModel(kind="categorical"), rng.normal(size=(5, 2)))
         x_star = rng.normal(size=(7, 2))
-        whole = predict_last_layer_batch(ll, x_star)
+        whole = ll.predict(x_star)
         blocks = []
 
         def counted(r, c, prior=None):
@@ -397,7 +397,7 @@ class TestLastLayer:
 
         monkeypatch.setattr(lla, "gram_blocks", counted)
         monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", 3 * (4 + 1) * 3 * 3)  # 3 queries per chunk
-        chunked = predict_last_layer_batch(ll, x_star)
+        chunked = ll.predict(x_star)
         assert blocks == [3, 3, 1]
         assert np.array_equal(chunked.mean, whole.mean)
         assert np.max(np.abs(chunked.covariance - whole.covariance)) <= 1e-12 * np.max(np.abs(whole.covariance))
@@ -427,20 +427,20 @@ class TestLayerwise:
         rng = rng_stream(seed)
         ctx = random_ctx(rng, d, hidden, c)
         lik = LikelihoodModel(kind=kind, noise_variance=0.3)
-        pv = float(np.exp(rng.normal(scale=0.5)))
+        ctx = ctx.with_log_prior_variance(rng.normal(scale=0.5))
         x = rng.normal(size=(n, d))
         x_star = rng.normal(size=(n_query, d))
 
-        diag = fit_diag(ctx.net, lik, x, prior_variance=pv)
-        assert_close_relative(diag.precision_diag, np.diag(fit_weight_space(ctx.net, lik, x, pv).precision))
-        pred = predict_diag_batch(diag, x_star)
+        diag = fit_diag(ctx, lik, x)
+        assert_close_relative(diag.precision_diag, np.diag(fit_weight_space(ctx, lik, x).precision))
+        pred = diag.predict(x_star)
         jacs = [jacobian(ctx, xi) for xi in x_star]
         oracle = np.array([(j / diag.precision_diag) @ j.T for j in jacs])
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
         assert_close_relative(pred.covariance, oracle.reshape(n_query, c, c))
 
-        ll = fit_last_layer(ctx.net, lik, x, prior_variance=pv)
-        pred = predict_last_layer_batch(ll, x_star)
+        ll = fit_last_layer(ctx, lik, x)
+        pred = ll.predict(x_star)
         jacs = [last_layer_jacobian(ctx.net, xi) for xi in x_star]
         oracle = np.array([j @ solve_psd(ll.precision_factor, j.T) for j in jacs])
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
@@ -461,10 +461,10 @@ class TestLayerwise:
         lik = LikelihoodModel(kind="categorical")
         x, x_star = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
         for fit in (fit_diag, fit_last_layer):
-            pred = fit(ctx.net, lik, x, prior_variance=0.8).predict(x_star)
+            pred = fit(ctx.with_log_prior_variance(np.log(0.8)), lik, x).predict(x_star)
             assert pred.covariance.shape == (4, 3, 3)
         with pytest.raises(AssertionError, match="kernel.jacobian"):
-            fit_weight_space(ctx.net, lik, x)
+            fit_weight_space(ctx, lik, x)
 
     def test_kernel_paths_read_layer_walk(self, monkeypatch):
         walked = []
@@ -483,13 +483,13 @@ class TestLayerwise:
         ctx = random_ctx(rng, 3, [5, 4], 3)
         lik = LikelihoodModel(kind="categorical")
         x, z = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
-        diag_state = fit_diag(ctx.net, lik, x)
+        diag_state = fit_diag(ctx, lik, x)
         paths = {
             "gram": lambda: kernel_block_fast(ctx, x, z),
             "diagonal": lambda: kernel_diag_blocks(ctx, x),
             "tape": lambda: kernel.kernel_tape(ctx, z, x),
-            "diagonal LLA fit": lambda: fit_diag(ctx.net, lik, x),
-            "diagonal LLA predict": lambda: predict_diag_batch(diag_state, x),
+            "diagonal LLA fit": lambda: fit_diag(ctx, lik, x),
+            "diagonal LLA predict": lambda: diag_state.predict(x),
             "last-layer features": lambda: last_layer_features(ctx.net, x),
         }
         for name, path in paths.items():
@@ -503,8 +503,8 @@ class TestLayerwise:
         tape = kernel.kernel_tape(ctx, z, x)
         paths = {
             "VaLLA step": (lambda: objective_gradient(valla_state, x, rng.integers(0, 3, size=6), 6), 8),
-            "VaLLA predict": (lambda: valla_predict_batch(valla_state, x), 8),
-            "VaLLA zero-query predict": (lambda: valla_predict_batch(valla_state, x[:0]), 2),
+            "VaLLA predict": (lambda: valla_state.predict(x), 8),
+            "VaLLA zero-query predict": (lambda: valla_state.predict(x[:0]), 2),
         }
         for name, (path, rows) in paths.items():
             walked.clear()

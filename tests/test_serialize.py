@@ -86,9 +86,9 @@ def fitted_states(d, kind):
         "map": MapState(ctx=ctx, likelihood=lik),
         "lla-exact": fit_exact(ctx, lik, x),
         "lla-exact-empty": fit_exact(ctx, lik, np.zeros((0, d))),
-        "lla-weight": fit_weight_space(ctx.net, lik, x, prior_variance=0.7),
-        "lla-diag": fit_diag(ctx.net, lik, x, prior_variance=0.7),
-        "lla-last-layer": fit_last_layer(ctx.net, lik, x, prior_variance=0.7),
+        "lla-weight": fit_weight_space(ctx.with_log_prior_variance(np.log(0.7)), lik, x),
+        "lla-diag": fit_diag(ctx.with_log_prior_variance(np.log(0.7)), lik, x),
+        "lla-last-layer": fit_last_layer(ctx.with_log_prior_variance(np.log(0.7)), lik, x),
         "valla": make_state(rng, ctx, m=3, kind=kind, alpha=0.5),
         "ella": ella_fit(ctx, lik, x, m=5, k=3, seed=0),
     }
@@ -105,6 +105,8 @@ class TestStateRoundtrips:
         save_state(tmp_path / "b.bin", loaded, normalization=got_norm)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert type(loaded) is type(state)
+        assert loaded.ctx.log_prior_variance == state.ctx.log_prior_variance
+        assert loaded.likelihood == state.likelihood
         if norm is None:
             assert got_norm is None
         else:
@@ -146,6 +148,23 @@ class TestStateRoundtrips:
         got, expected = loaded.predict(probe), fit_exact(ctx, lik, x).predict(probe)
         assert np.array_equal(got.mean, expected.mean)
         assert np.max(np.abs(got.covariance - expected.covariance)) <= 1e-12
+
+    def test_older_valla_file_loads_its_fitted_noise(self, tmp_path):
+        # older VaLLA files kept the pre-fit noise in the likelihood record
+        # and the fitted noise under the meta key log_noise_variance
+        state, _ = fitted_states(2, "gaussian")["valla"]
+        save_state(tmp_path / "new.bin", state)
+        kind, meta, arrays = read_container(tmp_path / "new.bin")
+        fitted_lnv = float(np.log(0.05))
+        meta["log_noise_variance"] = fitted_lnv
+        meta["likelihood"] = {"kind": "gaussian", "noise_variance": 0.9}
+        write_container(tmp_path / "old.bin", kind, meta, arrays)
+        loaded, _ = load_state(tmp_path / "old.bin")
+        assert loaded.likelihood.noise_variance == float(np.exp(fitted_lnv))
+        probe = rng_stream(97).normal(size=(5, 2))
+        got, expected = loaded.predict(probe), state.predict(probe)
+        assert np.array_equal(got.covariance, expected.covariance)
+        assert np.array_equal(got.y_variance, np.diagonal(expected.covariance, axis1=1, axis2=2) + np.exp(fitted_lnv))
 
     def test_unknown_kind_rejected(self, tmp_path):
         write_container(tmp_path / "s.bin", "bogus", {}, {})

@@ -13,10 +13,8 @@ from lagp.valla import (
     VallaState,
     _data_term,
     fit_valla,
-    kl_dual,
     kmeans_init,
     objective_gradient,
-    valla_predict_batch,
 )
 
 from test_kernel import kernel_input_gradient_multi, random_ctx
@@ -56,14 +54,18 @@ def make_state(rng, ctx, m=4, kind="gaussian", alpha=1.0, lower_scale=0.3, noise
     raw = lower_scale * rng.normal(size=(q, q))
     lower = np.tril(raw) + 0.5 * np.eye(q)
     return VallaState(
-        ctx=ctx,
+        ctx=ctx.with_log_prior_variance(rng.normal(scale=0.2)),
         likelihood=LikelihoodModel(kind=kind, noise_variance=noise),
         inducing=inducing,
         a_factor=lower,
-        log_prior_variance=float(rng.normal(scale=0.2)),
-        log_noise_variance=float(np.log(noise)),
         alpha=alpha,
     )
+
+
+def production_kl(state):
+    """The divergence term of the training objective, read from ``objective_gradient`` on one point."""
+    x = np.zeros((1, state.ctx.net.arch.input_dim))
+    return objective_gradient(state, x, np.zeros(1), 1, compute_inducing_gradient=False)[0].kl_value
 
 
 class TestPredict:
@@ -76,13 +78,10 @@ class TestPredict:
             likelihood=state.likelihood,
             inducing=state.inducing,
             a_factor=np.zeros_like(state.a_factor),
-            log_prior_variance=state.log_prior_variance,
-            log_noise_variance=state.log_noise_variance,
         )
         x_star = rng.normal(size=2)
-        scaled = state.scaled_ctx
         pred = state.predict(x_star)[0]
-        assert np.allclose(pred.covariance, kernel_block_fast(scaled, x_star, x_star).values, atol=1e-12)
+        assert np.allclose(pred.covariance, kernel_block_fast(state.ctx, x_star, x_star).values, atol=1e-12)
 
     def test_posterior_diagonal_deflated(self):
         rng = rng_stream(1)
@@ -90,7 +89,7 @@ class TestPredict:
         state = make_state(rng, ctx, m=4, kind="categorical")
         for _ in range(10):
             x_star = rng.normal(size=2)
-            prior = kernel_block_fast(state.scaled_ctx, x_star, x_star).values
+            prior = kernel_block_fast(state.ctx, x_star, x_star).values
             post = state.predict(x_star)[0].covariance
             assert np.all(np.diag(post) <= np.diag(prior) + 1e-10)
 
@@ -99,7 +98,7 @@ class TestPredict:
         ctx = random_ctx(rng, 3, [4], 2)
         state = make_state(rng, ctx, m=3, kind="categorical")
         xs = rng.normal(size=(6, 3))
-        preds = valla_predict_batch(state, xs)
+        preds = state.predict(xs)
         outputs = forward(ctx.net, xs).output
         for i, p in enumerate(preds):
             assert np.array_equal(p.mean, outputs[i])
@@ -120,12 +119,10 @@ class TestOptimalA:
         noise = 0.2
         a = optimal_a(ctx, x, x, noise)
         state = VallaState(
-            ctx=ctx.with_log_prior_variance(0.0),
+            ctx=ctx,
             likelihood=LikelihoodModel(kind="gaussian", noise_variance=noise),
             inducing=x,
             a_factor=a_factor_from_matrix(a),
-            log_prior_variance=ctx.log_prior_variance,
-            log_noise_variance=float(np.log(noise)),
         )
         lik = LikelihoodModel(kind="gaussian", noise_variance=noise)
         exact = fit_exact(ctx, lik, x)
@@ -181,9 +178,8 @@ class TestKlDual:
             likelihood=state.likelihood,
             inducing=state.inducing,
             a_factor=np.zeros_like(state.a_factor),
-            log_prior_variance=state.log_prior_variance,
         )
-        assert kl_dual(state) == 0.0
+        assert production_kl(state) == 0.0
 
     def test_matches_direct_gaussian_kl(self):
         rng = rng_stream(7)
@@ -191,10 +187,9 @@ class TestKlDual:
             c = 1 + trial % 2
             ctx = random_ctx(rng, 2, [4], c)
             state = make_state(rng, ctx, m=3, kind="categorical" if c > 1 else "gaussian")
-            dual = kl_dual(state)
+            dual = production_kl(state)
 
-            scaled = state.scaled_ctx
-            k = kernel_block_fast(scaled, state.inducing, state.inducing).values
+            k = kernel_block_fast(state.ctx, state.inducing, state.inducing).values
             k = 0.5 * (k + k.T)
             lower = state.a_factor
             q = k.shape[0]
@@ -215,7 +210,7 @@ class TestKlDual:
             c = int(rng.integers(1, 3))
             ctx = random_ctx(rng, int(rng.integers(1, 4)), [int(rng.integers(2, 8))], c)
             state = make_state(rng, ctx, m=int(rng.integers(1, 5)), kind="categorical" if c > 1 else "gaussian")
-            assert kl_dual(state) >= -1e-8
+            assert production_kl(state) >= -1e-8
 
     def test_scaling_factor_increases_logdet_term(self):
         rng = rng_stream(9)
@@ -226,17 +221,15 @@ class TestKlDual:
             likelihood=state.likelihood,
             inducing=state.inducing,
             a_factor=2.0 * state.a_factor,
-            log_prior_variance=state.log_prior_variance,
-            log_noise_variance=state.log_noise_variance,
         )
-        k = kernel_block_fast(state.scaled_ctx, state.inducing, state.inducing).values
+        k = kernel_block_fast(state.ctx, state.inducing, state.inducing).values
 
         def logdet_term(s):
             h = np.eye(4) + s.a_factor.T @ k @ s.a_factor
             return np.linalg.slogdet(h)[1]
 
         assert logdet_term(scaled_state) > logdet_term(state)
-        assert kl_dual(scaled_state) > kl_dual(state)
+        assert production_kl(scaled_state) > production_kl(state)
 
 
 class TestAlphaObjective:
@@ -245,12 +238,10 @@ class TestAlphaObjective:
         ctx = random_ctx(rng, 1, [4], 1)
         state = make_state(rng, ctx, m=3, noise=0.4)
         state = VallaState(
-            ctx=state.ctx,
+            ctx=state.ctx.with_log_prior_variance(np.log(1e-300)),
             likelihood=state.likelihood,
             inducing=state.inducing,
             a_factor=state.a_factor,
-            log_prior_variance=np.log(1e-300),
-            log_noise_variance=state.log_noise_variance,
         )
         x = rng.normal(size=(6, 1))
         y = rng.normal(size=6)
@@ -271,7 +262,7 @@ class TestAlphaObjective:
         y = rng.normal(size=3)
         report = objective_gradient(state, x, y, n_total=3, compute_inducing_gradient=False)[0]
 
-        preds = valla_predict_batch(state, x)
+        preds = state.predict(x)
         mc_rng = rng_stream(123)
         total, total_se = 0.0, 0.0
         for p, target in zip(preds, y):
@@ -307,8 +298,6 @@ def fd_gradient_check(state, x, y, n_total, mode="alpha", step=1e-6, tol=1e-4):
             "likelihood": state.likelihood,
             "inducing": state.inducing,
             "a_factor": state.a_factor,
-            "log_prior_variance": state.log_prior_variance,
-            "log_noise_variance": state.log_noise_variance,
             "alpha": state.alpha,
         }
         fields.update(kw)
@@ -329,17 +318,20 @@ def fd_gradient_check(state, x, y, n_total, mode="alpha", step=1e-6, tol=1e-4):
             fd = (value(rebuild(inducing=state.inducing + bump)) - value(rebuild(inducing=state.inducing - bump))) / (2 * step)
             assert abs(fd - grads["inducing"][m_idx, d_idx]) <= tol * (1.0 + abs(fd)), f"inducing[{m_idx},{d_idx}]"
 
+    lpv = state.ctx.log_prior_variance
     fd = (
-        value(rebuild(log_prior_variance=state.log_prior_variance + step))
-        - value(rebuild(log_prior_variance=state.log_prior_variance - step))
+        value(rebuild(ctx=state.ctx.with_log_prior_variance(lpv + step)))
+        - value(rebuild(ctx=state.ctx.with_log_prior_variance(lpv - step)))
     ) / (2 * step)
     assert abs(fd - grads["log_prior_variance"]) <= tol * (1.0 + abs(fd)), "log_prior_variance"
 
     if state.likelihood.kind == "gaussian":
-        fd = (
-            value(rebuild(log_noise_variance=state.log_noise_variance + step))
-            - value(rebuild(log_noise_variance=state.log_noise_variance - step))
-        ) / (2 * step)
+        lnv = np.log(state.likelihood.noise_variance)
+
+        def noisy(v):
+            return rebuild(likelihood=LikelihoodModel(kind="gaussian", noise_variance=float(np.exp(v))))
+
+        fd = (value(noisy(lnv + step)) - value(noisy(lnv - step))) / (2 * step)
         assert abs(fd - grads["log_noise_variance"]) <= tol * (1.0 + abs(fd)), "log_noise_variance"
 
 
@@ -393,7 +385,7 @@ def assembled_objective_gradient(state, x, y, n_total, mode="alpha"):
     ``kernel_input_gradient_multi``. ``scales`` holds, for each scalar, the
     size of the terms it sums, against which its error is measured.
     """
-    ctx = state.scaled_ctx
+    ctx = state.ctx
     z, lower = state.inducing, state.a_factor
     m, b, c = z.shape[0], x.shape[0], ctx.net.arch.output_dim
     q = m * c
@@ -434,7 +426,7 @@ def assembled_objective_gradient(state, x, y, n_total, mode="alpha"):
     }
     scales = {"objective": abs(data) + abs(kl), "log_prior_variance": sum(map(abs, lpv_terms))}
     if state.likelihood.kind == "gaussian":
-        grads["log_noise_variance"] = state.noise_variance * d_dnoise
+        grads["log_noise_variance"] = state.likelihood.noise_variance * d_dnoise
         scales["log_noise_variance"] = max(abs(grads["log_noise_variance"]), 1.0)  # its terms are O(n_total)
     return data - kl, grads, scales
 
@@ -528,8 +520,8 @@ class TestFitValla:
         state = fit_valla(ctx, lik, (x, y), (x[:3], y[:3]), 4, schedule, early_stopping=False)
         assert np.array_equal(state.inducing, kmeans_init(x, 4, seed=0))
         assert np.array_equal(state.a_factor, 1e-3 * np.eye(4))
-        assert state.log_prior_variance == 0.1
-        assert np.isclose(state.noise_variance, 0.3)
+        assert state.ctx.log_prior_variance == 0.1
+        assert np.isclose(state.likelihood.noise_variance, 0.3)
 
     def test_determinism(self):
         rng = rng_stream(20)
@@ -542,7 +534,7 @@ class TestFitValla:
         s2 = fit_valla(ctx, lik, (x, y), (x[:4], y[:4]), 3, schedule)
         assert np.array_equal(s1.a_factor, s2.a_factor)
         assert np.array_equal(s1.inducing, s2.inducing)
-        assert s1.log_prior_variance == s2.log_prior_variance
+        assert s1.ctx.log_prior_variance == s2.ctx.log_prior_variance
 
     def test_mean_invariant_during_training(self):
         rng = rng_stream(21)
@@ -555,7 +547,7 @@ class TestFitValla:
         for iters in (1, 25, 100):
             schedule = TrainSchedule(iterations=iters, batch_size=20, learning_rate=5e-2, seed=0, validate_every=25)
             state = fit_valla(ctx, lik, (x, y), (x[:5], y[:5]), 5, schedule, early_stopping=False)
-            preds = valla_predict_batch(state, probe)
+            preds = state.predict(probe)
             got = np.stack([p.mean for p in preds])
             assert np.array_equal(got, expected)
 
@@ -585,7 +577,7 @@ class TestFitValla:
         )
         exact = fit_exact(ctx, lik, x)
         grid = np.linspace(-2, 2, 9)[:, None]
-        ours = np.array([p.covariance[0, 0] for p in valla_predict_batch(state, grid)])
+        ours = np.array([p.covariance[0, 0] for p in state.predict(grid)])
         ref = np.array([p.covariance[0, 0] for p in (exact.predict(g)[0] for g in grid)])
         assert np.max(np.abs(ours - ref)) <= 1e-3
 
@@ -615,12 +607,10 @@ class TestElboDegeneracy:
         alpha_values = []
         for pv in (1.0, 1e-2, 1e-4):
             state = VallaState(
-                ctx=ctx,
+                ctx=ctx.with_log_prior_variance(np.log(pv)),
                 likelihood=lik,
                 inducing=x[:5],
                 a_factor=0.1 * np.eye(5),
-                log_prior_variance=float(np.log(pv)),
-                log_noise_variance=float(np.log(0.05)),
             )
             values.append(objective_gradient(state, x, y, 15, compute_inducing_gradient=False, mode="elbo")[0].objective)
             alpha_values.append(objective_gradient(state, x, y, 15, compute_inducing_gradient=False)[0].objective)
