@@ -272,7 +272,11 @@ def _choose_hyperparameters(cfg, net, train):
 
 
 def fit_method(cfg, net, train, val, log_dir=None):
-    """Dispatch to the requested posterior; returns (state, info)."""
+    """Dispatch to the requested posterior; returns (state, info).
+
+    ``info`` records the prior variance the state holds, and for
+    regression its noise variance, as read back from the state.
+    """
     method = cfg["method"]
     prior_variance, noise_variance, search = _choose_hyperparameters(cfg, net, train)
     ctx = KernelContext(net=net, log_prior_variance=float(np.log(prior_variance)))
@@ -280,20 +284,20 @@ def fit_method(cfg, net, train, val, log_dir=None):
         likelihood = LikelihoodModel(kind="categorical")
     else:
         likelihood = LikelihoodModel(kind="gaussian", noise_variance=noise_variance)
-    info = {"method": method, "prior_variance": prior_variance, "noise_variance": noise_variance, **search}
+    info = {"method": method, **search}
 
     if method == "map":
-        return lla_mod.MapState(ctx=ctx, likelihood=likelihood), info
-    if method == "lla_exact":
+        state = lla_mod.MapState(ctx=ctx, likelihood=likelihood)
+    elif method == "lla_exact":
         try:
-            return lla_mod.fit_exact(ctx, likelihood, train.inputs), info
+            state = lla_mod.fit_exact(ctx, likelihood, train.inputs)
         except CapExceeded as exc:
             raise CapExceeded(f"{exc}; use method = valla for datasets this large") from None
-    if method == "lla_diag":
-        return lla_mod.fit_diag(ctx, likelihood, train.inputs), info
-    if method == "lla_last_layer":
-        return lla_mod.fit_last_layer(ctx, likelihood, train.inputs), info
-    if method == "ella":
+    elif method == "lla_diag":
+        state = lla_mod.fit_diag(ctx, likelihood, train.inputs)
+    elif method == "lla_last_layer":
+        state = lla_mod.fit_last_layer(ctx, likelihood, train.inputs)
+    elif method == "ella":
         features = cfg["method.features"]
         state = ella_mod.ella_fit(
             ctx,
@@ -305,35 +309,33 @@ def fit_method(cfg, net, train, val, log_dir=None):
             max_points=cfg["method.max_points"],
         )
         info["features"] = state.feature_dim
-        return state, info
-
-    schedule = valla_mod.TrainSchedule(
-        iterations=cfg["method.iterations"],
-        batch_size=cfg["method.batch_size"],
-        learning_rate=cfg["method.learning_rate"],
-        seed=cfg["seed"],
-        validate_every=cfg["method.validate_every"],
-        patience=cfg["method.patience"],
-    )
-    log_path = None if log_dir is None else Path(log_dir) / f"fit_log_{method}.csv"
-    state = valla_mod.fit_valla(
-        ctx,
-        likelihood,
-        (train.inputs, train.targets),
-        (val.inputs, val.targets) if val is not None and val.n else None,
-        cfg["method.inducing"],
-        schedule,
-        alpha=cfg["method.alpha"],
-        train_inducing=cfg["method.train_inducing"],
-        train_prior_variance=cfg["method.train_prior_variance"],
-        train_noise_variance=cfg["method.train_noise_variance"],
-        early_stopping=cfg["method.early_stopping"] and val is not None and val.n > 0,
-        objective=cfg["method.objective"],
-        log_path=log_path,
-    )
+    else:
+        schedule = valla_mod.TrainSchedule(
+            iterations=cfg["method.iterations"],
+            batch_size=cfg["method.batch_size"],
+            learning_rate=cfg["method.learning_rate"],
+            seed=cfg["seed"],
+            validate_every=cfg["method.validate_every"],
+            patience=cfg["method.patience"],
+        )
+        log_path = None if log_dir is None else Path(log_dir) / f"fit_log_{method}.csv"
+        state = valla_mod.fit_valla(
+            ctx,
+            likelihood,
+            (train.inputs, train.targets),
+            (val.inputs, val.targets) if val is not None and val.n else None,
+            cfg["method.inducing"],
+            schedule,
+            alpha=cfg["method.alpha"],
+            train_inducing=cfg["method.train_inducing"],
+            train_prior_variance=cfg["method.train_prior_variance"],
+            train_noise_variance=cfg["method.train_noise_variance"],
+            early_stopping=cfg["method.early_stopping"] and val is not None and val.n > 0,
+            objective=cfg["method.objective"],
+            log_path=log_path,
+        )
     info["prior_variance"] = state.ctx.prior_variance
-    if likelihood.kind == "gaussian":
-        info["noise_variance"] = state.likelihood.noise_variance
+    info["noise_variance"] = state.likelihood.noise_variance if likelihood.kind == "gaussian" else None
     return state, info
 
 

@@ -108,7 +108,7 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
         xb = x[start:stop]
         phi = _features(ctx, projection, anchors, xb)  # (B, C, K)
         roots = curvature_roots(likelihood, forward(ctx.net, xb).output)
-        psi = whiten(roots, phi.reshape(-1, k))  # (B*C, K)
+        psi = whiten(roots, phi.reshape(-1, k))  # (B*C', K), C' the column count of the roots
         precision += psi.T @ psi
     precision = 0.5 * (precision + precision.T)
     return EllaState(

@@ -150,14 +150,17 @@ def _next_sensitivity(net, sens, post, l_next):
 
 
 def _pair(sx, sz):
-    """(N1, C, N2, C) sensitivity inner products <sx[i, o], sz[j, p]>, as one GEMM."""
-    n1, c, k = sx.shape
-    n2 = sz.shape[0]
-    return (sx.reshape(n1 * c, k) @ sz.reshape(n2 * c, k).T).reshape(n1, c, n2, c)
+    """(N1, K1, N2, K2) sensitivity inner products <sx[i, o], sz[j, p]>, as one GEMM.
+
+    K1 and K2 are C for plain sensitivities; ``lla`` also pairs whitened ones.
+    """
+    n1, k1, w = sx.shape
+    n2, k2, _ = sz.shape
+    return (sx.reshape(n1 * k1, w) @ sz.reshape(n2 * k2, w).T).reshape(n1, k1, n2, k2)
 
 
 def _gram_term(ax, sx, az, sz):
-    """(N1, C, N2, C) layer term of kappa(x_i, z_j): pair times gain <a~x_i, a~z_j>."""
+    """(N1, K1, N2, K2) layer term of kappa(x_i, z_j): pair times gain <a~x_i, a~z_j>."""
     pair = _pair(sx, sz)
     pair *= (ax @ az.T)[:, None, :, None]
     return pair

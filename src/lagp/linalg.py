@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 
@@ -52,9 +53,12 @@ def check_symmetric(a, name="matrix", tol=SYMMETRY_TOL):
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if a.size and float(np.max(np.abs(a - a.T))) > tol * scale:
-        raise DimensionMismatch(f"{name} is not symmetric within {tol}")
+    if a.size:
+        # max|a| without an |a| temporary; a - a^T is antisymmetric entry
+        # for entry, so its largest entry is its largest magnitude
+        scale = max(1.0, float(a.max()), -float(a.min()))
+        if float((a - a.T).max()) > tol * scale:
+            raise DimensionMismatch(f"{name} is not symmetric within {tol}")
     return a
 
 
@@ -64,7 +68,11 @@ def cholesky(a):
     The first attempt adds no jitter. If LAPACK rejects the matrix, the
     jitter starts at ``JITTER_START_FACTOR * trace(a) / dim`` and grows
     tenfold per retry until ``JITTER_CAP_FACTOR * trace(a) / dim``, after
-    which NotPositiveDefinite is raised.
+    which NotPositiveDefinite is raised. The input is left unmodified.
+
+    LAPACK ``dpotrf`` runs on the column-major view a^T, which equals a,
+    and returns U with a = U^T U; U^T is then the row-major lower factor,
+    with no copy out. Only the lower triangle of a is read.
     """
     a = check_symmetric(a, "cholesky input")
     n = a.shape[0]
@@ -77,17 +85,14 @@ def cholesky(a):
     attempt = 0.0
     cap = JITTER_CAP_FACTOR * scale
     while True:
-        try:
-            mat = a if attempt == 0.0 else a + attempt * np.eye(n)
-            lower = np.linalg.cholesky(mat)
-            return CholeskyFactor(lower=lower, dim=n, jitter=attempt)
-        except np.linalg.LinAlgError:
-            nxt = JITTER_START_FACTOR * scale if attempt == 0.0 else attempt * 10.0
-            if nxt > cap:
-                raise NotPositiveDefinite(
-                    f"matrix not positive definite after jitter cap {cap:.3e}"
-                ) from None
-            attempt = nxt
+        mat = a.copy() if attempt == 0.0 else a + attempt * np.eye(n)
+        upper, info = scipy.linalg.lapack.dpotrf(mat.T, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            return CholeskyFactor(lower=upper.T, dim=n, jitter=attempt)
+        nxt = JITTER_START_FACTOR * scale if attempt == 0.0 else attempt * 10.0
+        if nxt > cap:
+            raise NotPositiveDefinite(f"matrix not positive definite after jitter cap {cap:.3e}")
+        attempt = nxt
 
 
 def solve_lower(factor, b):

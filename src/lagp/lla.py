@@ -19,11 +19,15 @@ The curvature block of the likelihood at a data point,
 
 is 1/noise_variance * I for the Gaussian case and diag(p) - p p^T at the
 softmax probabilities for the categorical case. Every fit takes it from
-the closed-form factor B of ``curvature_roots``, with B B^T equal to the
-curvature block. The categorical block is singular, so the function-space
-route whitens the kernel with B: solves use Q = I + B^T kappa(X, X) B,
-which is always positive definite, instead of inverting the curvature.
-Its predictive covariance is cov = prior - r^T r blockwise, with
+the closed-form (C, K) factor B of ``curvature_roots``, with B B^T equal
+to the curvature block: K = C for the Gaussian case and K = C - 1, the
+rank of the softmax block, for the categorical one. The categorical block
+is singular, so the function-space route whitens the kernel with B:
+solves use the N*K square Q = I + B^T kappa(X, X) B, which is always
+positive definite, instead of inverting the curvature. ``fit_exact``
+assembles Q in place from one ``layer_walk`` over X, each layer's
+sensitivities whitened to B^T s first, so no (N*C)^2 kernel is formed.
+The predictive covariance is cov = prior - r^T r blockwise, with
 r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q: one
 triangular solve. The weight-space routes add G^T G with G = B^T J per
 data point; only the last-layer fit forms B B^T, to keep its Kronecker
@@ -43,6 +47,8 @@ import numpy as np
 from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
 from .kernel import (
     KernelContext,
+    _diag_term,
+    _gram_term,
     as_inputs,
     jacobian,
     kernel_block_fast,
@@ -106,11 +112,18 @@ def softmax(g):
 
 
 def curvature_roots(likelihood, outputs):
-    """(N, C, C) factors B_n with B_n B_n^T the curvature block at each output.
+    """(N, C, K) factors B_n with B_n B_n^T the curvature block at each output.
 
-    I / sqrt(noise_variance) for the Gaussian likelihood. For the
-    categorical one, B = diag(sqrt(p)) - p sqrt(p)^T at the softmax
-    probabilities p: because sum(p) = 1, B B^T = diag(p) - p p^T exactly.
+    I / sqrt(noise_variance), K = C, for the Gaussian likelihood. The
+    categorical block diag(p) - p p^T at the softmax probabilities p has
+    rank C - 1 and null vector sqrt(p); it equals B B^T for
+    B = diag(sqrt(p)) - p sqrt(p)^T, and B H too, with H the Householder
+    reflection that maps sqrt(p) to -e_C (u = sqrt(p) + e_C, |u|^2 >= 2).
+    B H has a zero last column, and its first K = C - 1 columns are
+
+        rows i < C:  delta_ij sqrt(p_j) - p_i sqrt(p_j) / (1 + sqrt(p_C))
+        row C:       -sqrt(p_C) sqrt(p_j).
+
     Labels do not enter.
     """
     n, c = outputs.shape
@@ -118,15 +131,26 @@ def curvature_roots(likelihood, outputs):
         return np.broadcast_to(np.eye(c) / np.sqrt(likelihood.noise_variance), (n, c, c)).copy()
     p = softmax(outputs)
     root_p = np.sqrt(p)
-    roots = -p[:, :, None] * root_p[:, None, :]
-    roots[:, np.arange(c), np.arange(c)] += root_p
+    head = root_p[:, : c - 1]
+    coef = p / (1.0 + root_p[:, -1:])
+    coef[:, -1] = root_p[:, -1]
+    roots = -coef[:, :, None] * head[:, None, :]
+    roots[:, np.arange(c - 1), np.arange(c - 1)] += head
     return roots
 
 
 def whiten(roots, m):
-    """B^T m for the block-diagonal B of the (N, C, C) roots and a point-major (N*C, M) m."""
-    n, c, _ = roots.shape
-    return (roots.transpose(0, 2, 1) @ m.reshape(n, c, -1)).reshape(n * c, -1)
+    """B^T m for the block-diagonal B of the (N, C, K) roots and a point-major (N*C, M) m: (N*K, M)."""
+    n, c, k = roots.shape
+    cols = m.shape[1]
+    return (roots.transpose(0, 2, 1) @ m.reshape(n, c, cols)).reshape(n * k, cols)
+
+
+def _whitened_walk(net, roots, x):
+    """Yield (a~, B^T s) per ``layer_walk`` layer over x: the sensitivities whitened to (N, K, w)."""
+    roots_t = roots.transpose(0, 2, 1)
+    for _, a, s in layer_walk(net, x):
+        yield a, roots_t @ s
 
 
 class PosteriorState:
@@ -216,56 +240,77 @@ class LlaExactState(PosteriorState):
     ctx: KernelContext
     likelihood: LikelihoodModel
     train_inputs: np.ndarray
-    sqrt_lambda: np.ndarray  # (N, C, C) roots B with B B^T the curvature block (older files: symmetric roots)
-    q_factor: object  # Cholesky of I + B^T kappa(X, X) B; None when N = 0
+    sqrt_lambda: np.ndarray  # (N, C, K) roots B of ``curvature_roots``, K = C - 1 or C (older files: symmetric (N, C, C) roots)
+    q_factor: object  # Cholesky of the N*K square I + B^T kappa(X, X) B; None when N*K = 0
 
     def covariances(self, x):
         return exact_covariances(self, x)
 
+    def check(self):
+        arch = self.ctx.net.arch
+        c = arch.output_dim
+        x, roots = self.train_inputs, self.sqrt_lambda
+        if x.ndim != 2 or x.shape[1] != arch.input_dim:
+            raise FormatError(f"train_inputs must be (N, {arch.input_dim}), got shape {x.shape}")
+        n = x.shape[0]
+        if roots.shape not in ((n, c, c - 1), (n, c, c)):
+            raise FormatError(f"sqrt_lambda must be ({n}, {c}, {c - 1} or {c}), got shape {roots.shape}")
+        dim = n * roots.shape[2]
+        shape = None if self.q_factor is None else self.q_factor.lower.shape
+        if shape != ((dim, dim) if dim else None):
+            raise FormatError(f"q_factor must be a ({dim}, {dim}) lower triangle, absent when N*K = 0; got {shape}")
+
 
 def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
-    """Condition the tangent-kernel prior on the training data."""
+    """Condition the tangent-kernel prior on the training data.
+
+    Q = I + B^T kappa(X, X) B is accumulated layer by layer into one
+    (N*K)^2 buffer from a single walk over X: with B scaled by
+    sqrt(prior_variance), each layer adds (S S^T) * (A A^T) for the
+    whitened sensitivities S = B^T s and the layer inputs A.
+    """
     x = as_inputs(x, ctx.net.arch.input_dim)
     n = x.shape[0]
     c = ctx.net.arch.output_dim
     if n * c > cap:
         raise CapExceeded(f"N*C = {n * c} exceeds exact cap {cap}; use a sparse method")
-    if n == 0:
-        return LlaExactState(
-            ctx=ctx,
-            likelihood=likelihood,
-            train_inputs=x,
-            sqrt_lambda=np.zeros((0, c, c)),
-            q_factor=None,
-        )
     roots = curvature_roots(likelihood, forward(ctx.net, x).output)
-    gram = kernel_block_fast(ctx, x, x).values
-    gram = 0.5 * (gram + gram.T)
-    q = np.eye(n * c) + whiten(roots, whiten(roots, gram).T)
-    q = 0.5 * (q + q.T)
-    return LlaExactState(
-        ctx=ctx,
-        likelihood=likelihood,
-        train_inputs=x,
-        sqrt_lambda=roots,
-        q_factor=cholesky(q),
-    )
+    k = roots.shape[2]
+    q_factor = None
+    if n * k:
+        q = np.zeros((n, k, n, k))
+        for a, s in _whitened_walk(ctx.net, np.sqrt(ctx.prior_variance) * roots, x):
+            q += _gram_term(a, s, a, s)
+        q = q.reshape(n * k, n * k)
+        q.flat[:: n * k + 1] += 1.0
+        q_factor = cholesky(q)
+    return LlaExactState(ctx=ctx, likelihood=likelihood, train_inputs=x, sqrt_lambda=roots, q_factor=q_factor)
 
 
 def exact_covariances(state, x_star):
-    """Prior blocks minus r^T r at each query, r = L^-1 B^T kappa(X, x*), in query chunks."""
+    """Prior blocks minus r^T r at each query, r = L^-1 B^T kappa(X, x*), in query chunks.
+
+    X is walked once with its sensitivities whitened; each chunk of
+    queries is walked once for both its cross block and its prior blocks.
+    """
     ctx = state.ctx
-    prior = kernel_diag_blocks(ctx, x_star)
-    if state.train_inputs.shape[0] == 0:
-        return prior
-    # queries in chunks, so the (N*C, chunk*C) cross kernel stays within the block size
-    n, c = state.sqrt_lambda.shape[:2]
-    chunk = max(1, PREDICT_BLOCK_FLOATS // (n * c * c))
-    covs = np.empty_like(prior)
+    if state.q_factor is None:
+        return kernel_diag_blocks(ctx, x_star)
+    n, c, k = state.sqrt_lambda.shape
+    train = list(_whitened_walk(ctx.net, ctx.prior_variance * state.sqrt_lambda, state.train_inputs))
+    # queries in chunks, so the (N*K, chunk*C) cross block stays within the block size
+    chunk = max(1, PREDICT_BLOCK_FLOATS // (n * k * c))
+    covs = np.empty((x_star.shape[0], c, c))
     for start in range(0, x_star.shape[0], chunk):
-        rows = slice(start, start + chunk)
-        v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star[rows]).values)
-        covs[rows] = gram_blocks(solve_lower(state.q_factor, v), c, prior[rows])
+        rows = x_star[start : start + chunk]
+        v = np.zeros((n, k, rows.shape[0], c))
+        prior = np.zeros((rows.shape[0], c, c))
+        for (a, s), (_, aq, sq) in zip(train, layer_walk(ctx.net, rows)):
+            v += _gram_term(a, s, aq, sq)
+            prior += _diag_term(aq, sq)
+        r = solve_lower(state.q_factor, v.reshape(n * k, -1))
+        covs[start : start + chunk] = gram_blocks(r, c, ctx.prior_variance * prior)
+        del v, r  # the next chunk's blocks must not coexist with these
     return covs
 
 

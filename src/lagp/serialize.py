@@ -20,6 +20,11 @@ read it.
 A VaLLA file keeps its fitted variances in the shared prior-variance key
 and likelihood record, so its own meta is ``alpha`` alone. Older ones also
 hold the fitted noise under ``log_noise_variance`` and load with it.
+
+An exact file holds (N, C, K) curvature roots and the Cholesky factor of
+the N*K square Q they whiten, with K = C - 1 for a categorical fit. Older
+exact files hold (N, C, C) roots with an N*C factor; they load and
+predict as they are, so the format version is unchanged.
 """
 
 import json

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagp.cli import BOOL, CONFIG_KEYS, FLOAT, INT, NATURAL, POSITIVE, main, parse_config_text, validate_config
 from lagp.errors import ConfigError
-from lagp.serialize import load_state
+from lagp.serialize import load_state, read_container, write_container
 
 TOY_BASE = """
 seed = 0
@@ -269,6 +269,20 @@ class TestFit:
         info = json.loads((tmp_path / "fixed" / "fit_info_map.json").read_text())
         assert "evidence_points" not in info and "evidence_at_grid_edge" not in info
 
+    def test_fit_info_records_the_state_variances(self, tmp_path):
+        # a state holds log pv and predicts with exp(log pv), which for
+        # pv = 0.001 is 0.0010000000000000002
+        checkpoint = train_checkpoint(tmp_path)
+        base = TOY_BASE.replace("method.prior_variance = 0.5\n", "method.prior_variance = 0.001\n")
+        for method in ("map", "lla_exact", "lla_diag", "lla_last_layer", "ella", "valla"):
+            cfg = tmp_path / f"{method}.cfg"
+            cfg.write_text(base + f"output_dir = {tmp_path / method}\nmethod = {method}\n")
+            assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 0
+            info = json.loads((tmp_path / method / f"fit_info_{method}.json").read_text())
+            state, _ = load_state(tmp_path / method / f"state_{method}.bin")
+            assert info["prior_variance"] == state.ctx.prior_variance, method
+            assert info["noise_variance"] == state.likelihood.noise_variance, method
+
     def test_determinism_across_reruns(self, tmp_path):
         checkpoint = train_checkpoint(tmp_path)
         outs = []
@@ -349,6 +363,17 @@ class TestEvaluate:
         assert main(["evaluate", "--ood-in", str(good), "--ood-out", str(bad)]) == code
         err = capsys.readouterr().err
         assert str(bad) in err
+        assert "Traceback" not in err
+
+    def test_exact_factor_off_by_one_exits_1(self, tmp_path, capsys):
+        cfg, state = self.fit_state(tmp_path)
+        kind, meta, arrays = read_container(state)
+        arrays["q_factor"] = arrays["q_factor"][:-1, :-1]
+        write_container(tmp_path / "bad.bin", kind, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "bad.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert "q_factor" in err
         assert "Traceback" not in err
 
     def test_missing_state_exits_2(self, tmp_path):

@@ -3,7 +3,9 @@ import pytest
 
 from lagp.errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 from lagp.linalg import (
+    SYMMETRY_TOL,
     CholeskyFactor,
+    check_symmetric,
     cholesky,
     logdet,
     rng_stream,
@@ -57,6 +59,40 @@ class TestCholesky:
             recon = fac.lower @ fac.lower.T - fac.jitter * np.eye(n)
             rel = np.linalg.norm(recon - a) / np.linalg.norm(a)
             assert rel <= 1e-8
+
+    def test_lapack_factor_contract(self):
+        rng = rng_stream(8)
+        for n in (1, 2, 7, 40, 150, 300):
+            a = random_psd(rng, n, eps=1.0)
+            before = a.copy()
+            fac = cholesky(a)
+            assert np.array_equal(a, before)
+            assert fac.dim == n and fac.jitter == 0.0
+            assert fac.lower.flags["C_CONTIGUOUS"]
+            assert np.all(np.triu(fac.lower, 1) == 0.0)
+            oracle = np.linalg.cholesky(a)
+            assert np.max(np.abs(fac.lower - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_jittered_input_left_unmodified(self):
+        a = np.ones((3, 3))  # rank one: needs jitter
+        fac = cholesky(a)
+        assert fac.jitter > 0.0
+        assert np.array_equal(a, np.ones((3, 3)))
+        assert np.all(np.triu(fac.lower, 1) == 0.0)
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_threshold_is_relative_to_largest_entry(self, scale):
+        # with max|a| = scale (at least 1), an asymmetry of exactly
+        # SYMMETRY_TOL * scale passes and the next float above it fails
+        limit = SYMMETRY_TOL * scale
+        for sign in (1.0, -1.0):
+            inside = np.array([[-scale, sign * limit], [0.0, 0.5]])
+            assert check_symmetric(inside) is not None
+            outside = np.array([[-scale, sign * np.nextafter(limit, 1.0)], [0.0, 0.5]])
+            with pytest.raises(DimensionMismatch):
+                check_symmetric(outside)
 
 
 class TestSolvePsd:

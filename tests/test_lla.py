@@ -26,6 +26,7 @@ from lagp.lla import (
 )
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
 from lagp.ella import _features, ella_fit
+from lagp.serialize import load_state, save_state
 from lagp.valla import _capacity_factor, objective_gradient
 
 from test_kernel import random_ctx
@@ -98,6 +99,29 @@ class TestLambdaOf:
                 assert abs(fd - lam[a, b]) <= 1e-6
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(1, 6),
+        st.sampled_from([None, 0, -1]),
+        st.floats(0.0, 60.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_roots_have_rank_columns(self, n, c, dominant, lead, seed):
+        # K = C - 1 categorical columns, K = C Gaussian ones; the dominant
+        # class (first or last), when set, takes p -> 1 as its lead grows
+        g = rng_stream(seed).normal(scale=3.0, size=(n, c))
+        if dominant is not None:
+            g[:, dominant] += lead
+        roots = curvature_roots(LikelihoodModel(kind="categorical"), g)
+        assert roots.shape == (n, c, c - 1)
+        p = softmax(g)
+        lam = p[:, :, None] * np.eye(c) - p[:, :, None] * p[:, None, :]
+        if n:
+            assert np.max(np.abs(roots @ roots.transpose(0, 2, 1) - lam)) <= 1e-14
+        gauss = curvature_roots(LikelihoodModel(kind="gaussian", noise_variance=0.3), g)
+        assert gauss.shape == (n, c, c)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6), st.floats(1e-4, 1e2))
     def test_roots_reproduce_curvature(self, logits, noise):
         g = np.array(logits)
@@ -164,8 +188,8 @@ class TestFitExact:
         rng = rng_stream(7)
         ctx = random_ctx(rng, 2, [4], 2)
         state = fit_exact(ctx, LikelihoodModel(kind="categorical"), rng.normal(size=(5, 2)))
-        chunk = 3  # queries per block with 5 training points and C = 2
-        monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", chunk * 5 * 2 * 2)
+        chunk = 3  # queries per block with 5 training points, C = 2 and K = C - 1 = 1
+        monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", chunk * 5 * 1 * 2)
         x_star = rng.normal(size=(chunk + 1, 2))
         v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
         whole = gram_blocks(solve_lower(state.q_factor, v), 2, kernel_diag_blocks(ctx, x_star))
@@ -183,6 +207,24 @@ class TestFitExact:
         outputs = forward(ctx.net, x_star).output
         for i, p in enumerate(preds):
             assert np.array_equal(p.mean, outputs[i])
+
+    def test_one_class_categorical_keeps_the_prior(self, tmp_path):
+        # C = 1: the softmax curvature is zero, so its roots have K = 0 columns
+        rng = rng_stream(11)
+        ctx = random_ctx(rng, 2, [4], 1, log_prior_variance=0.1)
+        lik = LikelihoodModel(kind="categorical")
+        x, x_star = rng.normal(size=(5, 2)), rng.normal(size=(3, 2))
+        state = fit_exact(ctx, lik, x)
+        assert state.q_factor is None and state.sqrt_lambda.shape == (5, 1, 0)
+        prior = kernel_diag_blocks(ctx, x_star)
+        assert np.array_equal(state.predict(x_star).covariance, prior)
+        save_state(tmp_path / "one.bin", state)
+        loaded, _ = load_state(tmp_path / "one.bin")
+        assert np.array_equal(loaded.predict(x_star).covariance, prior)
+        for fit in (fit_diag, fit_weight_space):
+            assert_close_relative(fit(ctx, lik, x).predict(x_star).covariance, prior)
+        assert fit_last_layer(ctx, lik, x).predict(x_star).covariance.shape == (3, 1, 1)
+        assert ella_fit(ctx, lik, x, m=3, k=None, seed=0).predict(x_star).covariance.shape == (3, 1, 1)
 
 
 def assert_matches_oracle(cov, oracle):
@@ -212,8 +254,10 @@ class TestOneSolveForm:
         x_star = rng.normal(size=(n_query, d))
 
         exact = fit_exact(ctx, lik, x)
-        v = whiten(exact.sqrt_lambda, kernel_block_fast(ctx, x, x_star).values)
-        oracle = two_solve_blocks(kernel_diag_blocks(ctx, x_star), v, exact.q_factor)
+        oracle = kernel_diag_blocks(ctx, x_star)
+        if exact.q_factor is not None:  # None for one class: the categorical curvature is zero
+            v = whiten(exact.sqrt_lambda, kernel_block_fast(ctx, x, x_star).values)
+            oracle = two_solve_blocks(oracle, v, exact.q_factor)
         assert_matches_oracle(exact.predict(x_star).covariance, oracle)
 
         valla_state = make_state(rng, ctx, m=3, kind=kind)
@@ -513,6 +557,23 @@ class TestLayerwise:
         walked.clear()
         kernel.kernel_input_vjp(ctx, tape, np.ones((8, 3, 2, 3)))
         assert walked == []
+
+        # the exact fit assembles Q from one walk over X and never forms
+        # the Gram matrix; its predictive walks X once and the queries once
+        def refuse(*args):
+            raise AssertionError("kernel_block_fast called")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("lagp"):
+                for name, value in list(vars(module).items()):
+                    if value is kernel.kernel_block_fast:
+                        monkeypatch.setattr(module, name, refuse)
+        walked.clear()
+        exact = fit_exact(ctx, lik, x)
+        assert walked == [6]
+        walked.clear()
+        exact.predict(z)
+        assert walked == [6, 2]
 
 
 def unit_kernel_and_residuals(net, x, y):

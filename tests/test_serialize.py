@@ -213,6 +213,15 @@ BAD_LAST_LAYER_FACTORS = {
     "missing": lambda arrays: arrays.pop("precision_factor"),
 }
 
+BAD_EXACT_STATES = {
+    "factor-one-short": ("q_factor", _set("q_factor", lambda f: f[:-1, :-1])),
+    "factor-one-long": ("q_factor", _set("q_factor", lambda f: np.eye(f.shape[0] + 1))),
+    "factor-missing": ("q_factor", lambda arrays: arrays.pop("q_factor")),
+    "roots-too-many-columns": ("sqrt_lambda", _set("sqrt_lambda", lambda r: np.concatenate([r, r, r], axis=2))),
+    "roots-one-point-short": ("sqrt_lambda", _set("sqrt_lambda", lambda r: r[:-1])),
+    "inputs-wrong-width": ("train_inputs", _set("train_inputs", lambda x: x[:, :1])),
+}
+
 
 class TestMalformedStates:
     """States whose arrays do not fit the network are refused at load, before any predict."""
@@ -230,6 +239,19 @@ class TestMalformedStates:
         state, _ = fitted_states(2, kind)["lla-last-layer"]
         with pytest.raises(FormatError, match="precision_factor"):
             load_state(with_arrays_changed(tmp_path, state, change))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize(("name", "change"), BAD_EXACT_STATES.values(), ids=BAD_EXACT_STATES.keys())
+    def test_bad_exact_state_rejected(self, tmp_path, kind, name, change):
+        state, _ = fitted_states(2, kind)["lla-exact"]
+        with pytest.raises(FormatError, match=name):
+            load_state(with_arrays_changed(tmp_path, state, change))
+
+    def test_empty_exact_state_with_factor_rejected(self, tmp_path):
+        state, _ = fitted_states(2, "categorical")["lla-exact-empty"]
+        path = with_arrays_changed(tmp_path, state, lambda arrays: arrays.update(q_factor=np.eye(1)))
+        with pytest.raises(FormatError, match="q_factor"):
+            load_state(path)
 
     @pytest.mark.parametrize("name", ["precision_diag", "net_w0", "net_b1"])
     def test_missing_array_rejected(self, tmp_path, name):
