@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenFloorExhausted
+from .errors import DimensionMismatch, EigenFloorExhausted, FormatError
 from .kernel import as_inputs, kernel_block_fast
 from .linalg import cholesky, rng_stream, solve_lower, sym_eig
 from .lla import LikelihoodModel, PosteriorState, curvature_roots, gram_blocks, whiten
@@ -39,17 +39,32 @@ class EllaState(PosteriorState):
     KIND = "ella"
     ARRAYS = ("anchors", "projection")
     FACTORS = ("precision_factor",)
-    META = {"feature_dim": int}
 
     ctx: object
     likelihood: LikelihoodModel
     anchors: np.ndarray  # (M, D) subset of the training inputs
-    feature_dim: int
     projection: np.ndarray  # (K, M*C), maps unscaled kernel columns to features
     precision_factor: object  # Cholesky of G
 
+    @property
+    def feature_dim(self):
+        return self.projection.shape[0]
+
     def covariances(self, x):
         return ella_covariances(self, x)
+
+    def check(self):
+        arch = self.ctx.net.arch
+        anchors, projection = self.anchors, self.projection
+        if anchors.ndim != 2 or anchors.shape[0] < 1 or anchors.shape[1] != arch.input_dim:
+            raise FormatError(f"anchors must be (M, {arch.input_dim}) with M >= 1, got shape {anchors.shape}")
+        cols = anchors.shape[0] * arch.output_dim
+        if projection.ndim != 2 or projection.shape[0] < 1 or projection.shape[1] != cols:
+            raise FormatError(f"projection must be (K, {cols}) with K >= 1, got shape {projection.shape}")
+        k = projection.shape[0]
+        shape = None if self.precision_factor is None else self.precision_factor.lower.shape
+        if shape != (k, k):
+            raise FormatError(f"precision_factor must be a ({k}, {k}) lower triangle, got {shape}")
 
 
 def _features(state_ctx, projection, anchors, x):
@@ -115,7 +130,6 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
         ctx=ctx,
         likelihood=likelihood,
         anchors=anchors,
-        feature_dim=k,
         projection=projection,
         precision_factor=cholesky(precision),
     )

@@ -67,33 +67,6 @@ class KernelBlockMatrix:
     values: np.ndarray  # (left_points*C, right_points*C)
 
 
-class StorageCounter:
-    """Tallies auxiliary floats held by the fast kernel path.
-
-    Covers activation and sensitivity buffers only, not the returned Gram
-    matrix; it exists so tests can assert the fast path stays linear in
-    layer widths instead of scaling with the parameter count.
-    """
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def reset(self):
-        self.current = 0
-        self.peak = 0
-
-    def add(self, n_floats):
-        self.current += int(n_floats)
-        self.peak = max(self.peak, self.current)
-
-    def release(self, n_floats):
-        self.current -= int(n_floats)
-
-
-fast_path_counter = StorageCounter()
-
-
 def as_inputs(x, input_dim):
     """Inputs as an (N, D) float64 array; the one shape rule of every public function.
 
@@ -217,16 +190,8 @@ def kernel_block_fast(ctx, batch_x, batch_z):
     same = x.shape == z.shape and np.array_equal(x, z)
     walk = layer_walk(net, x)
     steps = ((step, step) for step in walk) if same else zip(walk, layer_walk(net, z))
-
-    fast_path_counter.reset()
-    fast_path_counter.add((n1 if same else n1 + n2) * sum(net.arch.layer_dims[:-1]))
     total = np.zeros((n1, c, n2, c))
-    held = 0  # two sensitivity levels coexist during each step down
     for (_, ax, sx), (_, az, sz) in steps:
-        level = sx.size + (0 if same else sz.size)
-        fast_path_counter.add(level)
-        fast_path_counter.release(held)
-        held = level
         total += _gram_term(ax, sx, az, sz)
 
     values = ctx.prior_variance * total.reshape(n1 * c, n2 * c)

@@ -192,6 +192,8 @@ class PosteriorState:
         fields = {name: arrays[name] for name in cls.ARRAYS}
         for name in cls.FACTORS:
             lower = arrays.get(name)
+            if lower is not None and lower.ndim != 2:
+                raise FormatError(f"{name} must be a matrix, got shape {lower.shape}")
             fields[name] = None if lower is None else CholeskyFactor(lower=lower, dim=lower.shape[0])
         fields.update((name, meta[name]) for name in cls.META)
         state = cls(ctx=ctx, likelihood=likelihood, **fields)

@@ -28,6 +28,7 @@ predict as they are, so the format version is unchanged.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -78,6 +79,7 @@ def write_container(path, kind, meta, arrays):
 
 
 def read_container(path):
+    """(kind, meta, arrays) of a container file; any malformed byte raises FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -93,24 +95,35 @@ def read_container(path):
         off += size
         return out
 
+    def take_text(size_fmt, what):
+        nonlocal off
+        (size,) = take(size_fmt)
+        if off + size > len(blob):
+            raise FormatError(f"state file truncated inside the {what}")
+        raw = blob[off : off + size]
+        off += size
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"the {what} is not valid utf-8") from None
+
     (version,) = take("<I")
     if version != VERSION:
         raise VersionMismatch(f"unsupported state version {version}")
-    (kind_len,) = take("<H")
-    kind = blob[off : off + kind_len].decode("utf-8")
-    off += kind_len
-    (meta_len,) = take("<I")
-    meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
-    off += meta_len
+    kind = take_text("<H", "kind")
+    try:
+        meta = json.loads(take_text("<I", "meta"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"the meta is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError("the meta must be a JSON object")
     (count,) = take("<I")
     arrays = {}
     for _ in range(count):
-        (name_len,) = take("<H")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
+        name = take_text("<H", "array name")
         (ndim,) = take("<B")
         shape = tuple(take("<Q")[0] for _ in range(ndim))
-        n_items = int(np.prod(shape)) if shape else 1
+        n_items = math.prod(shape)
         end = off + 8 * n_items
         if end > len(blob):
             raise FormatError(f"state file truncated inside array {name!r}")
@@ -206,4 +219,6 @@ def load_state(path):
         state = STATE_KINDS[kind].from_payload(ctx, likelihood, meta, arrays)
     except KeyError as exc:
         raise FormatError(f"{kind} state file lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{kind} state file holds a malformed value: {exc}") from None
     return state, _normalization_from_arrays(arrays)

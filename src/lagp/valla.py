@@ -12,10 +12,12 @@ posterior covariance between two inputs is
 which is the inverse-free rewriting of the textbook form
 kappa - k (A^{-1} + K_Z)^{-1} k'. With L_H the Cholesky factor of
 H = I + L^T K_Z L, its diagonal blocks are cov = prior - r^T r with
-r = L_H^-1 L^T k(Z, x), from one triangular solve. The divergence from
-the prior over the inducing basis reduces to the two covariance terms
+r = L_H^-1 L^T k(Z, x), from one triangular solve; equivalently
+cov = prior - k(x, Z) P k(Z, x) with P = L H^{-1} L^T. The divergence
+from the prior over the inducing basis reduces to the two covariance
+terms
 
-    KL = 1/2 log|I + L^T K_Z L| - 1/2 tr((I + L^T K_Z L)^{-1} L^T K_Z L);
+    KL = 1/2 log|H| - 1/2 tr(H^{-1} L^T K_Z L) = 1/2 log|H| - 1/2 tr(K_Z P);
 
 the quadratic mean term of the general decoupled-basis divergence is
 constant here because the mean is not trained, so it is dropped from the
@@ -36,9 +38,19 @@ alpha = 1 and Gaussian noise the data term is the exact log marginal of
 each observation, log N(y | m(x), noise + v(x)); general alpha in (0, 1]
 has a closed Gaussian form. For classification the expectation is
 replaced by the deterministic softmax damping of
-``metrics.predictive_class_probs``. Gradients with respect to L, Z and the
-log variances are assembled in closed form and are checked against finite
-differences in the tests.
+``metrics.predictive_class_probs``.
+
+Gradients are closed-form and checked against finite differences in the
+tests. With G = L H^{-1}, the data term pulls back to P as
+Omega = -sum_b k(Z, x_b) g_b k(x_b, Z), g_b its derivative by cov_b, and
+W is the cross block weighted by the g_b. Through
+dP = dL G^T + G dL^T - G dU G^T it reaches U = L^T K_Z L as -G^T Omega G,
+and dKL/dU = 1/2 H^{-1} U H^{-1} = G^T (K_Z / 2) G, so both terms act
+through T = Omega + K_Z / 2 (dU = L^T dK_Z L, or dL^T K_Z L + L^T K_Z dL):
+
+    d(objective)/d(K_Z) = psi = -P T P
+    d(objective)/d(L)         = tril(2 (Omega - K_Z P T) G)
+    d(objective)/d(kappa(X, Z)) = -2 W P
 """
 
 import math
@@ -46,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, FormatError, NonFiniteValue
 from .kernel import KernelContext, as_inputs, kernel_input_vjp, kernel_tape
 from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from .lla import LikelihoodModel, PosteriorState, gram_blocks
@@ -75,6 +87,15 @@ class VallaState(PosteriorState):
 
     def covariances(self, x):
         return valla_covariances(self, x)
+
+    def check(self):
+        arch = self.ctx.net.arch
+        z, lower = self.inducing, self.a_factor
+        if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != arch.input_dim:
+            raise FormatError(f"inducing must be (M, {arch.input_dim}) with M >= 1, got shape {z.shape}")
+        q = z.shape[0] * arch.output_dim
+        if lower.shape != (q, q) or not np.all(np.isfinite(lower)):
+            raise FormatError(f"a_factor must be a finite ({q}, {q}) matrix, got shape {lower.shape}")
 
     @classmethod
     def from_payload(cls, ctx, likelihood, meta, arrays):
@@ -106,21 +127,15 @@ class DualBasisReport:
 
 
 def _capacity_factor(lower, k_ind):
-    """Symmetrized K_Z, U = L^T K_Z L and the Cholesky of I + U, shared by prediction, KL, and gradients."""
+    """(K_Z, L_H): the symmetrized K_Z and the Cholesky factor of H = I + L^T K_Z L."""
     k_ind = 0.5 * (k_ind + k_ind.T)
     u = lower.T @ k_ind @ lower
-    u = 0.5 * (u + u.T)
-    return k_ind, u, cholesky(np.eye(u.shape[0]) + u)
+    return k_ind, cholesky(np.eye(u.shape[0]) + 0.5 * (u + u.T))
 
 
 def valla_covariances(state, x_star):
     """Prior blocks minus r^T r at each query, r = L_H^-1 L^T k(Z, x*), from one kernel tape."""
-    return _batch_posterior(state, x_star)["covs"]
-
-
-def _kl(h_factor, h_inv):
-    """The divergence from the Cholesky factor of H = I + L^T K_Z L and H^{-1}."""
-    return 0.5 * logdet(h_factor) - 0.5 * (h_factor.dim - float(np.trace(h_inv)))
+    return _batch_posterior(state, x_star)[3]
 
 
 def _gaussian_power_data_terms(y, means, variances, noise, alpha, n_scale):
@@ -156,30 +171,25 @@ def _categorical_data_terms(labels, means, variance_diags, n_scale):
 
 
 def _batch_posterior(state, batch_x):
-    """Shared pieces for prediction, the objective and its gradient on an (N, D) batch, from one kernel tape."""
+    """(tape, K_Z, L_H, covs) of an (N, D) batch from one ``kernel_tape``; prediction reads covs alone."""
     tape = kernel_tape(state.ctx, state.inducing, batch_x)
-    k_ind, u, h_factor = _capacity_factor(state.a_factor, tape.k_z)
+    k_ind, h_factor = _capacity_factor(state.a_factor, tape.k_z)
     r = solve_lower(h_factor, state.a_factor.T @ tape.cross.T)
-    return {
-        "tape": tape,
-        "k_ind": k_ind,
-        "u": u,
-        "h_factor": h_factor,
-        "covs": gram_blocks(r, tape.prior.shape[1], tape.prior),
-    }
+    return tape, k_ind, h_factor, gram_blocks(r, tape.prior.shape[1], tape.prior)
 
 
-def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
+def _data_term(state, means, covs, batch_y, n_total, mode):
+    """The scaled data term at (B, C) means and (B, C, C) covs, its (B, C, C) derivative by covs and by the noise."""
     if not 0.0 < state.alpha <= 1.0:
         raise DimensionMismatch("alpha must lie in (0, 1]")
-    b = pieces["covs"].shape[0]
+    b = covs.shape[0]
     n_scale = n_total / b
     if state.likelihood.kind == "gaussian":
-        if pieces["covs"].shape[1] != 1:
+        if covs.shape[1] != 1:
             raise DimensionMismatch("gaussian likelihood requires a single output")
         y = np.asarray(batch_y, dtype=np.float64).ravel()
-        variances = pieces["covs"][:, 0, 0]
-        means = pieces["means"].ravel()
+        variances = covs[:, 0, 0]
+        means = means.ravel()
         noise = state.likelihood.noise_variance
         if mode == "elbo":
             r = y - means
@@ -196,9 +206,9 @@ def _data_term(state, pieces, batch_y, n_total, mode="alpha"):
     if mode == "elbo":
         raise DimensionMismatch("elbo data term is implemented for the gaussian likelihood only")
     labels = np.asarray(batch_y).astype(int).ravel()
-    var_diags = np.diagonal(pieces["covs"], axis1=1, axis2=2)
-    values, d_dvdiag = _categorical_data_terms(labels, pieces["means"], var_diags, n_scale)
-    c = pieces["covs"].shape[1]
+    var_diags = np.diagonal(covs, axis1=1, axis2=2)
+    values, d_dvdiag = _categorical_data_terms(labels, means, var_diags, n_scale)
+    c = covs.shape[1]
     g_blocks = np.zeros((b, c, c))
     g_blocks[:, np.arange(c), np.arange(c)] = d_dvdiag
     return float(values.sum()), g_blocks, 0.0
@@ -229,34 +239,24 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     q = state.inducing.shape[0] * c
     lower = state.a_factor
 
-    pieces = _batch_posterior(state, batch_x)
-    pieces["means"] = forward(ctx.net, batch_x).output
-    k_ind, u, h_factor, tape = pieces["k_ind"], pieces["u"], pieces["h_factor"], pieces["tape"]
+    tape, k_ind, h_factor, covs = _batch_posterior(state, batch_x)
     cross = tape.cross  # (B*C, q), kappa(X, Z)
+    data, g_blocks, d_dnoise = _data_term(state, forward(ctx.net, batch_x).output, covs, batch_y, n_total, mode)
 
-    data, g_blocks, d_dnoise = _data_term(state, pieces, batch_y, n_total, mode=mode)
-    h_inv = solve_psd(h_factor, np.eye(q))
-    kl = _kl(h_factor, h_inv)
+    # the identities of the module docstring; five q x q x q products
+    g_t = solve_psd(h_factor, lower.T)  # G^T = H^{-1} L^T
+    proj = lower @ g_t  # P
+    kl = 0.5 * logdet(h_factor) - 0.5 * float(np.sum(k_ind * proj))
     report = DualBasisReport(kl_value=kl, data_term=data, objective=data - kl)
 
-    # KL pieces: dKL/dU with U = L^T K L
-    w_kl = 0.5 * h_inv @ u @ h_inv
-    w_kl = 0.5 * (w_kl + w_kl.T)
-
-    # data pieces through the posterior quadratic form
-    proj = lower @ h_inv @ lower.T  # (q, q)
-    weighted = (g_blocks.transpose(0, 2, 1) @ cross.reshape(b, c, q)).reshape(b * c, q)
-    omega = -weighted.T @ cross  # d(data)/d(proj)
+    weighted = (g_blocks.transpose(0, 2, 1) @ cross.reshape(b, c, q)).reshape(b * c, q)  # W
+    omega = -weighted.T @ cross  # d(data)/dP
     omega = 0.5 * (omega + omega.T)
-    w_data = h_inv @ lower.T @ omega @ lower @ h_inv
-    w_data = 0.5 * (w_data + w_data.T)
-
-    w_both = w_data + w_kl
-    grad_lower = np.tril(2.0 * omega @ lower @ h_inv - 2.0 * k_ind @ lower @ w_both)
-
-    psi = -lower @ w_both @ lower.T  # d(objective)/d(K_Z)
+    pt = proj @ (omega + 0.5 * k_ind)  # P T
+    grad_lower = np.tril(2.0 * (omega - k_ind @ pt) @ g_t.T)
+    psi = -pt @ proj  # d(objective)/d(K_Z)
     psi = 0.5 * (psi + psi.T)
-    grad_cross = -2.0 * weighted @ proj.T  # (B*C, q), d(data)/d(cross)
+    grad_cross = -2.0 * weighted @ proj  # (B*C, q), d(data)/d(cross)
 
     # log prior variance: every kernel matrix is linear in the variance
     grad_lpv = float(

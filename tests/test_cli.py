@@ -376,6 +376,18 @@ class TestEvaluate:
         assert "q_factor" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(("method", "field"), [("ella", "projection"), ("valla", "inducing")])
+    def test_ella_and_valla_off_by_one_exit_1(self, tmp_path, capsys, method, field):
+        cfg, state = self.fit_state(tmp_path, method)
+        kind, meta, arrays = read_container(state)
+        arrays[field] = arrays[field][:, :-1]
+        write_container(tmp_path / "bad.bin", kind, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "bad.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
     def test_missing_state_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "ms.cfg", f"output_dir = {tmp_path / 'ms'}\n")
         assert main(["evaluate", str(cfg), "--state", str(tmp_path / "none.bin")]) == 2

@@ -264,7 +264,7 @@ class TestOneSolveForm:
         scaled = valla_state.ctx
         z = valla_state.inducing
         t = valla_state.a_factor.T @ kernel_block_fast(scaled, z, x_star).values
-        h_factor = _capacity_factor(valla_state.a_factor, kernel_block_fast(scaled, z, z).values)[2]
+        h_factor = _capacity_factor(valla_state.a_factor, kernel_block_fast(scaled, z, z).values)[1]
         oracle = two_solve_blocks(kernel_diag_blocks(scaled, x_star), t, h_factor)
         assert_matches_oracle(valla_state.predict(x_star).covariance, oracle)
 

@@ -1,11 +1,13 @@
+import struct
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lagp.data import Normalization
-from lagp.errors import FormatError, VersionMismatch
+from lagp.errors import FormatError, LagpError, VersionMismatch
 from lagp.kernel import kernel_block_fast
 from lagp.linalg import cholesky, rng_stream
 from lagp.lla import (
@@ -20,7 +22,7 @@ from lagp.lla import (
 )
 from lagp.nn import forward
 from lagp.ella import ella_fit
-from lagp.serialize import load_state, read_container, save_state, write_container
+from lagp.serialize import MAGIC, VERSION, load_state, read_container, save_state, write_container
 
 from test_kernel import random_ctx
 from test_valla import make_state
@@ -57,6 +59,22 @@ class TestContainer:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatch):
+            read_container(path)
+
+    @pytest.mark.parametrize(
+        "meta_bytes", [b'{"x": 1', b"[1, 2]", b'{"s": "\xff"}'], ids=["bad-json", "not-an-object", "bad-utf8"]
+    )
+    def test_malformed_meta(self, tmp_path, meta_bytes):
+        path = tmp_path / "c.bin"
+        header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<H", 4) + b"demo"
+        path.write_bytes(header + struct.pack("<I", len(meta_bytes)) + meta_bytes + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match="meta"):
+            read_container(path)
+
+    def test_kind_longer_than_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<H", 500) + b"demo")
+        with pytest.raises(FormatError, match="kind"):
             read_container(path)
 
 
@@ -166,6 +184,29 @@ class TestStateRoundtrips:
         assert np.array_equal(got.covariance, expected.covariance)
         assert np.array_equal(got.y_variance, np.diagonal(expected.covariance, axis1=1, axis2=2) + np.exp(fitted_lnv))
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(STATE_NAMES),
+        st.sampled_from(["gaussian", "categorical"]),
+        st.booleans(),
+        st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)), min_size=1, max_size=3),
+    )
+    def test_corrupt_file_loads_or_raises_lagp_error(self, tmp_path, name, kind, truncate, edits):
+        # each example overwrites the same file
+        state, norm = fitted_states(2, kind)[name]
+        save_state(tmp_path / "s.bin", state, normalization=norm)
+        blob = bytearray((tmp_path / "s.bin").read_bytes())
+        if truncate:
+            blob = blob[: int(edits[0][0] * len(blob))]
+        else:
+            for where, value in edits:
+                blob[int(where * len(blob))] = value
+        (tmp_path / "s.bin").write_bytes(bytes(blob))
+        try:
+            load_state(tmp_path / "s.bin")
+        except LagpError:
+            pass
+
     def test_unknown_kind_rejected(self, tmp_path):
         write_container(tmp_path / "s.bin", "bogus", {}, {})
         with pytest.raises(FormatError):
@@ -222,6 +263,26 @@ BAD_EXACT_STATES = {
     "inputs-wrong-width": ("train_inputs", _set("train_inputs", lambda x: x[:, :1])),
 }
 
+BAD_ELLA_STATES = {
+    # one anchor fewer than the projection's columns: reported on the projection
+    "anchors-one-short": ("projection", _set("anchors", lambda a: a[:-1])),
+    "anchors-wrong-width": ("anchors", _set("anchors", lambda a: a[:, :1])),
+    "projection-one-column-short": ("projection", _set("projection", lambda p: p[:, :-1])),
+    "factor-one-short": ("precision_factor", _set("precision_factor", lambda f: f[:-1, :-1])),
+    "factor-one-long": ("precision_factor", _set("precision_factor", lambda f: np.eye(f.shape[0] + 1))),
+    "factor-vector": ("precision_factor", _set("precision_factor", lambda f: f[0])),
+    "factor-missing": ("precision_factor", lambda arrays: arrays.pop("precision_factor")),
+}
+BAD_VALLA_STATES = {
+    # one location fewer than the factor's blocks: reported on the factor
+    "inducing-one-short": ("a_factor", _set("inducing", lambda z: z[:-1])),
+    "inducing-wrong-width": ("inducing", _set("inducing", lambda z: z[:, :1])),
+    "inducing-empty": ("inducing", _set("inducing", lambda z: z[:0])),
+    "factor-one-short": ("a_factor", _set("a_factor", lambda f: f[:-1, :-1])),
+    "factor-not-square": ("a_factor", _set("a_factor", lambda f: f[:, :-1])),
+    "factor-nan-entry": ("a_factor", _set("a_factor", _with_entry(np.nan))),
+}
+
 
 class TestMalformedStates:
     """States whose arrays do not fit the network are refused at load, before any predict."""
@@ -247,11 +308,55 @@ class TestMalformedStates:
         with pytest.raises(FormatError, match=name):
             load_state(with_arrays_changed(tmp_path, state, change))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize(("name", "change"), BAD_ELLA_STATES.values(), ids=BAD_ELLA_STATES.keys())
+    def test_bad_ella_state_rejected(self, tmp_path, kind, name, change):
+        state, _ = fitted_states(2, kind)["ella"]
+        with pytest.raises(FormatError, match=name):
+            load_state(with_arrays_changed(tmp_path, state, change))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize(("name", "change"), BAD_VALLA_STATES.values(), ids=BAD_VALLA_STATES.keys())
+    def test_bad_valla_state_rejected(self, tmp_path, kind, name, change):
+        state, _ = fitted_states(2, kind)["valla"]
+        with pytest.raises(FormatError, match=name):
+            load_state(with_arrays_changed(tmp_path, state, change))
+
+    def test_older_ella_file_with_feature_dim_loads(self, tmp_path):
+        # older ELLA files also stored the feature count K in their meta
+        state, _ = fitted_states(2, "categorical")["ella"]
+        save_state(tmp_path / "new.bin", state)
+        kind, meta, arrays = read_container(tmp_path / "new.bin")
+        assert "feature_dim" not in meta
+        write_container(tmp_path / "old.bin", kind, dict(meta, feature_dim=state.feature_dim), arrays)
+        loaded, _ = load_state(tmp_path / "old.bin")
+        assert loaded.feature_dim == state.projection.shape[0]
+        probe = rng_stream(96).normal(size=(5, 2))
+        assert np.array_equal(loaded.predict(probe).covariance, state.predict(probe).covariance)
+
     def test_empty_exact_state_with_factor_rejected(self, tmp_path):
         state, _ = fitted_states(2, "categorical")["lla-exact-empty"]
         path = with_arrays_changed(tmp_path, state, lambda arrays: arrays.update(q_factor=np.eye(1)))
         with pytest.raises(FormatError, match="q_factor"):
             load_state(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta["arch"].update(hidden_dims=4),
+            lambda meta: meta["arch"].update(input_dim="two"),
+            lambda meta: meta.update(likelihood=[1.0]),
+        ],
+        ids=["hidden-dims-scalar", "input-dim-text", "likelihood-list"],
+    )
+    def test_malformed_meta_value_rejected(self, tmp_path, edit):
+        state, _ = fitted_states(2, "categorical")["lla-diag"]
+        save_state(tmp_path / "ok.bin", state)
+        kind, meta, arrays = read_container(tmp_path / "ok.bin")
+        edit(meta)
+        write_container(tmp_path / "bad.bin", kind, meta, arrays)
+        with pytest.raises(FormatError):
+            load_state(tmp_path / "bad.bin")
 
     @pytest.mark.parametrize("name", ["precision_diag", "net_w0", "net_b1"])
     def test_missing_array_rejected(self, tmp_path, name):

@@ -400,8 +400,8 @@ def assembled_objective_gradient(state, x, y, n_total, mode="alpha"):
     proj = lower @ h_inv @ lower.T
     blocks = cross.reshape(q, b, c)
     covs = prior - np.einsum("qbc,qp,pbd->bcd", blocks, proj, blocks)
-    pieces = {"covs": 0.5 * (covs + covs.transpose(0, 2, 1)), "means": forward(ctx.net, x).output}
-    data, g_blocks, d_dnoise = _data_term(state, pieces, y, n_total, mode=mode)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    data, g_blocks, d_dnoise = _data_term(state, forward(ctx.net, x).output, covs, y, n_total, mode)
     kl = 0.5 * np.linalg.slogdet(h)[1] - 0.5 * (q - np.trace(h_inv))
 
     w_kl = 0.5 * h_inv @ u @ h_inv
@@ -471,6 +471,15 @@ class TestObjectiveGradientAssembly:
         state = make_state(rng, ctx, m=20)
         x = rng.normal(size=(40, 1))
         assert_matches_assembly(state, x, rng.normal(size=40), n_total=400)
+
+    def test_matches_separate_kernel_calls_at_ten_classes(self):
+        # the benchmark's class count: q = M*C = 200
+        rng = rng_stream(31)
+        ctx = random_ctx(rng, 3, [8, 8], 10)
+        state = make_state(rng, ctx, m=20, kind="categorical")
+        x = rng.normal(size=(30, 3))
+        x[:2] = state.inducing[:2]
+        assert_matches_assembly(state, x, rng.integers(0, 10, size=30), n_total=300)
 
 
 class TestKmeansInit:
