@@ -110,6 +110,17 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
     return ctx.prior_variance * out
 
 
+def auxiliary_floats(ctx, xs, zs):
+    """Traced peak of ``kernel_block_fast`` beyond its output, in floats."""
+    tracemalloc.start()
+    try:
+        out = kernel_block_fast(ctx, xs, zs).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - out.nbytes) / 8
+
+
 class TestJacobian:
     def test_linear_model_rows(self):
         rng = rng_stream(0)
@@ -253,29 +264,40 @@ class TestKernelBlockFast:
             gram = 0.5 * (gram + gram.T)
             np.linalg.cholesky(gram + 1e-8 * np.eye(gram.shape[0]))
 
-    def test_auxiliary_memory_linear_in_width(self):
+    def test_storage_counter_linear_in_width(self):
         # the traced peak beyond the returned block: never Jacobian-sized,
         # and sublinear in the parameter count as the widths double
         rng = rng_stream(13)
         n, c = 8, 3
 
-        def aux_floats(width):
+        def aux_for(width):
             ctx = random_ctx(rng, 4, [width, width], c)
             xs = rng.normal(size=(n, 4))
             zs = rng.normal(size=(n, 4))
-            tracemalloc.start()
-            try:
-                out = kernel_block_fast(ctx, xs, zs).values
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return (peak - out.nbytes) / 8, ctx.net.param_count
+            return auxiliary_floats(ctx, xs, zs), ctx.net.param_count
 
-        aux_w, p_w = aux_floats(40)
-        aux_2w, p_2w = aux_floats(80)
+        aux_w, p_w = aux_for(40)
+        aux_2w, p_2w = aux_for(80)
         assert aux_w < n * c * p_w / 4
         assert p_2w / p_w > 3.0
         assert aux_2w / aux_w < 2.5
+
+    def test_storage_counter_exact_accounting(self):
+        # the traced peak beyond the returned block holds the activations of
+        # both batches, two sensitivity levels at the widest transition and
+        # the accumulator, and little more
+        rng = rng_stream(14)
+        dims, c = (3, 60, 50, 2), 2
+        n1, n2 = 40, 70
+        ctx = random_ctx(rng, dims[0], list(dims[1:-1]), c)
+        xs = rng.normal(size=(n1, dims[0]))
+        zs = rng.normal(size=(n2, dims[0]))
+        n = n1 + n2
+        acts = n * sum(dims[:-1])
+        peak_sens = max(n * c * (dims[3] + dims[2]), n * c * (dims[2] + dims[1]))
+        accounted = acts + peak_sens + n1 * c * n2 * c
+        aux = auxiliary_floats(ctx, xs, zs)
+        assert accounted <= aux <= 1.5 * accounted
 
     def test_empty_batches_give_empty_blocks(self):
         ctx = random_ctx(rng_stream(0), 2, [3], 2)
