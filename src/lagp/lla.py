@@ -56,7 +56,7 @@ from .kernel import (
     layer_walk,
 )
 from .linalg import CholeskyFactor, cholesky, solve_lower, solve_psd, sym_eig
-from .nn import forward
+from .nn import forward, layer_blocks
 
 EXACT_CAP = 3000  # max N*C for the function-space route
 WEIGHT_SPACE_CAP = 2000  # max parameter count for the explicit precision
@@ -166,8 +166,9 @@ class PosteriorState:
     Cholesky factors named in ``FACTORS`` by their lower triangles (a
     factor that is None is left out), and the scalars in ``META`` (name ->
     type) as metadata; ``serialize`` stores ctx and likelihood itself.
-    ``check`` runs on every state read from a payload and raises
-    FormatError when its arrays do not fit the network.
+    Reading a payload raises FormatError, naming the field, when an array
+    or factor holds NaN or Inf; ``check`` then runs on the state and
+    raises FormatError when its arrays do not fit the network.
     """
 
     KIND = None
@@ -190,6 +191,9 @@ class PosteriorState:
     @classmethod
     def from_payload(cls, ctx, likelihood, meta, arrays):
         fields = {name: arrays[name] for name in cls.ARRAYS}
+        for name in (*cls.ARRAYS, *cls.FACTORS):
+            if name in arrays and not np.isfinite(arrays[name]).all():
+                raise FormatError(f"{name} holds NaN or Inf")
         for name in cls.FACTORS:
             lower = arrays.get(name)
             if lower is not None and lower.ndim != 2:
@@ -359,14 +363,6 @@ def weight_space_covariances(state, x_star):
     return 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
-def _layer_blocks(arch, params):
-    """Views of a (P,) parameter vector, one (w_{l-1}+1, w_l) block per layer: W_l rows, then b_l."""
-    dims = arch.layer_dims
-    sizes = [(dims[l] + 1) * dims[l + 1] for l in range(arch.depth)]
-    parts = np.split(params, np.cumsum(sizes)[:-1])
-    return [part.reshape(dims[l] + 1, dims[l + 1]) for l, part in enumerate(parts)]
-
-
 @dataclass(frozen=True)
 class LlaDiagState(PosteriorState):
     KIND = "lla-diag"
@@ -382,8 +378,8 @@ class LlaDiagState(PosteriorState):
     def check(self):
         p = self.ctx.net.param_count
         diag = self.precision_diag
-        if diag.shape != (p,) or not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-            raise FormatError(f"precision_diag must hold {p} finite positive entries, got shape {diag.shape}")
+        if diag.shape != (p,) or np.any(diag <= 0):
+            raise FormatError(f"precision_diag must hold {p} positive entries, got shape {diag.shape}")
 
 
 def fit_diag(ctx, likelihood, x):
@@ -395,7 +391,7 @@ def fit_diag(ctx, likelihood, x):
     net = ctx.net
     x = as_inputs(x, net.arch.input_dim)
     diag = np.full(net.param_count, 1.0 / ctx.prior_variance)
-    blocks = _layer_blocks(net.arch, diag)
+    blocks = layer_blocks(net.arch, diag)
     roots_t = curvature_roots(likelihood, forward(net, x).output).transpose(0, 2, 1)
     for l, a, s in layer_walk(net, x):
         g = roots_t @ s
@@ -407,7 +403,7 @@ def diag_covariances(state, x_star):
     """Covariance sum_l (s * (a~^2 D_l)) s^T, with D_l layer l's block of 1 / precision_diag."""
     net = state.ctx.net
     c = net.arch.output_dim
-    inv = _layer_blocks(net.arch, 1.0 / state.precision_diag)
+    inv = layer_blocks(net.arch, 1.0 / state.precision_diag)
     covs = np.zeros((x_star.shape[0], c, c))
     for l, a, s in layer_walk(net, x_star):
         covs += (s * ((a * a) @ inv[l])[:, None, :]) @ s.transpose(0, 2, 1)

@@ -2,8 +2,13 @@
 
 Layer l computes ``h_l = a(h_{l-1}) @ W_l + b_l`` with ``W_l`` of shape
 (fan_in, fan_out) and tanh activations between layers; the final layer is
-linear. The forward pass can retain every pre- and post-activation, which
-downstream modules need to assemble Jacobians and kernels.
+linear. All P parameters share one flat layout, owned by ``layer_blocks``:
+per layer, W_l row-major then b_l, a (fan_in + 1, fan_out) block whose last
+row is the bias. ``train_map`` builds its network once over views of one
+such vector, which Adam updates in place from ``backward``'s flat gradient.
+``forward`` rejects a non-finite output; the trainer rejects a non-finite
+loss and, after each update, a non-finite parameter, naming the iteration;
+a network built from arrays rejects non-finite parameters when built.
 """
 
 import struct
@@ -78,13 +83,27 @@ class MlpNetwork:
     def param_count(self):
         return self.arch.param_count
 
+    @classmethod
+    def from_flat(cls, arch, params):
+        """The network over views of the (P,) vector ``params``: writes to it show through."""
+        blocks = layer_blocks(arch, params)
+        return cls(arch=arch, weights=tuple(b[:-1] for b in blocks), biases=tuple(b[-1] for b in blocks))
+
     def flat_parameters(self):
-        """All parameters as one vector, layer-major: W_1, b_1, W_2, b_2, ..."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """A copy of all parameters as one (P,) vector in the ``layer_blocks`` layout."""
+        params = np.empty(self.param_count)
+        for block, w, b in zip(layer_blocks(self.arch, params), self.weights, self.biases):
+            block[:-1], block[-1] = w, b
+        return params
+
+
+def layer_blocks(arch, params):
+    """Views of a (P,) parameter vector, one (w_{l-1}+1, w_l) block per layer: rows W_l, then the last row b_l."""
+    dims, blocks, start = arch.layer_dims, [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        blocks.append(params[start : start + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+        start += (fan_in + 1) * fan_out
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -113,15 +132,13 @@ class TrainConfig:
 
 
 def init_network(arch, seed):
-    """Weights drawn from N(0, 1/fan_in), biases zero."""
+    """Weights drawn from N(0, 1/fan_in), layer by layer, biases zero."""
     rng = rng_stream(seed)
-    dims = arch.layer_dims
-    weights, biases = [], []
-    for l in range(arch.depth):
-        std = 1.0 / np.sqrt(dims[l])
-        weights.append(rng.normal(0.0, std, size=(dims[l], dims[l + 1])))
-        biases.append(np.zeros(dims[l + 1]))
-    return MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
+    params = np.zeros(arch.param_count)
+    for block in layer_blocks(arch, params):
+        fan_in = block.shape[0] - 1
+        block[:-1] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=block[:-1].shape)
+    return MlpNetwork.from_flat(arch, params)
 
 
 def forward(net, x, keep_trace=False):
@@ -154,11 +171,12 @@ def forward(net, x, keep_trace=False):
 
 
 def backward(net, x, trace, output_gradient):
-    """Gradient of a scalar loss with respect to every weight and bias.
+    """Gradient of a scalar loss with respect to every parameter, as one (P,) vector.
 
     ``output_gradient`` holds d(loss)/d(output), one row per input; the
     trace must come from ``forward(..., keep_trace=True)`` on the same
-    batch.
+    batch. Each layer's products are written straight into its
+    ``layer_blocks`` view of the gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_gradient, dtype=np.float64)
@@ -168,43 +186,50 @@ def backward(net, x, trace, output_gradient):
         raise DimensionMismatch(
             f"output gradient shape {g.shape} != output shape {trace.output.shape}"
         )
-    depth = net.arch.depth
-    weight_grads = [None] * depth
-    bias_grads = [None] * depth
+    grad = np.empty(net.param_count)
+    blocks = layer_blocks(net.arch, grad)
     delta = g
-    for l in range(depth - 1, -1, -1):
+    for l in range(net.arch.depth - 1, -1, -1):
         inputs = x if l == 0 else trace.post_activations[l - 1]
-        weight_grads[l] = inputs.T @ delta
-        bias_grads[l] = delta.sum(axis=0)
+        np.matmul(inputs.T, delta, out=blocks[l][:-1])
+        delta.sum(axis=0, out=blocks[l][-1])
         if l > 0:
             post = trace.post_activations[l - 1]
             delta = (delta @ net.weights[l].T) * (1.0 - post * post)
-    return tuple(weight_grads), tuple(bias_grads)
+    return grad
 
 
 class AdamOptimizer:
-    """Adam over a list of arrays, with classic L2 added to the gradient."""
+    """Adam over one flat vector, updated in place, with classic L2 added to the gradient.
 
-    def __init__(self, shapes, learning_rate, weight_decay=0.0):
+    Each element runs m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+    p -= (lr m_hat) / (sqrt(v_hat) + eps) in this order, however it is packed.
+    """
+
+    def __init__(self, params, learning_rate, weight_decay=0.0):
+        self.params = params
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, params, grads):
+    def step(self, grad):
+        """Update ``params`` in place from the gradient ``grad``, which is left as it is."""
         self.step_count += 1
         t = self.step_count
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if self.weight_decay != 0.0:
-                g = g + self.weight_decay * p
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self.m[i] / (1.0 - ADAM_BETA1**t)
-            v_hat = self.v[i] / (1.0 - ADAM_BETA2**t)
-            out.append(p - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        return out
+        a, b = self._scratch
+        if self.weight_decay != 0.0:
+            grad = np.add(grad, np.multiply(self.weight_decay, self.params, out=a), out=a)
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(1.0 - ADAM_BETA1, grad, out=b)
+        self.v *= ADAM_BETA2
+        self.v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=b), grad, out=b)
+        denom = np.sqrt(np.divide(self.v, 1.0 - ADAM_BETA2**t, out=b), out=b)
+        denom += ADAM_EPS
+        update = np.multiply(np.divide(self.m, 1.0 - ADAM_BETA1**t, out=a), self.learning_rate, out=a)
+        self.params -= np.divide(update, denom, out=a)
 
 
 def _loss_and_output_grad(outputs, targets, loss):
@@ -219,8 +244,7 @@ def _loss_and_output_grad(outputs, targets, loss):
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
     log_probs = shifted - log_z[:, None]
     nll = -float(np.mean(log_probs[np.arange(n), labels]))
-    probs = np.exp(log_probs)
-    grad = probs
+    grad = np.exp(log_probs)
     grad[np.arange(n), labels] -= 1.0
     return nll, grad / n
 
@@ -267,30 +291,26 @@ def train_map(arch, data, cfg, log_path=None):
         raise DimensionMismatch("training data is empty")
     if y.ndim == 1:
         y = y[:, None]
-    net = init_network(arch, cfg.seed)
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
-    shapes = [w.shape for w in weights] + [b.shape for b in biases]
-    opt = AdamOptimizer(shapes, cfg.learning_rate, cfg.weight_decay)
+    params = init_network(arch, cfg.seed).flat_parameters()
+    net = MlpNetwork.from_flat(arch, params)
+    opt = AdamOptimizer(params, cfg.learning_rate, cfg.weight_decay)
     log_rows = []
     batches = minibatches(x.shape[0], cfg.batch_size, cfg.seed + 1)
     for it, idx in zip(range(1, cfg.iterations + 1), batches):
-        current = MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
-        trace = forward(current, x[idx], keep_trace=True)
+        batch_x = x[idx]
+        trace = forward(net, batch_x, keep_trace=True)
         loss, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
         if not np.isfinite(loss):
             raise NonFiniteValue(f"training diverged at iteration {it}")
-        w_grads, b_grads = backward(current, x[idx], trace, out_grad)
-
-        updated = opt.step(list(weights) + list(biases), list(w_grads) + list(b_grads))
-        weights = updated[: len(weights)]
-        biases = updated[len(weights) :]
+        opt.step(backward(net, batch_x, trace, out_grad))
+        if not np.isfinite(params).all():
+            raise NonFiniteValue(f"training diverged at iteration {it}: a parameter is NaN or Inf")
         if it % LOG_EVERY == 0 or it == cfg.iterations:
             log_rows.append((it, loss))
 
     if log_path is not None:
         write_log(log_path, "iteration,loss", log_rows)
-    return MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
+    return net
 
 
 def save_network(net, path):
@@ -299,13 +319,9 @@ def save_network(net, path):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IB", CHECKPOINT_VERSION, _ACTIVATIONS[arch.activation]))
-        fh.write(struct.pack("<II", arch.input_dim, len(arch.hidden_dims)))
-        for d in arch.hidden_dims:
-            fh.write(struct.pack("<I", d))
-        fh.write(struct.pack("<I", arch.output_dim))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        hidden = arch.hidden_dims
+        fh.write(struct.pack(f"<II{len(hidden)}II", arch.input_dim, len(hidden), *hidden, arch.output_dim))
+        fh.write(net.flat_parameters().astype("<f8", copy=False).tobytes())
 
 
 def load_network(path):
@@ -327,30 +343,18 @@ def load_network(path):
     if act_id not in _ACTIVATION_IDS:
         raise FormatError(f"unknown activation id {act_id}")
     (input_dim, n_hidden), off = take("<II", off)
-    hidden = []
-    for _ in range(n_hidden):
-        (d,), off = take("<I", off)
-        hidden.append(d)
+    hidden, off = take(f"<{n_hidden}I", off)
     (output_dim,), off = take("<I", off)
     arch = MlpArchitecture(
         input_dim=input_dim,
-        hidden_dims=tuple(hidden),
+        hidden_dims=hidden,
         output_dim=output_dim,
         activation=_ACTIVATION_IDS[act_id],
     )
-    dims = arch.layer_dims
-    weights, biases = [], []
-    for l in range(arch.depth):
-        w_count = dims[l] * dims[l + 1]
-        end = off + 8 * (w_count + dims[l + 1])
-        if end > len(blob):
-            raise FormatError("checkpoint truncated inside parameters")
-        w = np.frombuffer(blob, dtype="<f8", count=w_count, offset=off)
-        off += 8 * w_count
-        b = np.frombuffer(blob, dtype="<f8", count=dims[l + 1], offset=off)
-        off += 8 * dims[l + 1]
-        weights.append(w.reshape(dims[l], dims[l + 1]).copy())
-        biases.append(b.copy())
-    if off != len(blob):
+    size = 8 * arch.param_count
+    if off + size > len(blob):
+        raise FormatError("checkpoint truncated inside parameters")
+    if off + size != len(blob):
         raise FormatError("trailing bytes after parameters")
-    return MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
+    params = np.frombuffer(blob, dtype="<f8", count=arch.param_count, offset=off).astype(np.float64)
+    return MlpNetwork.from_flat(arch, params)

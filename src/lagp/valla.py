@@ -94,8 +94,8 @@ class VallaState(PosteriorState):
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != arch.input_dim:
             raise FormatError(f"inducing must be (M, {arch.input_dim}) with M >= 1, got shape {z.shape}")
         q = z.shape[0] * arch.output_dim
-        if lower.shape != (q, q) or not np.all(np.isfinite(lower)):
-            raise FormatError(f"a_factor must be a finite ({q}, {q}) matrix, got shape {lower.shape}")
+        if lower.shape != (q, q):
+            raise FormatError(f"a_factor must be a ({q}, {q}) matrix, got shape {lower.shape}")
 
     @classmethod
     def from_payload(cls, ctx, likelihood, meta, arrays):
@@ -366,24 +366,32 @@ def fit_valla(
 
     c = ctx.net.arch.output_dim
     q = int(m_inducing) * c
-    inducing = kmeans_init(x, m_inducing, schedule.seed)
-    lower = A_FACTOR_INIT_SCALE * np.eye(q)
-    lpv = float(ctx.log_prior_variance)
-    lnv = float(np.log(likelihood.noise_variance)) if likelihood.kind == "gaussian" else 0.0
 
-    def make_state():
-        noise = float(np.exp(lnv)) if likelihood.kind == "gaussian" else likelihood.noise_variance
+    def leaves(vec):
+        """Views (L, Z) of a vector that packs L, Z, log prior variance and log noise variance."""
+        return vec[: q * q].reshape(q, q), vec[q * q : -2].reshape(m_inducing, x.shape[1])
+
+    lnv = float(np.log(likelihood.noise_variance)) if likelihood.kind == "gaussian" else 0.0
+    init = (A_FACTOR_INIT_SCALE * np.eye(q), kmeans_init(x, m_inducing, schedule.seed), [ctx.log_prior_variance, lnv])
+    params = np.concatenate([np.ravel(leaf) for leaf in init])
+    lower, inducing = leaves(params)
+    upper = ~np.tri(q, dtype=bool)
+
+    def make_state(keep=True):
+        """The state at ``params``; one that is kept copies its arrays out."""
+        noise = float(np.exp(params[-1])) if likelihood.kind == "gaussian" else likelihood.noise_variance
         return VallaState(
-            ctx=ctx.with_log_prior_variance(lpv),
+            ctx=ctx.with_log_prior_variance(float(params[-2])),
             likelihood=replace(likelihood, noise_variance=noise),
-            inducing=inducing,
-            a_factor=lower,
+            inducing=inducing.copy() if keep else inducing,
+            a_factor=lower.copy() if keep else lower,
             alpha=alpha,
         )
 
     train_noise = train_noise_variance and likelihood.kind == "gaussian"
-    param_shapes = [lower.shape, inducing.shape, (), ()]
-    opt = AdamOptimizer(param_shapes, schedule.learning_rate)
+    grad = np.zeros_like(params)
+    grad_lower, grad_inducing = leaves(grad)
+    opt = AdamOptimizer(params, schedule.learning_rate)
 
     best_state = make_state()
     best_nll = math.inf
@@ -391,34 +399,26 @@ def fit_valla(
     log_rows = []
     batches = minibatches(n, schedule.batch_size, schedule.seed + 1)
     for it, idx in zip(range(1, schedule.iterations + 1), batches):
-        state = make_state()
         try:
             report, grads = objective_gradient(
-                state, x[idx], y[idx], n, compute_inducing_gradient=train_inducing, mode=objective
+                make_state(keep=False), x[idx], y[idx], n, compute_inducing_gradient=train_inducing, mode=objective
             )
         except NonFiniteValue as exc:
             raise NonFiniteValue(f"diverged at iteration {it}: {exc}") from None
         if not np.isfinite(report.objective):
             raise NonFiniteValue(f"objective diverged at iteration {it}")
 
-        step_grads = [
-            -grads["a_factor"],
-            -grads["inducing"],
-            -np.asarray(grads["log_prior_variance"]) if train_prior_variance else np.asarray(0.0),
-            -np.asarray(grads.get("log_noise_variance", 0.0)) if train_noise else np.asarray(0.0),
-        ]
-        lower_new, inducing_new, lpv_new, lnv_new = opt.step(
-            [lower, inducing, np.asarray(lpv), np.asarray(lnv)], step_grads
-        )
-        lower = np.tril(lower_new)
-        inducing = inducing_new
-        lpv = float(lpv_new)
-        lnv = float(lnv_new)
+        np.negative(grads["a_factor"], out=grad_lower)
+        np.negative(grads["inducing"], out=grad_inducing)
+        grad[-2] = -grads["log_prior_variance"] if train_prior_variance else 0.0
+        grad[-1] = -grads.get("log_noise_variance", 0.0) if train_noise else 0.0
+        opt.step(grad)
+        lower[upper] = 0.0
 
         val_nll = None
         if it % schedule.validate_every == 0 or it == schedule.iterations:
             if validation is not None and len(validation[0]):
-                val_nll = validation_nll(make_state(), validation[0], validation[1])
+                val_nll = validation_nll(make_state(keep=False), validation[0], validation[1])
                 if val_nll < best_nll - 1e-12:
                     best_nll = val_nll
                     best_state = make_state()

@@ -163,6 +163,16 @@ class TestTrainMap:
         b = (tmp_path / "b" / "checkpoint.bin").read_bytes()
         assert a == b
 
+    def test_divergence_exits_1_without_checkpoint(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TOY_BASE.replace("train.learning_rate = 0.01", "train.learning_rate = 1e300")
+                       + f"output_dir = {tmp_path / 'run'}\n")
+        assert main(["train-map", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "iteration 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_missing_dataset_path_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dataset.kind = csv\ndataset.path = missing.csv\n")
@@ -314,6 +324,17 @@ METRICS_SCHEMA = {
 }
 
 
+@pytest.fixture(scope="module")
+def fitted_states_dir(tmp_path_factory):
+    """(config, run directory) where one checkpoint was fitted by every method whose state holds arrays."""
+    tmp = tmp_path_factory.mktemp("fitted")
+    checkpoint = train_checkpoint(tmp)
+    for method in ("lla_exact", "lla_diag", "lla_last_layer", "ella", "valla"):
+        cfg = write_config(tmp, f"{method}.cfg", f"output_dir = {tmp / 'ev'}\nmethod = {method}\n")
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 0
+    return cfg, tmp / "ev"
+
+
 class TestEvaluate:
     def fit_state(self, tmp_path, method="lla_exact"):
         checkpoint = train_checkpoint(tmp_path)
@@ -381,6 +402,33 @@ class TestEvaluate:
         cfg, state = self.fit_state(tmp_path, method)
         kind, meta, arrays = read_container(state)
         arrays[field] = arrays[field][:, :-1]
+        write_container(tmp_path / "bad.bin", kind, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "bad.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("method", "field"),
+        [
+            ("lla_exact", "train_inputs"),
+            ("lla_exact", "sqrt_lambda"),
+            ("lla_exact", "q_factor"),
+            ("lla_diag", "precision_diag"),
+            ("lla_last_layer", "precision_factor"),
+            ("ella", "anchors"),
+            ("ella", "projection"),
+            ("ella", "precision_factor"),
+            ("valla", "inducing"),
+            ("valla", "a_factor"),
+        ],
+    )
+    def test_non_finite_field_exits_1(self, tmp_path, capsys, fitted_states_dir, method, field):
+        cfg, run = fitted_states_dir
+        kind, meta, arrays = read_container(run / f"state_{method}.bin")
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[-1] = np.nan
         write_container(tmp_path / "bad.bin", kind, meta, arrays)
         capsys.readouterr()
         assert main(["evaluate", str(cfg), "--state", str(tmp_path / "bad.bin"), "--split", "test"]) == 1

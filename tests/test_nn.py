@@ -4,14 +4,18 @@ import pytest
 from lagp.errors import DimensionMismatch, FormatError, NonFiniteValue
 from lagp.linalg import rng_stream
 from lagp.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     AdamOptimizer,
     MlpArchitecture,
     MlpNetwork,
     TrainConfig,
+    _loss_and_output_grad,
     backward,
     forward,
     init_network,
+    layer_blocks,
     load_network,
     minibatches,
     save_network,
@@ -25,6 +29,84 @@ def random_net(rng, input_dim, hidden, output_dim):
     weights = tuple(rng.normal(size=(dims[l], dims[l + 1])) for l in range(arch.depth))
     biases = tuple(rng.normal(size=(dims[l + 1],)) for l in range(arch.depth))
     return MlpNetwork(arch=arch, weights=weights, biases=biases)
+
+
+class ListAdam:
+    """Reference Adam over a list of arrays, each updated out of place, with classic L2."""
+
+    def __init__(self, shapes, learning_rate, weight_decay=0.0):
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads):
+        self.step_count += 1
+        t = self.step_count
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if self.weight_decay != 0.0:
+                g = g + self.weight_decay * p
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - ADAM_BETA1**t)
+            v_hat = self.v[i] / (1.0 - ADAM_BETA2**t)
+            out.append(p - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        return out
+
+
+def reference_backward(net, x, trace, g):
+    """Reference gradient as (weight gradients, bias gradients), one fresh array per layer."""
+    depth = net.arch.depth
+    weight_grads, bias_grads = [None] * depth, [None] * depth
+    delta = g
+    for l in range(depth - 1, -1, -1):
+        inputs = x if l == 0 else trace.post_activations[l - 1]
+        weight_grads[l] = inputs.T @ delta
+        bias_grads[l] = delta.sum(axis=0)
+        if l > 0:
+            post = trace.post_activations[l - 1]
+            delta = (delta @ net.weights[l].T) * (1.0 - post * post)
+    return weight_grads, bias_grads
+
+
+def reference_train_map(arch, x, y, cfg):
+    """Reference MAP loop: a new network per step and ``ListAdam`` over the per-layer arrays."""
+    if y.ndim == 1:
+        y = y[:, None]
+    net = init_network(arch, cfg.seed)
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    opt = ListAdam([w.shape for w in weights] + [b.shape for b in biases], cfg.learning_rate, cfg.weight_decay)
+    batches = minibatches(x.shape[0], cfg.batch_size, cfg.seed + 1)
+    for _, idx in zip(range(cfg.iterations), batches):
+        current = MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
+        trace = forward(current, x[idx], keep_trace=True)
+        _, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
+        w_grads, b_grads = reference_backward(current, x[idx], trace, out_grad)
+        updated = opt.step(weights + biases, w_grads + b_grads)
+        weights, biases = updated[: len(weights)], updated[len(weights) :]
+    return weights, biases
+
+
+class TestLayout:
+    def test_blocks_are_views_in_checkpoint_order(self):
+        arch = MlpArchitecture(3, (4, 2), 2)
+        params = np.arange(float(arch.param_count))
+        blocks = layer_blocks(arch, params)
+        assert [b.shape for b in blocks] == [(4, 4), (5, 2), (3, 2)]
+        assert all(np.shares_memory(b, params) for b in blocks)
+        assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), params)
+
+    def test_from_flat_round_trips_and_shows_writes(self):
+        net = random_net(rng_stream(8), 3, [4, 2], 2)
+        params = net.flat_parameters()
+        view = MlpNetwork.from_flat(net.arch, params)
+        for a, b in zip(view.weights + view.biases, net.weights + net.biases):
+            assert np.array_equal(a, b)
+        params[:] = 0.0
+        assert all(not w.any() for w in view.weights + view.biases)
 
 
 class TestForward:
@@ -79,9 +161,8 @@ class TestBackward:
         net = random_net(rng, 2, [4], 2)
         x = rng.normal(size=(3, 2))
         trace = forward(net, x, keep_trace=True)
-        w_grads, b_grads = backward(net, x, trace, np.zeros_like(trace.output))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in w_grads)
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in b_grads)
+        grad = backward(net, x, trace, np.zeros_like(trace.output))
+        assert np.array_equal(grad, np.zeros(net.param_count))
 
     def test_matches_finite_differences(self):
         rng = rng_stream(4)
@@ -94,29 +175,30 @@ class TestBackward:
             coeff = rng.normal(size=(3, net.arch.output_dim))
 
             trace = forward(net, x, keep_trace=True)
-            w_grads, b_grads = backward(net, x, trace, coeff)
+            grad = backward(net, x, trace, coeff)
+            params = net.flat_parameters()
 
-            def loss_at(weights, biases):
-                probe = MlpNetwork(arch=net.arch, weights=weights, biases=biases)
+            def loss_at(flat):
+                probe = MlpNetwork.from_flat(net.arch, flat)
                 return float(np.sum(coeff * forward(probe, x).output))
 
-            for l in range(net.arch.depth):
-                w = net.weights[l]
-                for idx in np.ndindex(*w.shape):
-                    bump = np.zeros_like(w)
-                    bump[idx] = step
-                    w_plus = net.weights[:l] + (w + bump,) + net.weights[l + 1 :]
-                    w_minus = net.weights[:l] + (w - bump,) + net.weights[l + 1 :]
-                    fd = (loss_at(w_plus, net.biases) - loss_at(w_minus, net.biases)) / (2 * step)
-                    assert abs(fd - w_grads[l][idx]) <= 1e-6 * (1.0 + abs(fd))
-                b = net.biases[l]
-                for j in range(b.size):
-                    bump = np.zeros_like(b)
-                    bump[j] = step
-                    b_plus = net.biases[:l] + (b + bump,) + net.biases[l + 1 :]
-                    b_minus = net.biases[:l] + (b - bump,) + net.biases[l + 1 :]
-                    fd = (loss_at(net.weights, b_plus) - loss_at(net.weights, b_minus)) / (2 * step)
-                    assert abs(fd - b_grads[l][j]) <= 1e-6 * (1.0 + abs(fd))
+            for i in range(net.param_count):
+                bump = np.zeros_like(params)
+                bump[i] = step
+                fd = (loss_at(params + bump) - loss_at(params - bump)) / (2 * step)
+                assert abs(fd - grad[i]) <= 1e-6 * (1.0 + abs(fd))
+
+    def test_matches_per_layer_products_bitwise(self):
+        rng = rng_stream(6)
+        net = random_net(rng, 3, [5, 4], 2)
+        x = rng.normal(size=(7, 3))
+        coeff = rng.normal(size=(7, 2))
+        trace = forward(net, x, keep_trace=True)
+        grad = backward(net, x, trace, coeff)
+        w_grads, b_grads = reference_backward(net, x, trace, coeff)
+        for block, w, b in zip(layer_blocks(net.arch, grad), w_grads, b_grads):
+            assert np.array_equal(block[:-1], w)
+            assert np.array_equal(block[-1], b)
 
     def test_linear_net_least_squares_gradient(self):
         rng = rng_stream(5)
@@ -128,9 +210,9 @@ class TestBackward:
         y = rng.normal(size=(6, 2))
         trace = forward(net, x, keep_trace=True)
         resid = trace.output - y
-        w_grads, b_grads = backward(net, x, trace, 2.0 * resid)
-        assert np.allclose(w_grads[0], 2.0 * x.T @ resid, atol=1e-10)
-        assert np.allclose(b_grads[0], 2.0 * resid.sum(axis=0), atol=1e-10)
+        (block,) = layer_blocks(arch, backward(net, x, trace, 2.0 * resid))
+        assert np.allclose(block[:-1], 2.0 * x.T @ resid, atol=1e-10)
+        assert np.allclose(block[-1], 2.0 * resid.sum(axis=0), atol=1e-10)
 
     def test_requires_trace(self):
         net = random_net(rng_stream(0), 2, [2], 1)
@@ -145,14 +227,34 @@ class TestAdam:
         p = np.array([1.0, -2.0])
         g = np.array([0.5, 0.25])
         lr, wd = 0.1, 0.01
-        opt = AdamOptimizer([p.shape], lr, wd)
-        (updated,) = opt.step([p], [g])
-
         g_eff = g + wd * p
         m_hat = (0.1 * g_eff) / (1 - 0.9)
         v_hat = (0.001 * g_eff**2) / (1 - 0.999)
         expected = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        assert np.allclose(updated, expected, atol=1e-12)
+
+        opt = AdamOptimizer(p, lr, wd)
+        g_before = g.copy()
+        opt.step(g)
+        assert np.allclose(p, expected, atol=1e-12)
+        assert np.array_equal(g, g_before)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_matches_list_adam_bitwise(self, weight_decay):
+        """50 steps over mixed leaves, 0-d ones among them, packed into one vector."""
+        rng = rng_stream(7)
+        shapes = [(4, 3), (), (5,), (), (2, 2)]
+        leaves = [rng.normal(size=s) for s in shapes]
+        sizes = [int(np.prod(s)) for s in shapes]
+        offsets = np.cumsum([0] + sizes)
+        params = np.concatenate([np.ravel(a) for a in leaves])
+        flat = AdamOptimizer(params, 1e-2, weight_decay)
+        ref = ListAdam(shapes, 1e-2, weight_decay)
+        for _ in range(50):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            leaves = ref.step(leaves, grads)
+            flat.step(np.concatenate([np.ravel(g) for g in grads]))
+            for a, lo, hi in zip(leaves, offsets[:-1], offsets[1:]):
+                assert np.array_equal(params[lo:hi], np.ravel(a))
 
 
 class TestTrainMap:
@@ -211,6 +313,32 @@ class TestTrainMap:
         net = train_map(arch, (x, y), cfg)
         preds = forward(net, x).output.argmax(axis=1)
         assert (preds == y).mean() > 0.95
+
+    @pytest.mark.parametrize(
+        ("loss", "weight_decay", "batch_size"),
+        [("rmse", 0.0, 16), ("nll_classification", 0.0, 16), ("rmse", 1e-3, 16), ("nll_classification", 1e-2, 100)],
+    )
+    def test_matches_reference_loop_bitwise(self, loss, weight_decay, batch_size):
+        rng = rng_stream(6)
+        x = rng.normal(size=(40, 3))
+        if loss == "rmse":
+            y, arch = np.sin(x.sum(axis=1)), MlpArchitecture(3, (6, 5), 1)
+        else:
+            y, arch = (x[:, 0] > 0).astype(float) + (x[:, 1] > 0), MlpArchitecture(3, (6, 5), 3)
+        cfg = TrainConfig(
+            iterations=300, batch_size=batch_size, learning_rate=1e-2, weight_decay=weight_decay, seed=4, loss=loss
+        )
+        net = train_map(arch, (x, y), cfg)
+        weights, biases = reference_train_map(arch, x, y, cfg)
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert np.array_equal(got, want)
+
+    def test_divergence_names_the_iteration(self):
+        rng = rng_stream(7)
+        x = rng.normal(size=(20, 1))
+        cfg = TrainConfig(iterations=50, batch_size=10, learning_rate=1e300, seed=0)
+        with pytest.raises(NonFiniteValue, match="iteration 2"):
+            train_map(MlpArchitecture(1, (8, 8), 1), (x, np.sin(x)), cfg)
 
     def test_training_log_written(self, tmp_path):
         rng = rng_stream(4)

@@ -22,7 +22,7 @@ from lagp.lla import (
 )
 from lagp.nn import forward
 from lagp.ella import ella_fit
-from lagp.serialize import MAGIC, VERSION, load_state, read_container, save_state, write_container
+from lagp.serialize import MAGIC, STATE_KINDS, VERSION, load_state, read_container, save_state, write_container
 
 from test_kernel import random_ctx
 from test_valla import make_state
@@ -284,6 +284,24 @@ BAD_VALLA_STATES = {
 }
 
 
+def _last_entry(value):
+    def edit(a):
+        a = a.copy()
+        a.flat[-1] = value
+        return a
+
+    return edit
+
+
+# (state name, field): every array and factor of every kind with entries to corrupt
+STATE_FIELDS = [
+    (name, field)
+    for name in STATE_NAMES
+    if name != "lla-exact-empty"
+    for field in (*STATE_KINDS[name].ARRAYS, *STATE_KINDS[name].FACTORS)
+]
+
+
 class TestMalformedStates:
     """States whose arrays do not fit the network are refused at load, before any predict."""
 
@@ -321,6 +339,14 @@ class TestMalformedStates:
         state, _ = fitted_states(2, kind)["valla"]
         with pytest.raises(FormatError, match=name):
             load_state(with_arrays_changed(tmp_path, state, change))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(("name", "field"), STATE_FIELDS)
+    def test_non_finite_field_rejected(self, tmp_path, kind, value, name, field):
+        state, _ = fitted_states(2, kind)[name]
+        with pytest.raises(FormatError, match=field):
+            load_state(with_arrays_changed(tmp_path, state, _set(field, _last_entry(value))))
 
     def test_older_ella_file_with_feature_dim_loads(self, tmp_path):
         # older ELLA files also stored the feature count K in their meta

@@ -545,6 +545,26 @@ class TestFitValla:
         assert np.array_equal(s1.inducing, s2.inducing)
         assert s1.ctx.log_prior_variance == s2.ctx.log_prior_variance
 
+    def test_best_state_is_kept_apart_from_later_steps(self):
+        rng = rng_stream(30)
+        ctx = random_ctx(rng, 1, [4], 1)
+        x = rng.normal(size=(16, 1))
+        y = np.sin(2 * x) + 0.3 * rng.normal(size=(16, 1))
+        lik = LikelihoodModel(kind="gaussian", noise_variance=0.2)
+
+        def fit(iterations, early_stopping):
+            schedule = TrainSchedule(iterations=iterations, batch_size=8, learning_rate=5e-2, seed=4,
+                                     validate_every=10, patience=100)
+            return fit_valla(ctx, lik, (x[4:], y[4:]), (x[:4], y[:4]), 3, schedule, early_stopping=early_stopping)
+
+        # the validation NLL of this fit is lowest at iteration 30 of 80
+        best, at_30 = fit(80, True), fit(30, False)
+        assert np.array_equal(best.a_factor, at_30.a_factor)
+        assert np.array_equal(best.inducing, at_30.inducing)
+        assert best.ctx.log_prior_variance == at_30.ctx.log_prior_variance
+        assert best.likelihood.noise_variance == at_30.likelihood.noise_variance
+        assert not np.array_equal(best.a_factor, fit(80, False).a_factor)
+
     def test_mean_invariant_during_training(self):
         rng = rng_stream(21)
         ctx = random_ctx(rng, 1, [5], 1)
