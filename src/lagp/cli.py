@@ -89,7 +89,7 @@ CONFIG_KEYS = {
     "dataset.target_column": (0, INT, "target column index in the csv"),
     "dataset.images": (None, PATH, "idx image file (dataset.kind = idx)"),
     "dataset.labels": (None, PATH, "idx label file (dataset.kind = idx)"),
-    "dataset.limit": (None, INT, "optional cap on idx records"),
+    "dataset.limit": (None, NATURAL, "optional cap on idx records"),
     "dataset.standardize": (True, BOOL, "standardize inputs (and regression targets) on train stats"),
     "split.fractions": ((0.8, 0.1, 0.1), FRACTIONS, "train, validation, test fractions"),
     "split.shuffle": (0, _natural_or("sequential"), "shuffle seed, or sequential for in-order splits"),

@@ -175,8 +175,12 @@ def _read_idx_header(blob, expect_magic, path):
 def load_idx_images(images_path, labels_path, limit=None):
     """Parse the big-endian IDX image/label pair into a classification set.
 
-    Images are flattened to D = rows * cols and scaled to [0, 1].
+    Images are flattened to D = rows * cols and scaled to [0, 1]. A
+    ``limit`` keeps the first min(limit, count) records; a negative one
+    raises DimensionMismatch.
     """
+    if limit is not None and int(limit) < 0:
+        raise DimensionMismatch(f"limit must be >= 0, got {limit}")
     with open(images_path, "rb") as fh:
         img_blob = fh.read()
     with open(labels_path, "rb") as fh:

@@ -20,8 +20,9 @@ derivatives' +1. Each layer's sensitivity pairs are one GEMM.
 ``layer_walk`` is the one walk that yields (a~, s) per layer: the Gram
 (``kernel_block_fast``), diagonal (``kernel_diag_blocks``) and tape
 (``kernel_tape``) paths read it, and so do the diagonal and last-layer
-baselines of ``lla``. The explicit Jacobian (``jacobian``) keeps a
-sensitivity loop of its own and serves as the independent oracle.
+baselines of ``lla``. No path forms a Jacobian; the explicit one, with
+a forward pass and back-propagation of its own, lives in the test suite
+as the independent oracle of the walk.
 
 A sparse-posterior step needs K_Z, the cross block kappa(X, Z), the prior
 blocks kappa(x_i, x_i) and the gradient of the objective with respect to
@@ -82,13 +83,19 @@ def as_inputs(x, input_dim):
     return x
 
 
-def _layer_inputs(net, x):
-    """Layer inputs with their bias column: [x, 1], [tanh(h_1), 1], ..., [tanh(h_{L-1}), 1].
+def layer_walk(net, x):
+    """Yield (l, a~, s) for each layer l, from the last layer down.
 
-    Each a~ is one (N, w_{l-1}+1) buffer: a column of ones after the
-    activations, which are written in place.
+    a~ = [a_{l-1}, 1] is the (N, w_{l-1}+1) layer input with a bias column
+    and s the (N, C, w_l) sensitivities. The checkpoint stores W_l row-major
+    and then b_l, so the Jacobian row of output c at point n over layer l's
+    parameters is kron(a~[n], s[n, c]). Each a~ is one buffer, a column of
+    ones after activations written in place. s starts as the (N, C, C)
+    identities of the output layer and moves down one layer per GEMM over
+    the N*C rows.
     """
-    acts = [np.empty((x.shape[0], w + 1)) for w in net.arch.layer_dims[:-1]]
+    n, c = x.shape[0], net.arch.output_dim
+    acts = [np.empty((n, w + 1)) for w in net.arch.layer_dims[:-1]]
     for a in acts:
         a[:, -1] = 1.0
     acts[0][:, :-1] = x
@@ -96,30 +103,14 @@ def _layer_inputs(net, x):
         h = acts[l][:, :-1] @ net.weights[l]
         h += net.biases[l]
         np.tanh(h, out=acts[l + 1][:, :-1])
-    return acts
-
-
-def layer_walk(net, x):
-    """Yield (l, a~, s) for each layer l, from the last layer down.
-
-    a~ = [a_{l-1}, 1] is the (N, w_{l-1}+1) layer input with a bias column
-    and s the (N, C, w_l) sensitivities. The checkpoint stores W_l row-major
-    and then b_l, so the Jacobian row of output c at point n over layer l's
-    parameters is kron(a~[n], s[n, c]).
-    """
-    acts = _layer_inputs(net, x)
-    sens = _initial_sensitivity(x.shape[0], net.arch.output_dim)
+    sens = np.zeros((n, c, c))
+    sens.reshape(n, c * c)[:, :: c + 1] = 1.0
     for l in range(net.arch.depth - 1, -1, -1):
         yield l, acts[l], sens
         if l > 0:
-            sens = _next_sensitivity(net, sens, acts[l][:, :-1], l)
-
-
-def _next_sensitivity(net, sens, post, l_next):
-    """Propagate (N, C, w_{l+1}) sensitivities down one layer, with one GEMM over the N*C rows."""
-    n, c, k = sens.shape
-    w = net.weights[l_next]
-    return (sens.reshape(n * c, k) @ w.T).reshape(n, c, w.shape[0]) * (1.0 - post * post)[:, None, :]
+            w, post = net.weights[l], acts[l][:, :-1]
+            sens = (sens.reshape(n * c, w.shape[1]) @ w.T).reshape(n, c, w.shape[0])
+            sens *= (1.0 - post * post)[:, None, :]
 
 
 def _pair(sx, sz):
@@ -142,36 +133,6 @@ def _gram_term(ax, sx, az, sz):
 def _diag_term(a, s):
     """(N, C, C) layer term of kappa(x_i, x_i): (s s^T) |a~|^2."""
     return (s @ s.transpose(0, 2, 1)) * np.einsum("ik,ik->i", a, a)[:, None, None]
-
-
-def _initial_sensitivity(n, c):
-    """(N, C, C) identities, the sensitivities of the output layer."""
-    sens = np.zeros((n, c, c))
-    sens.reshape(n, c * c)[:, :: c + 1] = 1.0
-    return sens
-
-
-def jacobian(ctx, x):
-    """Explicit (C, P) Jacobian of the network output at one input.
-
-    Columns are layer-major and match the checkpoint parameter order. Its
-    sensitivity loop is its own, apart from ``layer_walk``, so that it can
-    serve as the oracle of the layerwise paths.
-    """
-    x = as_inputs(x, ctx.net.arch.input_dim)
-    if x.shape[0] != 1:
-        raise DimensionMismatch("jacobian takes a single input vector")
-    net = ctx.net
-    depth = net.arch.depth
-    c = net.arch.output_dim
-    acts = _layer_inputs(net, x)
-    blocks = [None] * depth
-    sens = _initial_sensitivity(1, c)
-    for l in range(depth - 1, -1, -1):
-        blocks[l] = (acts[l][0, :, None] * sens[0][:, None, :]).reshape(c, -1)  # kron(a~, s_c) per row
-        if l > 0:
-            sens = _next_sensitivity(net, sens, acts[l][:, :-1], l)
-    return np.concatenate(blocks, axis=1)
 
 
 def kernel_block_fast(ctx, batch_x, batch_z):

@@ -1,9 +1,11 @@
-"""Exact Gaussian-process posteriors for the linearized network.
+"""Gaussian-process posteriors for the linearized network.
 
-The function-space route conditions the tangent-kernel prior on the
-training data; the weight-space route assembles the Gauss-Newton
-precision explicitly. The two agree through the Woodbury identity and
-serve as mutual oracles in the tests.
+The exact route conditions the tangent-kernel prior on the training data
+in function space. Through the Woodbury identity it equals J P^-1 J^T
+with P = I / prior_variance + sum_n J_n^T Lambda_n J_n, the full
+Gauss-Newton precision over every parameter; that dense precision is
+never built here. The test suite keeps it, from explicit Jacobians, as
+the oracle of the exact, diagonal and last-layer routes.
 
 The diagonal and last-layer variants never form a Jacobian. The
 checkpoint stores each layer's W_l (w_{l-1} x w_l, row-major) and then
@@ -29,9 +31,9 @@ assembles Q in place from one ``layer_walk`` over X, each layer's
 sensitivities whitened to B^T s first, so no (N*C)^2 kernel is formed.
 The predictive covariance is cov = prior - r^T r blockwise, with
 r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q: one
-triangular solve. The weight-space routes add G^T G with G = B^T J per
-data point; only the last-layer fit forms B B^T, to keep its Kronecker
-structure.
+triangular solve. The diagonal and last-layer fits add their part of
+G^T G with G = B^T J per data point; only the last-layer fit forms
+B B^T, to keep its Kronecker structure.
 
 Regression picks its variances by maximizing the evidence
 log N(y - g(X) | 0, pv K + nv I) over a grid of finite positive (pv, nv).
@@ -50,16 +52,14 @@ from .kernel import (
     _diag_term,
     _gram_term,
     as_inputs,
-    jacobian,
     kernel_block_fast,
     kernel_diag_blocks,
     layer_walk,
 )
-from .linalg import CholeskyFactor, cholesky, solve_lower, solve_psd, sym_eig
+from .linalg import CholeskyFactor, cholesky, solve_lower, sym_eig
 from .nn import forward, layer_blocks
 
 EXACT_CAP = 3000  # max N*C for the function-space route
-WEIGHT_SPACE_CAP = 2000  # max parameter count for the explicit precision
 PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in exact_covariances and last_layer_covariances (32 MB)
 EVIDENCE_CAP = 500  # training points the CLI's evidence search reads (the first ones)
 PRIOR_GRID = tuple(np.logspace(-3, 3, 10))  # prior variances of the default evidence search
@@ -318,49 +318,6 @@ def exact_covariances(state, x_star):
         covs[start : start + chunk] = gram_blocks(r, c, ctx.prior_variance * prior)
         del v, r  # the next chunk's blocks must not coexist with these
     return covs
-
-
-@dataclass(frozen=True)
-class LlaWeightState(PosteriorState):
-    KIND = "lla-weight"
-    ARRAYS = ("precision",)
-    FACTORS = ("covariance_factor",)
-
-    ctx: KernelContext
-    likelihood: LikelihoodModel
-    precision: np.ndarray
-    covariance_factor: object
-
-    def covariances(self, x):
-        return weight_space_covariances(self, x)
-
-
-def fit_weight_space(ctx, likelihood, x, cap=WEIGHT_SPACE_CAP):
-    """Assemble the Gauss-Newton precision over all parameters explicitly."""
-    p = ctx.net.param_count
-    if p > cap:
-        raise CapExceeded(f"P = {p} exceeds weight-space cap {cap}")
-    x = as_inputs(x, ctx.net.arch.input_dim)
-    precision = np.eye(p) / ctx.prior_variance
-    roots = curvature_roots(likelihood, forward(ctx.net, x).output)
-    for root, xi in zip(roots, x):
-        g = root.T @ jacobian(ctx, xi)  # G_n = B_n^T J(x_n), so G^T G sums to J^T Lambda J
-        precision += g.T @ g
-    precision = 0.5 * (precision + precision.T)
-    return LlaWeightState(
-        ctx=ctx,
-        likelihood=likelihood,
-        precision=precision,
-        covariance_factor=cholesky(precision),
-    )
-
-
-def weight_space_covariances(state, x_star):
-    """J P^-1 J^T at each query, symmetrized, one Jacobian at a time: a batch of them would take N*C*P floats."""
-    c = state.ctx.net.arch.output_dim
-    jacs = (jacobian(state.ctx, x) for x in x_star)
-    covs = np.array([j @ solve_psd(state.covariance_factor, j.T) for j in jacs]).reshape(-1, c, c)
-    return 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

@@ -151,16 +151,17 @@ def forward(net, x, keep_trace=False):
     pre, post = [], []
     current = x
     depth = net.arch.depth
-    for l in range(depth):
-        h = current @ net.weights[l] + net.biases[l]
-        if keep_trace:
-            pre.append(h)
-        if l < depth - 1:
-            current = np.tanh(h)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for l in range(depth):
+            h = current @ net.weights[l] + net.biases[l]
             if keep_trace:
-                post.append(current)
-        else:
-            current = h
+                pre.append(h)
+            if l < depth - 1:
+                current = np.tanh(h)
+                if keep_trace:
+                    post.append(current)
+            else:
+                current = h
     if not np.all(np.isfinite(current)):
         raise NonFiniteValue("forward pass produced NaN or Inf")
     return ForwardTrace(
@@ -296,17 +297,18 @@ def train_map(arch, data, cfg, log_path=None):
     opt = AdamOptimizer(params, cfg.learning_rate, cfg.weight_decay)
     log_rows = []
     batches = minibatches(x.shape[0], cfg.batch_size, cfg.seed + 1)
-    for it, idx in zip(range(1, cfg.iterations + 1), batches):
-        batch_x = x[idx]
-        trace = forward(net, batch_x, keep_trace=True)
-        loss, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
-        if not np.isfinite(loss):
-            raise NonFiniteValue(f"training diverged at iteration {it}")
-        opt.step(backward(net, batch_x, trace, out_grad))
-        if not np.isfinite(params).all():
-            raise NonFiniteValue(f"training diverged at iteration {it}: a parameter is NaN or Inf")
-        if it % LOG_EVERY == 0 or it == cfg.iterations:
-            log_rows.append((it, loss))
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported as NonFiniteValue
+        for it, idx in zip(range(1, cfg.iterations + 1), batches):
+            batch_x = x[idx]
+            trace = forward(net, batch_x, keep_trace=True)
+            loss, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
+            if not np.isfinite(loss):
+                raise NonFiniteValue(f"training diverged at iteration {it}")
+            opt.step(backward(net, batch_x, trace, out_grad))
+            if not np.isfinite(params).all():
+                raise NonFiniteValue(f"training diverged at iteration {it}: a parameter is NaN or Inf")
+            if it % LOG_EVERY == 0 or it == cfg.iterations:
+                log_rows.append((it, loss))
 
     if log_path is not None:
         write_log(log_path, "iteration,loss", log_rows)

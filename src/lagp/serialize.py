@@ -24,12 +24,14 @@ hold the fitted noise under ``log_noise_variance`` and load with it.
 An exact file holds (N, C, K) curvature roots and the Cholesky factor of
 the N*K square Q they whiten, with K = C - 1 for a categorical fit. Older
 exact files hold (N, C, C) roots with an N*C factor; they load and
-predict as they are, so the format version is unchanged.
+predict as they are, so the format version is unchanged. Files of the
+retired weight-space kind ``lla-weight`` fail at load as an unknown kind.
 """
 
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .lla import (
     LlaDiagState,
     LlaExactState,
     LlaLastLayerState,
-    LlaWeightState,
     MapState,
 )
 from .nn import MlpArchitecture, MlpNetwork
@@ -52,7 +53,7 @@ MAGIC = b"LAGB"
 VERSION = 1
 STATE_KINDS = {
     cls.KIND: cls
-    for cls in (MapState, LlaExactState, LlaWeightState, LlaDiagState, LlaLastLayerState, VallaState, EllaState)
+    for cls in (MapState, LlaExactState, LlaDiagState, LlaLastLayerState, VallaState, EllaState)
 }
 
 
@@ -127,7 +128,10 @@ def read_container(path):
         end = off + 8 * n_items
         if end > len(blob):
             raise FormatError(f"state file truncated inside array {name!r}")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=n_items, offset=off).reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(blob, dtype="<f8", count=n_items, offset=off).reshape(shape).copy()
+        except ValueError:  # an empty array whose other dimensions numpy cannot hold
+            raise FormatError(f"array {name!r} has an impossible shape {shape}") from None
         off = end
     if off != len(blob):
         raise FormatError("trailing bytes after arrays")
@@ -163,34 +167,32 @@ def _net_from_payload(meta, arrays):
     return MlpNetwork(arch=arch, weights=weights, biases=biases)
 
 
-def _likelihood_payload(lik):
-    return {"kind": lik.kind, "noise_variance": lik.noise_variance}
+def _normalization_from_arrays(arrays, input_dim):
+    """The stored Normalization, or None when the file holds none.
 
-
-def _likelihood_from_payload(meta):
-    return LikelihoodModel(kind=meta["kind"], noise_variance=meta["noise_variance"])
-
-
-def _normalization_arrays(normalization):
-    if normalization is None:
-        return {}
-    return {
-        "norm_input_mean": normalization.input_mean,
-        "norm_input_std": normalization.input_std,
-        "norm_target_mean": normalization.target_mean,
-        "norm_target_std": normalization.target_std,
-    }
-
-
-def _normalization_from_arrays(arrays):
-    if "norm_input_mean" not in arrays:
+    A file holds all four ``norm_*`` arrays or none of them. Each is 1-D
+    and finite and each std is > 0; the input pair has input_dim entries
+    and the target pair one nonempty length. Anything else raises
+    FormatError naming the array.
+    """
+    names = [f"norm_{f.name}" for f in fields(Normalization)]
+    missing = [name for name in names if name not in arrays]
+    if len(missing) == len(names):
         return None
-    return Normalization(
-        input_mean=arrays["norm_input_mean"],
-        input_std=arrays["norm_input_std"],
-        target_mean=arrays["norm_target_mean"],
-        target_std=arrays["norm_target_std"],
-    )
+    if missing:
+        raise FormatError(f"state file lacks {missing[0]!r}: it holds some norm_* arrays but not all four")
+    target_mean = arrays["norm_target_mean"]
+    target_dim = target_mean.shape[0] if target_mean.ndim == 1 else 0
+    for name in names:
+        value = arrays[name]
+        dim = input_dim if name.startswith("norm_input") else target_dim
+        if dim == 0 or value.shape != (dim,):
+            raise FormatError(f"{name} must be 1-D of length {dim or '>= 1'}, got shape {value.shape}")
+        if not np.isfinite(value).all():
+            raise FormatError(f"{name} holds NaN or Inf")
+        if name.endswith("_std") and np.any(value <= 0):
+            raise FormatError(f"{name} must be > 0")
+    return Normalization(*(arrays[name] for name in names))
 
 
 def save_state(path, state, normalization=None):
@@ -198,9 +200,10 @@ def save_state(path, state, normalization=None):
     if type(state) not in STATE_KINDS.values():
         raise FormatError(f"cannot serialize state of type {type(state).__name__}")
     meta, arrays = _net_payload(state.ctx.net)
-    meta["likelihood"] = _likelihood_payload(state.likelihood)
+    meta["likelihood"] = {"kind": state.likelihood.kind, "noise_variance": state.likelihood.noise_variance}
     meta["log_prior_variance"] = float(state.ctx.log_prior_variance)
-    arrays.update(_normalization_arrays(normalization))
+    if normalization is not None:
+        arrays.update((f"norm_{f.name}", getattr(normalization, f.name)) for f in fields(Normalization))
     kind_meta, kind_arrays = state.payload()
     meta.update(kind_meta)
     arrays.update(kind_arrays)
@@ -214,11 +217,12 @@ def load_state(path):
         raise FormatError(f"unknown state kind {kind!r}")
     try:
         net = _net_from_payload(meta, arrays)
-        likelihood = _likelihood_from_payload(meta["likelihood"])
+        lik = meta["likelihood"]
+        likelihood = LikelihoodModel(kind=lik["kind"], noise_variance=lik["noise_variance"])
         ctx = KernelContext(net=net, log_prior_variance=meta["log_prior_variance"])
         state = STATE_KINDS[kind].from_payload(ctx, likelihood, meta, arrays)
     except KeyError as exc:
         raise FormatError(f"{kind} state file lacks {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{kind} state file holds a malformed value: {exc}") from None
-    return state, _normalization_from_arrays(arrays)
+    return state, _normalization_from_arrays(arrays, net.arch.input_dim)

@@ -117,6 +117,8 @@ class TrainSchedule:
     def __post_init__(self):
         if min(self.iterations, self.batch_size, self.validate_every, self.patience) < 1:
             raise DimensionMismatch("schedule counts must be >= 1")
+        if self.learning_rate < 0:
+            raise DimensionMismatch("learning_rate must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ class TestTrainMap:
         assert main(["train-map", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "iteration 2" in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1  # the error alone, with no numpy warning ahead of it
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_missing_dataset_path_exits_2(self, tmp_path):
@@ -230,6 +230,16 @@ class TestFit:
         )
         assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 2
         assert "lla_exact" in capsys.readouterr().err
+
+    def test_negative_valla_learning_rate_exits_1(self, tmp_path, capsys):
+        checkpoint = train_checkpoint(tmp_path)
+        cfg = write_config(tmp_path, "lr.cfg", f"output_dir = {tmp_path / 'lr'}\nmethod = valla\n")
+        cfg.write_text(cfg.read_text().replace("method.learning_rate = 0.02", "method.learning_rate = -0.01"))
+        capsys.readouterr()
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert "learning_rate" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "lr" / "state_valla.bin").exists()
 
     @pytest.mark.parametrize("alpha", ["0", "-1", "1.5"])
     def test_alpha_outside_unit_interval_exits_1(self, tmp_path, capsys, alpha):
@@ -435,6 +445,35 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda arrays: arrays.pop("norm_target_std"),
+            lambda arrays: arrays.update(norm_target_std=np.array([np.nan])),
+        ],
+        ids=["target-std-missing", "target-std-nan"],
+    )
+    def test_bad_normalization_exits_1(self, tmp_path, capsys, fitted_states_dir, change):
+        cfg, run = fitted_states_dir
+        kind, meta, arrays = read_container(run / "state_lla_diag.bin")
+        change(arrays)
+        write_container(tmp_path / "bad.bin", kind, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "bad.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert "norm_target_std" in err and len(err.splitlines()) == 1
+
+    def test_weight_space_state_exits_1(self, tmp_path, capsys, fitted_states_dir):
+        cfg, run = fitted_states_dir
+        _, meta, arrays = read_container(run / "state_lla_diag.bin")
+        p = arrays["precision_diag"].size
+        arrays.update(precision=np.eye(p), covariance_factor=np.eye(p))
+        write_container(tmp_path / "weight.bin", "lla-weight", meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "weight.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown state kind 'lla-weight'\n"
 
     def test_missing_state_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "ms.cfg", f"output_dir = {tmp_path / 'ms'}\n")

@@ -11,7 +11,7 @@ from lagp.data import (
     synth_toy1d,
     toy1d_mean,
 )
-from lagp.errors import ConfigError, EmptyFile, FormatError, ParseError
+from lagp.errors import ConfigError, DimensionMismatch, EmptyFile, FormatError, ParseError
 
 
 class TestToy1d:
@@ -107,6 +107,13 @@ class TestIdx:
         ds = load_idx_images(images, labels, limit=1)
         assert ds.n == 1
         assert np.array_equal(ds.targets, [1])
+
+    @pytest.mark.parametrize("limit", [-1, -3])
+    def test_negative_limit_rejected(self, tmp_path, limit):
+        # a negative count would read every record
+        images, labels = write_idx_fixture(tmp_path)
+        with pytest.raises(DimensionMismatch, match="limit"):
+            load_idx_images(images, labels, limit=limit)
 
     def test_bad_magic(self, tmp_path):
         images, labels = write_idx_fixture(tmp_path)

@@ -7,15 +7,12 @@ from hypothesis import given, settings, strategies as st
 from lagp.errors import DimensionMismatch
 from lagp.kernel import (
     KernelContext,
-    _initial_sensitivity,
-    _layer_inputs,
-    _next_sensitivity,
     as_inputs,
-    jacobian,
     kernel_block_fast,
     kernel_diag_blocks,
     kernel_input_vjp,
     kernel_tape,
+    layer_walk,
 )
 from lagp.linalg import rng_stream
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
@@ -43,13 +40,67 @@ def linear_ctx(rng, d, c=1, log_prior_variance=0.0):
     return KernelContext(net=net, log_prior_variance=log_prior_variance)
 
 
+def jacobian(net, x):
+    """Oracle: the explicit (C, P) Jacobian of the network output at one input.
+
+    Its forward pass and back-propagation are its own and share no helper
+    with ``kernel.layer_walk``, which it checks. Columns follow the
+    checkpoint order: per layer, W_l row-major and then b_l.
+    """
+    x = as_inputs(x, net.arch.input_dim)
+    if x.shape[0] != 1:
+        raise DimensionMismatch("jacobian takes a single input vector")
+    inputs = [x[0]]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        inputs.append(np.tanh(inputs[-1] @ w + b))
+    c = net.arch.output_dim
+    blocks = []
+    sens = np.eye(c)  # d output / d top pre-activation
+    for l in range(net.arch.depth - 1, -1, -1):
+        # d out_o / d W_l[i, j] = a_{l-1}[i] * sens[o, j]; d out_o / d b_l[j] = sens[o, j]
+        weight_cols = (sens[:, None, :] * inputs[l][None, :, None]).reshape(c, -1)
+        blocks.insert(0, np.concatenate([weight_cols, sens], axis=1))
+        if l > 0:
+            sens = (sens @ net.weights[l].T) * (1.0 - inputs[l] ** 2)
+    return np.concatenate(blocks, axis=1)
+
+
+def dense_ggn(ctx, likelihood, x):
+    """Oracle: the (P, P) Gauss-Newton precision I / pv + sum_n J_n^T Lambda_n J_n.
+
+    Lambda_n is written out: I / noise_variance for the Gaussian
+    likelihood, diag(p) - p p^T at the softmax probabilities of the
+    network output for the categorical one.
+    """
+    net = ctx.net
+    x = np.asarray(x, dtype=np.float64).reshape(-1, net.arch.input_dim)
+    precision = np.eye(net.param_count) / ctx.prior_variance
+    for xi, g in zip(x, forward(net, x).output):
+        if likelihood.kind == "gaussian":
+            lam = np.eye(g.shape[0]) / likelihood.noise_variance
+        else:
+            p = np.exp(g - g.max())
+            p /= p.sum()
+            lam = np.diag(p) - np.outer(p, p)
+        j = jacobian(net, xi)
+        precision += j.T @ lam @ j
+    return 0.5 * (precision + precision.T)
+
+
+def dense_covariances(net, precision, x_star):
+    """Oracle: (N, C, C) covariances J P^-1 J^T at each query, symmetrized, from ``np.linalg.solve``."""
+    covs = np.array([j @ np.linalg.solve(precision, j.T) for j in (jacobian(net, x) for x in x_star)])
+    covs = covs.reshape(-1, net.arch.output_dim, net.arch.output_dim)
+    return 0.5 * (covs + covs.transpose(0, 2, 1))
+
+
 def pairwise_gram(ctx, xs, zs):
     """Oracle: assemble the Gram matrix from explicit Jacobian products."""
     c = ctx.net.arch.output_dim
     n1, n2 = xs.shape[0], zs.shape[0]
     out = np.zeros((n1 * c, n2 * c))
-    jx = [jacobian(ctx, x) for x in xs]
-    jz = [jacobian(ctx, z) for z in zs]
+    jx = [jacobian(ctx.net, x) for x in xs]
+    jz = [jacobian(ctx.net, z) for z in zs]
     for i in range(n1):
         for j in range(n2):
             out[i * c : (i + 1) * c, j * c : (j + 1) * c] = ctx.prior_variance * jx[i] @ jz[j].T
@@ -74,7 +125,9 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
 
     # z side: activations, their input tangents, sensitivities, and the
     # sensitivities' input tangents, batched over the M locations
-    a_z = [a[:, :-1] for a in _layer_inputs(net, zs)]
+    a_z = [None] * depth
+    for l, a, _ in layer_walk(net, zs):
+        a_z[l] = a[:, :-1]
     a_dot = [np.broadcast_to(np.eye(d), (m, d, d)).copy()]  # (M, w_{l-1}, D)
     for l in range(depth - 1):
         h_dot = np.einsum("ik,mid->mkd", net.weights[l], a_dot[l])
@@ -83,7 +136,7 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
 
     sens_z = [None] * depth
     sens_dot = [None] * depth
-    sens_z[depth - 1] = _initial_sensitivity(m, c)
+    sens_z[depth - 1] = np.broadcast_to(np.eye(c), (m, c, c))
     sens_dot[depth - 1] = np.zeros((m, c, c, d))
     for l in range(depth - 2, -1, -1):
         w = net.weights[l + 1]  # (w_l, w_{l+1})
@@ -94,19 +147,15 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
         back_dot = np.einsum("mojd,kj->mokd", sens_dot[l + 1], w)
         sens_dot[l] = back_dot * t[:, None, :, None] + back[:, :, :, None] * t_dot[:, None, :, :]
 
-    # x side: plain activations and sensitivities, computed once
-    acts_x = [a[:, :-1] for a in _layer_inputs(net, x)]
+    # x side: plain activations and sensitivities, from the walk
     out = np.zeros((n, m, c, c, d))
-    sx = _initial_sensitivity(n, c)
-    for l in range(depth - 1, -1, -1):
-        gain = acts_x[l] @ a_z[l].T + 1.0  # (N, M)
-        gain_dot = np.einsum("ni,mid->nmd", acts_x[l], a_dot[l])  # (N, M, D)
+    for l, ax, sx in layer_walk(net, x):
+        gain = ax[:, :-1] @ a_z[l].T + 1.0  # (N, M)
+        gain_dot = np.einsum("ni,mid->nmd", ax[:, :-1], a_dot[l])  # (N, M, D)
         pair = np.einsum("nok,mpk->nmop", sx, sens_z[l])  # (N, M, C, C)
         pair_dot = np.einsum("nok,mpkd->nmopd", sx, sens_dot[l])
         out += pair_dot * gain[:, :, None, None, None]
         out += pair[:, :, :, :, None] * gain_dot[:, :, None, None, :]
-        if l > 0:
-            sx = _next_sensitivity(net, sx, acts_x[l], l)
     return ctx.prior_variance * out
 
 
@@ -126,7 +175,7 @@ class TestJacobian:
         rng = rng_stream(0)
         ctx = linear_ctx(rng, 3, c=1)
         x = rng.normal(size=3)
-        jac = jacobian(ctx, x)
+        jac = jacobian(ctx.net, x)
         assert jac.shape == (1, 4)
         assert np.allclose(jac[0], np.concatenate([x, [1.0]]), atol=1e-12)
 
@@ -135,7 +184,7 @@ class TestJacobian:
         ctx = random_ctx(rng, 2, [4, 3], 2)
         net = ctx.net
         x = rng.normal(size=(1, 2))
-        jac = jacobian(ctx, x)
+        jac = jacobian(ctx.net, x)
         step = 1e-5
 
         flat = net.flat_parameters()
@@ -165,14 +214,14 @@ class TestJacobian:
         weights = tuple(rng.normal(size=(dims[l], dims[l + 1])) for l in range(2))
         biases = (np.zeros(4), np.zeros(2))
         ctx = KernelContext(net=MlpNetwork(arch=arch, weights=weights, biases=biases))
-        jac = jacobian(ctx, np.zeros(3))
+        jac = jacobian(ctx.net, np.zeros(3))
         first_layer_weight_cols = jac[:, : 3 * 4]
         assert np.array_equal(first_layer_weight_cols, np.zeros((2, 12)))
 
     def test_wrong_input_dim(self):
         ctx = random_ctx(rng_stream(0), 3, [2], 1)
         with pytest.raises(DimensionMismatch):
-            jacobian(ctx, np.zeros(4))
+            jacobian(ctx.net, np.zeros(4))
 
 
 class TestKernelBlock:
@@ -198,7 +247,7 @@ class TestKernelBlock:
         x = rng.normal(size=3)
         z = rng.normal(size=3)
         block = kernel_block_fast(ctx, x, z).values
-        explicit = ctx.prior_variance * jacobian(ctx, x) @ jacobian(ctx, z).T
+        explicit = ctx.prior_variance * jacobian(ctx.net, x) @ jacobian(ctx.net, z).T
         assert np.max(np.abs(block - explicit)) <= 1e-10
 
     def test_symmetry_under_argument_swap(self):

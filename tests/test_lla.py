@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagp import kernel, lla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
-from lagp.kernel import KernelContext, jacobian, kernel_block_fast, kernel_diag_blocks
+from lagp.kernel import KernelContext, kernel_block_fast, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from lagp.lla import (
     GaussianPredictive,
@@ -17,7 +17,6 @@ from lagp.lla import (
     fit_diag,
     fit_exact,
     fit_last_layer,
-    fit_weight_space,
     gram_blocks,
     grid_search_hyperparameters,
     last_layer_features,
@@ -29,7 +28,7 @@ from lagp.ella import _features, ella_fit
 from lagp.serialize import load_state, save_state
 from lagp.valla import _capacity_factor, objective_gradient
 
-from test_kernel import random_ctx
+from test_kernel import dense_covariances, dense_ggn, jacobian, random_ctx
 from test_valla import make_state
 
 
@@ -221,8 +220,8 @@ class TestFitExact:
         save_state(tmp_path / "one.bin", state)
         loaded, _ = load_state(tmp_path / "one.bin")
         assert np.array_equal(loaded.predict(x_star).covariance, prior)
-        for fit in (fit_diag, fit_weight_space):
-            assert_close_relative(fit(ctx, lik, x).predict(x_star).covariance, prior)
+        assert_close_relative(fit_diag(ctx, lik, x).predict(x_star).covariance, prior)
+        assert_close_relative(dense_covariances(ctx.net, dense_ggn(ctx, lik, x), x_star), prior)
         assert fit_last_layer(ctx, lik, x).predict(x_star).covariance.shape == (3, 1, 1)
         assert ella_fit(ctx, lik, x, m=3, k=None, seed=0).predict(x_star).covariance.shape == (3, 1, 1)
 
@@ -289,11 +288,11 @@ class TestWeightSpaceEquivalence:
             y = rng.normal(size=(8, c)) if kind == "gaussian" else None
             lik = LikelihoodModel(kind=kind, noise_variance=0.4)
             exact = fit_exact(ctx, lik, x)
-            weight = fit_weight_space(ctx, lik, x)
+            precision = dense_ggn(ctx, lik, x)
             for _ in range(4):
-                x_star = rng.normal(size=2)
+                x_star = rng.normal(size=(1, 2))
                 a = exact.predict(x_star)[0].covariance
-                b = weight.predict(x_star)[0].covariance
+                b = dense_covariances(ctx.net, precision, x_star)[0]
                 scale = max(1e-12, float(np.max(np.abs(a))))
                 assert np.max(np.abs(a - b)) <= 1e-8 * scale
 
@@ -301,10 +300,10 @@ class TestWeightSpaceEquivalence:
         rng = rng_stream(8)
         ctx = random_ctx(rng, 2, [3], 1, log_prior_variance=np.log(0.7))
         lik = LikelihoodModel(kind="gaussian", noise_variance=1.0)
-        weight = fit_weight_space(ctx, lik, np.zeros((0, 2)))
+        precision = dense_ggn(ctx, lik, np.zeros((0, 2)))
         x_star = rng.normal(size=2)
-        pred = weight.predict(x_star)[0]
-        assert np.allclose(pred.covariance, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-10)
+        cov = dense_covariances(ctx.net, precision, [x_star])[0]
+        assert np.allclose(cov, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
     def test_single_point_precision_assembly(self, kind):
@@ -315,21 +314,17 @@ class TestWeightSpaceEquivalence:
         y = rng.normal(size=(1, 1))
         sigma2, prior = 0.5, 2.0
         lik = LikelihoodModel(kind=kind, noise_variance=sigma2)
-        weight = fit_weight_space(ctx.with_log_prior_variance(np.log(prior)), lik, x)
-        j = jacobian(ctx, x[0])
+        precision = dense_ggn(ctx.with_log_prior_variance(np.log(prior)), lik, x)
+        # a network with no hidden layer is linear in its parameters: the
+        # row of output o holds x at columns i*C + o, then a 1 at bias o
+        j = np.concatenate([np.kron(x[0], np.eye(c)), np.eye(c)], axis=1)
         if kind == "gaussian":
             lam = np.eye(c) / sigma2
         else:
-            p = softmax(forward(ctx.net, x).output[0])
+            p = softmax(x[0] @ ctx.net.weights[0] + ctx.net.biases[0])
             lam = np.diag(p) - np.outer(p, p)
         expected = j.T @ lam @ j + np.eye(ctx.net.param_count) / prior
-        assert np.allclose(weight.precision, expected, atol=1e-12)
-
-    def test_cap_enforced(self):
-        rng = rng_stream(10)
-        ctx = random_ctx(rng, 10, [50], 10)
-        with pytest.raises(CapExceeded):
-            fit_weight_space(ctx, LikelihoodModel(kind="categorical"), np.zeros((2, 10)), cap=100)
+        assert np.allclose(precision, expected, atol=1e-12)
 
 
 class TestDiag:
@@ -339,9 +334,9 @@ class TestDiag:
         x = rng.normal(size=(5, 2))
         lik = LikelihoodModel(kind="categorical")
         ctx = ctx.with_log_prior_variance(np.log(1.5))
-        full = fit_weight_space(ctx, lik, x)
+        full = dense_ggn(ctx, lik, x)
         diag = fit_diag(ctx, lik, x)
-        assert np.max(np.abs(np.diag(full.precision) - diag.precision_diag)) <= 1e-10
+        assert np.max(np.abs(np.diag(full) - diag.precision_diag)) <= 1e-10
 
     def test_equals_weight_space_when_ggn_diagonal(self):
         # one data point at x = 0 makes the linear-model GGN exactly diagonal
@@ -353,12 +348,12 @@ class TestDiag:
         y = rng.normal(size=(1, 1))
         ctx = KernelContext(net=net, log_prior_variance=np.log(0.8))
         d = fit_diag(ctx, lik, x)
-        w = fit_weight_space(ctx, lik, x)
+        precision = dense_ggn(ctx, lik, x)
         for _ in range(5):
             x_star = rng.normal(size=1)
             assert np.allclose(
                 d.predict(x_star)[0].covariance,
-                w.predict(x_star)[0].covariance,
+                dense_covariances(net, precision, [x_star])[0],
                 atol=1e-12,
             )
 
@@ -380,18 +375,18 @@ class TestLastLayer:
         lik = LikelihoodModel(kind="categorical")
         ctx = ctx.with_log_prior_variance(np.log(1.2))
         ll = fit_last_layer(ctx, lik, x)
-        w = fit_weight_space(ctx, lik, x)
+        precision = dense_ggn(ctx, lik, x)
         for _ in range(5):
             x_star = rng.normal(size=3)
             a = ll.predict(x_star)[0].covariance
-            b = w.predict(x_star)[0].covariance
+            b = dense_covariances(ctx.net, precision, [x_star])[0]
             assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_jacobian_equals_explicit_slice(self):
         rng = rng_stream(15)
         ctx = random_ctx(rng, 2, [4, 3], 2)
         x = rng.normal(size=2)
-        full = jacobian(ctx, x)
+        full = jacobian(ctx.net, x)
         last_cols = (3 + 1) * 2
         assert np.max(np.abs(last_layer_jacobian(ctx.net, x) - full[:, -last_cols:])) <= 1e-12
 
@@ -404,7 +399,7 @@ class TestLastLayer:
         last_cols = (3 + 1) * 3
         expected = np.eye(last_cols) / 0.9
         for xi, g in zip(x, forward(ctx.net, x).output):
-            j = jacobian(ctx, xi)[:, -last_cols:]
+            j = jacobian(ctx.net, xi)[:, -last_cols:]
             p = softmax(g)
             expected += j.T @ (np.diag(p) - np.outer(p, p)) @ j
         lower = ll.precision_factor.lower
@@ -476,9 +471,9 @@ class TestLayerwise:
         x_star = rng.normal(size=(n_query, d))
 
         diag = fit_diag(ctx, lik, x)
-        assert_close_relative(diag.precision_diag, np.diag(fit_weight_space(ctx, lik, x).precision))
+        assert_close_relative(diag.precision_diag, np.diag(dense_ggn(ctx, lik, x)))
         pred = diag.predict(x_star)
-        jacs = [jacobian(ctx, xi) for xi in x_star]
+        jacs = [jacobian(ctx.net, xi) for xi in x_star]
         oracle = np.array([(j / diag.precision_diag) @ j.T for j in jacs])
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
         assert_close_relative(pred.covariance, oracle.reshape(n_query, c, c))
@@ -489,26 +484,6 @@ class TestLayerwise:
         oracle = np.array([j @ solve_psd(ll.precision_factor, j.T) for j in jacs])
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
         assert_close_relative(pred.covariance, oracle.reshape(n_query, c, c))
-
-    def test_no_per_point_jacobian(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("kernel.jacobian called")
-
-        original = kernel.jacobian
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("lagp"):
-                for name, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, name, refuse)
-        rng = rng_stream(27)
-        ctx = random_ctx(rng, 3, [5, 4], 3)
-        lik = LikelihoodModel(kind="categorical")
-        x, x_star = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
-        for fit in (fit_diag, fit_last_layer):
-            pred = fit(ctx.with_log_prior_variance(np.log(0.8)), lik, x).predict(x_star)
-            assert pred.covariance.shape == (4, 3, 3)
-        with pytest.raises(AssertionError, match="kernel.jacobian"):
-            fit_weight_space(ctx, lik, x)
 
     def test_kernel_paths_read_layer_walk(self, monkeypatch):
         walked = []

@@ -17,7 +17,6 @@ from lagp.lla import (
     fit_diag,
     fit_exact,
     fit_last_layer,
-    fit_weight_space,
     softmax,
 )
 from lagp.nn import forward
@@ -71,6 +70,15 @@ class TestContainer:
         with pytest.raises(FormatError, match="meta"):
             read_container(path)
 
+    def test_impossible_empty_shape(self, tmp_path):
+        # an empty array whose other dimension no array can have
+        path = tmp_path / "c.bin"
+        header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<H", 4) + b"demo" + struct.pack("<I", 2) + b"{}"
+        array = struct.pack("<I", 1) + struct.pack("<H", 1) + b"a" + struct.pack("<BQQ", 2, 0, 2**62)
+        path.write_bytes(header + array)
+        with pytest.raises(FormatError, match="shape"):
+            read_container(path)
+
     def test_kind_longer_than_file(self, tmp_path):
         path = tmp_path / "c.bin"
         path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<H", 500) + b"demo")
@@ -78,7 +86,7 @@ class TestContainer:
             read_container(path)
 
 
-STATE_NAMES = ("map", "lla-exact", "lla-exact-empty", "lla-weight", "lla-diag", "lla-last-layer", "valla", "ella")
+STATE_NAMES = ("map", "lla-exact", "lla-exact-empty", "lla-diag", "lla-last-layer", "valla", "ella")
 NORMALIZATION_FIELDS = ("input_mean", "input_std", "target_mean", "target_std")
 
 
@@ -104,7 +112,6 @@ def fitted_states(d, kind):
         "map": MapState(ctx=ctx, likelihood=lik),
         "lla-exact": fit_exact(ctx, lik, x),
         "lla-exact-empty": fit_exact(ctx, lik, np.zeros((0, d))),
-        "lla-weight": fit_weight_space(ctx.with_log_prior_variance(np.log(0.7)), lik, x),
         "lla-diag": fit_diag(ctx.with_log_prior_variance(np.log(0.7)), lik, x),
         "lla-last-layer": fit_last_layer(ctx.with_log_prior_variance(np.log(0.7)), lik, x),
         "valla": make_state(rng, ctx, m=3, kind=kind, alpha=0.5),
@@ -212,10 +219,21 @@ class TestStateRoundtrips:
         with pytest.raises(FormatError):
             load_state(tmp_path / "s.bin")
 
+    def test_weight_space_file_rejected_by_kind(self, tmp_path):
+        # the dense weight-space kind is retired; its files name it in the error
+        state, _ = fitted_states(2, "gaussian")["lla-diag"]
+        save_state(tmp_path / "diag.bin", state)
+        _, meta, arrays = read_container(tmp_path / "diag.bin")
+        p = state.ctx.net.param_count
+        arrays.update(precision=np.eye(p), covariance_factor=np.eye(p))
+        write_container(tmp_path / "weight.bin", "lla-weight", meta, arrays)
+        with pytest.raises(FormatError, match="unknown state kind 'lla-weight'"):
+            load_state(tmp_path / "weight.bin")
 
-def with_arrays_changed(tmp_path, state, change):
+
+def with_arrays_changed(tmp_path, state, change, normalization=None):
     """Path of a copy of ``state``'s file whose arrays went through ``change`` (edits the dict in place)."""
-    save_state(tmp_path / "ok.bin", state)
+    save_state(tmp_path / "ok.bin", state, normalization=normalization)
     kind, meta, arrays = read_container(tmp_path / "ok.bin")
     change(arrays)
     write_container(tmp_path / "bad.bin", kind, meta, arrays)
@@ -293,6 +311,20 @@ def _last_entry(value):
     return edit
 
 
+BAD_NORMALIZATIONS = {
+    "target-std-missing": ("norm_target_std", lambda arrays: arrays.pop("norm_target_std")),
+    "input-mean-missing": ("norm_input_mean", lambda arrays: arrays.pop("norm_input_mean")),
+    "target-std-nan": ("norm_target_std", _set("norm_target_std", _last_entry(np.nan))),
+    "input-mean-nan": ("norm_input_mean", _set("norm_input_mean", _last_entry(np.nan))),
+    "input-std-inf": ("norm_input_std", _set("norm_input_std", _last_entry(np.inf))),
+    "input-std-zero": ("norm_input_std", _set("norm_input_std", _last_entry(0.0))),
+    "target-std-negative": ("norm_target_std", _set("norm_target_std", lambda v: -v)),
+    "input-mean-one-short": ("norm_input_mean", _set("norm_input_mean", lambda v: v[:-1])),
+    "input-std-matrix": ("norm_input_std", _set("norm_input_std", lambda v: v[None, :])),
+    "target-mean-empty": ("norm_target_mean", _set("norm_target_mean", lambda v: v[:0])),
+    "target-std-one-long": ("norm_target_std", _set("norm_target_std", lambda v: np.append(v, 1.0))),
+}
+
 # (state name, field): every array and factor of every kind with entries to corrupt
 STATE_FIELDS = [
     (name, field)
@@ -347,6 +379,12 @@ class TestMalformedStates:
         state, _ = fitted_states(2, kind)[name]
         with pytest.raises(FormatError, match=field):
             load_state(with_arrays_changed(tmp_path, state, _set(field, _last_entry(value))))
+
+    @pytest.mark.parametrize(("name", "change"), BAD_NORMALIZATIONS.values(), ids=BAD_NORMALIZATIONS.keys())
+    def test_bad_normalization_rejected(self, tmp_path, name, change):
+        state, norm = fitted_states(2, "gaussian")["valla"]
+        with pytest.raises(FormatError, match=name):
+            load_state(with_arrays_changed(tmp_path, state, change, normalization=norm))
 
     def test_older_ella_file_with_feature_dim_loads(self, tmp_path):
         # older ELLA files also stored the feature count K in their meta

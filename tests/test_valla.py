@@ -519,6 +519,10 @@ class TestKmeansInit:
 
 
 class TestFitValla:
+    def test_negative_learning_rate_rejected(self):
+        with pytest.raises(DimensionMismatch, match="learning_rate"):
+            TrainSchedule(iterations=20, batch_size=6, learning_rate=-1.0)
+
     def test_zero_learning_rate_keeps_state(self):
         rng = rng_stream(19)
         ctx = random_ctx(rng, 1, [4], 1, log_prior_variance=0.1)
