@@ -2,7 +2,8 @@
 
 Configuration files are plain text, one ``key = value`` per line, ``#``
 comments allowed. ``CONFIG_KEYS`` declares each key's default and type:
-an integer, a non-negative integer (seeds), a finite number,
+an integer, a non-negative integer (seeds), a count (an integer >= 1:
+iterations, batch sizes, inducing points, anchors), a finite number,
 ``true``/``false``, a path, one of a set of words, a non-negative
 integer or one word, or a comma-separated list. Every value is read as
 its key's type when the file loads, and a value that does not
@@ -67,6 +68,7 @@ def _natural_or(word):
 
 INT = _type("an integer", int)
 NATURAL = _type("a non-negative integer", int, lambda value: value >= 0)
+COUNT = _type("an integer >= 1", int, lambda value: value >= 1)
 FLOAT = _type("a finite number", float, math.isfinite)
 POSITIVE = _type("a finite number > 0", float, lambda value: math.isfinite(value) and value > 0.0)
 BOOL = _type("true or false", lambda raw: {"true": True, "false": False}.get(raw.lower()), lambda v: v is not None)
@@ -94,29 +96,28 @@ CONFIG_KEYS = {
     "split.fractions": ((0.8, 0.1, 0.1), FRACTIONS, "train, validation, test fractions"),
     "split.shuffle": (0, _natural_or("sequential"), "shuffle seed, or sequential for in-order splits"),
     "arch.hidden": ((50, 50), INTS, "hidden layer widths"),
-    "train.iterations": (12000, INT, "MAP training iterations"),
-    "train.batch_size": (100, INT, "MAP training batch size"),
+    "train.iterations": (12000, COUNT, "MAP training iterations"),
+    "train.batch_size": (100, COUNT, "MAP training batch size"),
     "train.learning_rate": (1e-3, FLOAT, "MAP training Adam step size"),
     "train.weight_decay": (0.0, FLOAT, "L2 coefficient added to the gradient"),
-    "train.loss": ("rmse", _words("rmse", "nll_classification"), "MAP training loss"),
     "method": ("valla", _words(*METHODS), "posterior to fit"),
     "method.prior_variance": (None, POSITIVE, "prior variance; grid-searched when unset (regression)"),
     "method.noise_variance": (None, POSITIVE, "observation noise variance; grid-searched when unset"),
-    "method.inducing": (20, INT, "number of inducing locations (valla)"),
+    "method.inducing": (20, COUNT, "number of inducing locations (valla)"),
     "method.alpha": (1.0, FLOAT, "likelihood power in (0, 1] (valla)"),
     "method.objective": ("alpha", _words("alpha", "elbo"), "training objective (valla)"),
-    "method.iterations": (10000, INT, "fit iterations (valla)"),
-    "method.batch_size": (100, INT, "fit batch size (valla)"),
+    "method.iterations": (10000, COUNT, "fit iterations (valla)"),
+    "method.batch_size": (100, COUNT, "fit batch size (valla)"),
     "method.learning_rate": (1e-2, FLOAT, "fit Adam step size (valla)"),
-    "method.validate_every": (100, INT, "iterations between validation checks (valla)"),
-    "method.patience": (3, INT, "non-improving checks before stopping (valla)"),
+    "method.validate_every": (100, COUNT, "iterations between validation checks (valla)"),
+    "method.patience": (3, COUNT, "non-improving checks before stopping (valla)"),
     "method.train_inducing": (True, BOOL, "optimize inducing locations (valla)"),
     "method.train_prior_variance": (True, BOOL, "optimize the prior variance (valla)"),
     "method.train_noise_variance": (True, BOOL, "optimize the noise variance (valla)"),
     "method.early_stopping": (True, BOOL, "use validation-based early stopping (valla)"),
-    "method.anchors": (20, INT, "anchor subset size (ella)"),
+    "method.anchors": (20, COUNT, "anchor subset size (ella)"),
     "method.features": ("auto", _natural_or("auto"), "feature count, or auto for the usable rank (ella)"),
-    "method.max_points": (None, INT, "optional cap on the accumulation pass (ella)"),
+    "method.max_points": (None, COUNT, "optional cap on the accumulation pass (ella)"),
 }
 
 
@@ -228,16 +229,13 @@ def cmd_train_map(args):
     out = _prepare_outdir(cfg, text)
     train, _, _, _ = prepare_splits(cfg)
     arch = architecture_for(cfg, train)
-    loss = cfg["train.loss"]
-    if train.task == "classification" and loss == "rmse":
-        loss = "nll_classification"
     tc = TrainConfig(
         iterations=cfg["train.iterations"],
         batch_size=cfg["train.batch_size"],
         learning_rate=cfg["train.learning_rate"],
         weight_decay=cfg["train.weight_decay"],
         seed=cfg["seed"],
-        loss=loss,
+        loss="nll_classification" if train.task == "classification" else "rmse",
     )
     started = time.monotonic()
     net = train_map(arch, (train.inputs, train.targets), tc, log_path=out / "train_log.csv")

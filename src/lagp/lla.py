@@ -7,13 +7,17 @@ Gauss-Newton precision over every parameter; that dense precision is
 never built here. The test suite keeps it, from explicit Jacobians, as
 the oracle of the exact, diagonal and last-layer routes.
 
-The diagonal and last-layer variants never form a Jacobian. The
-checkpoint stores each layer's W_l (w_{l-1} x w_l, row-major) and then
-b_l, so over layer l's parameters the Jacobian row of output c at input
-x is kron(a~(x), s(x)_c), with a~ = [a_{l-1}, 1] the layer input and a
-bias column and s the sensitivities (``kernel.layer_walk``). A diagonal
-weighting of layer l's parameters then reduces to one GEMM of a~^2
-against the sensitivities; the last layer's a~ is the feature vector phi.
+No route forms a Jacobian. Each fit runs ``nn.forward`` once over X:
+the outputs of that trace give the curvature roots B below, and the
+exact and diagonal fits walk the same trace with ``nn.layer_walk``
+seeded with B^T, so the sensitivities arrive whitened. The checkpoint
+stores each layer's W_l (w_{l-1} x w_l, row-major) and then b_l, so over
+layer l's parameters the Jacobian row of output c at input x is
+kron(a(x), s(x)_c) followed by s(x)_c, with a the layer input and s the
+sensitivities. A diagonal weighting of layer l's weights then reduces to
+one GEMM of a^2 against the sensitivities, and its biases to a sum of
+the squared sensitivities; the last layer's input with a ones column
+appended is the feature vector phi.
 
 The curvature block of the likelihood at a data point,
 
@@ -27,8 +31,8 @@ rank of the softmax block, for the categorical one. The categorical block
 is singular, so the function-space route whitens the kernel with B:
 solves use the N*K square Q = I + B^T kappa(X, X) B, which is always
 positive definite, instead of inverting the curvature. ``fit_exact``
-assembles Q in place from one ``layer_walk`` over X, each layer's
-sensitivities whitened to B^T s first, so no (N*C)^2 kernel is formed.
+assembles Q in place from one walk over X seeded with B^T, so each
+layer's sensitivities arrive whitened and no (N*C)^2 kernel is formed.
 The predictive covariance is cov = prior - r^T r blockwise, with
 r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q: one
 triangular solve. The diagonal and last-layer fits add their part of
@@ -47,17 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
-from .kernel import (
-    KernelContext,
-    _diag_term,
-    _gram_term,
-    as_inputs,
-    kernel_block_fast,
-    kernel_diag_blocks,
-    layer_walk,
-)
+from .kernel import KernelContext, _diag_term, _gram_term, as_inputs, kernel_block_fast, kernel_diag_blocks
 from .linalg import CholeskyFactor, cholesky, solve_lower, sym_eig
-from .nn import forward, layer_blocks
+from .nn import forward, layer_blocks, layer_walk
 
 EXACT_CAP = 3000  # max N*C for the function-space route
 PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in exact_covariances and last_layer_covariances (32 MB)
@@ -144,13 +140,6 @@ def whiten(roots, m):
     n, c, k = roots.shape
     cols = m.shape[1]
     return (roots.transpose(0, 2, 1) @ m.reshape(n, c, cols)).reshape(n * k, cols)
-
-
-def _whitened_walk(net, roots, x):
-    """Yield (a~, B^T s) per ``layer_walk`` layer over x: the sensitivities whitened to (N, K, w)."""
-    roots_t = roots.transpose(0, 2, 1)
-    for _, a, s in layer_walk(net, x):
-        yield a, roots_t @ s
 
 
 class PosteriorState:
@@ -271,21 +260,22 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     """Condition the tangent-kernel prior on the training data.
 
     Q = I + B^T kappa(X, X) B is accumulated layer by layer into one
-    (N*K)^2 buffer from a single walk over X: with B scaled by
-    sqrt(prior_variance), each layer adds (S S^T) * (A A^T) for the
-    whitened sensitivities S = B^T s and the layer inputs A.
+    (N*K)^2 buffer from a single walk over X seeded with B^T: with B
+    scaled by sqrt(prior_variance), each layer adds (S S^T) * (A A^T + 1)
+    for the whitened sensitivities S = B^T s and the layer inputs A.
     """
     x = as_inputs(x, ctx.net.arch.input_dim)
     n = x.shape[0]
     c = ctx.net.arch.output_dim
     if n * c > cap:
         raise CapExceeded(f"N*C = {n * c} exceeds exact cap {cap}; use a sparse method")
-    roots = curvature_roots(likelihood, forward(ctx.net, x).output)
+    trace = forward(ctx.net, x)
+    roots = curvature_roots(likelihood, trace.output)
     k = roots.shape[2]
     q_factor = None
     if n * k:
         q = np.zeros((n, k, n, k))
-        for a, s in _whitened_walk(ctx.net, np.sqrt(ctx.prior_variance) * roots, x):
+        for _, a, s in layer_walk(ctx.net, trace, np.sqrt(ctx.prior_variance) * roots.transpose(0, 2, 1)):
             q += _gram_term(a, s, a, s)
         q = q.reshape(n * k, n * k)
         q.flat[:: n * k + 1] += 1.0
@@ -296,14 +286,15 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
 def exact_covariances(state, x_star):
     """Prior blocks minus r^T r at each query, r = L^-1 B^T kappa(X, x*), in query chunks.
 
-    X is walked once with its sensitivities whitened; each chunk of
-    queries is walked once for both its cross block and its prior blocks.
+    X is walked once, seeded with B^T; each chunk of queries is walked
+    once for both its cross block and its prior blocks.
     """
     ctx = state.ctx
     if state.q_factor is None:
         return kernel_diag_blocks(ctx, x_star)
     n, c, k = state.sqrt_lambda.shape
-    train = list(_whitened_walk(ctx.net, ctx.prior_variance * state.sqrt_lambda, state.train_inputs))
+    seed = ctx.prior_variance * state.sqrt_lambda.transpose(0, 2, 1)
+    train = list(layer_walk(ctx.net, forward(ctx.net, state.train_inputs), seed))
     # queries in chunks, so the (N*K, chunk*C) cross block stays within the block size
     chunk = max(1, PREDICT_BLOCK_FLOATS // (n * k * c))
     covs = np.empty((x_star.shape[0], c, c))
@@ -311,7 +302,7 @@ def exact_covariances(state, x_star):
         rows = x_star[start : start + chunk]
         v = np.zeros((n, k, rows.shape[0], c))
         prior = np.zeros((rows.shape[0], c, c))
-        for (a, s), (_, aq, sq) in zip(train, layer_walk(ctx.net, rows)):
+        for (_, a, s), (_, aq, sq) in zip(train, layer_walk(ctx.net, forward(ctx.net, rows))):
             v += _gram_term(a, s, aq, sq)
             prior += _diag_term(aq, sq)
         r = solve_lower(state.q_factor, v.reshape(n * k, -1))
@@ -342,28 +333,31 @@ class LlaDiagState(PosteriorState):
 def fit_diag(ctx, likelihood, x):
     """Keep only the diagonal of the Gauss-Newton precision.
 
-    With G_n = B_n^T s_n, layer l's block of the diagonal adds
-    sum_n outer(a~_n^2, sum_k G_n[k]^2), one GEMM over the training points.
+    With G_n = B_n^T s_n from the walk seeded with B^T, layer l's weight
+    rows of the diagonal add sum_n outer(a_n^2, sum_k G_n[k]^2), one GEMM
+    over the training points, and its bias row adds sum_n sum_k G_n[k]^2.
     """
     net = ctx.net
-    x = as_inputs(x, net.arch.input_dim)
+    trace = forward(net, as_inputs(x, net.arch.input_dim))
     diag = np.full(net.param_count, 1.0 / ctx.prior_variance)
     blocks = layer_blocks(net.arch, diag)
-    roots_t = curvature_roots(likelihood, forward(net, x).output).transpose(0, 2, 1)
-    for l, a, s in layer_walk(net, x):
-        g = roots_t @ s
-        blocks[l] += (a * a).T @ (g * g).sum(axis=1)
+    roots_t = curvature_roots(likelihood, trace.output).transpose(0, 2, 1)
+    for l, a, s in layer_walk(net, trace, roots_t):
+        g2 = (s * s).sum(axis=1)
+        blocks[l][:-1] += (a * a).T @ g2
+        blocks[l][-1] += g2.sum(axis=0)
     return LlaDiagState(ctx=ctx, likelihood=likelihood, precision_diag=diag)
 
 
 def diag_covariances(state, x_star):
-    """Covariance sum_l (s * (a~^2 D_l)) s^T, with D_l layer l's block of 1 / precision_diag."""
+    """Covariance sum_l (s * (a^2 V_l + u_l)) s^T, with V_l and u_l layer l's rows of 1 / precision_diag."""
     net = state.ctx.net
     c = net.arch.output_dim
     inv = layer_blocks(net.arch, 1.0 / state.precision_diag)
     covs = np.zeros((x_star.shape[0], c, c))
-    for l, a, s in layer_walk(net, x_star):
-        covs += (s * ((a * a) @ inv[l])[:, None, :]) @ s.transpose(0, 2, 1)
+    for l, a, s in layer_walk(net, forward(net, x_star)):
+        scale = (a * a) @ inv[l][:-1] + inv[l][-1]
+        covs += (s * scale[:, None, :]) @ s.transpose(0, 2, 1)
     return 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
@@ -386,10 +380,10 @@ class LlaLastLayerState(PosteriorState):
             raise FormatError(f"precision_factor must be a ({dim}, {dim}) lower triangle")
 
 
-def last_layer_features(net, x):
-    """(N, width+1) inputs to the final layer with the bias column: the top a~ of ``layer_walk``."""
-    _, phi, _ = next(layer_walk(net, as_inputs(x, net.arch.input_dim)))
-    return phi
+def last_layer_features(trace):
+    """(N, width+1) features phi of a ``nn.forward`` trace: the final layer's input and a ones column."""
+    a = trace.layer_inputs[-1]
+    return np.concatenate([a, np.ones((a.shape[0], 1))], axis=1)
 
 
 def fit_last_layer(ctx, likelihood, x):
@@ -397,8 +391,9 @@ def fit_last_layer(ctx, likelihood, x):
     net = ctx.net
     x = as_inputs(x, net.arch.input_dim)
     n, c = x.shape[0], net.arch.output_dim
-    phi = last_layer_features(net, x)
-    roots = curvature_roots(likelihood, forward(net, x).output)
+    trace = forward(net, x)
+    phi = last_layer_features(trace)
+    roots = curvature_roots(likelihood, trace.output)
     # precision[(i,j),(i',j')] = sum_n phi_i phi_i' Lambda_n[j,j'] at the
     # checkpoint columns i*C + j. Contracting Lambda_n = B_n B_n^T first
     # keeps the Kronecker structure: C GEMMs of C*w^2*N flops each, where
@@ -420,7 +415,7 @@ def last_layer_covariances(state, x_star):
     query chunk of at most ``PREDICT_BLOCK_FLOATS`` entries of r.
     """
     net = state.ctx.net
-    phi = last_layer_features(net, x_star)
+    phi = last_layer_features(forward(net, x_star))
     n, c = x_star.shape[0], net.arch.output_dim
     fc = phi.shape[1] * c
     inv_lower = solve_lower(state.precision_factor, np.eye(fc)).reshape(fc, -1, c)

@@ -1,9 +1,16 @@
-"""Fully connected networks: definition, MAP training, and checkpoints.
+"""Fully connected networks: definition, the forward pass and the reverse walk, MAP training, and checkpoints.
 
-Layer l computes ``h_l = a(h_{l-1}) @ W_l + b_l`` with ``W_l`` of shape
-(fan_in, fan_out) and tanh activations between layers; the final layer is
-linear. All P parameters share one flat layout, owned by ``layer_blocks``:
-per layer, W_l row-major then b_l, a (fan_in + 1, fan_out) block whose last
+Layer l computes ``h_l = a_{l-1} @ W_l + b_l`` with ``W_l`` of shape
+(fan_in, fan_out), a_0 = x and a_l = tanh(h_l) between layers; the final
+layer is linear. ``forward`` is the one evaluator of the network: its
+``ForwardTrace`` keeps every layer's input beside the output.
+``layer_walk`` is the one reverse walk over such a trace: it carries the
+sensitivities of seeded output combinations down the layers.
+``backward`` seeds it with the loss gradient; the tangent-kernel and
+Laplace paths seed it with the identity or with whitened curvature roots.
+
+All P parameters share one flat layout, owned by ``layer_blocks``: per
+layer, W_l row-major then b_l, a (fan_in + 1, fan_out) block whose last
 row is the bias. ``train_map`` builds its network once over views of one
 such vector, which Adam updates in place from ``backward``'s flat gradient.
 ``forward`` rejects a non-finite output; the trainer rejects a non-finite
@@ -12,7 +19,7 @@ a network built from arrays rejects non-finite parameters when built.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +115,7 @@ def layer_blocks(arch, params):
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    pre_activations: tuple
-    post_activations: tuple
+    layer_inputs: tuple  # layer l's (N, w_{l-1}) input a_{l-1}: x, then each tanh activation
     output: np.ndarray
 
 
@@ -141,62 +147,69 @@ def init_network(arch, seed):
     return MlpNetwork.from_flat(arch, params)
 
 
-def forward(net, x, keep_trace=False):
-    """Evaluate the network on a batch, optionally retaining all layer values."""
+def forward(net, x):
+    """Evaluate the network on an (N, D) batch; the trace keeps every layer's input."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
         raise DimensionMismatch(
             f"input has shape {x.shape}, expected (N, {net.arch.input_dim})"
         )
-    pre, post = [], []
-    current = x
-    depth = net.arch.depth
+    inputs = [x]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        for l in range(depth):
-            h = current @ net.weights[l] + net.biases[l]
-            if keep_trace:
-                pre.append(h)
-            if l < depth - 1:
-                current = np.tanh(h)
-                if keep_trace:
-                    post.append(current)
-            else:
-                current = h
-    if not np.all(np.isfinite(current)):
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            inputs.append(np.tanh(inputs[-1] @ w + b))
+        output = inputs[-1] @ net.weights[-1] + net.biases[-1]
+    if not np.all(np.isfinite(output)):
         raise NonFiniteValue("forward pass produced NaN or Inf")
-    return ForwardTrace(
-        pre_activations=tuple(pre),
-        post_activations=tuple(post),
-        output=current,
-    )
+    return ForwardTrace(layer_inputs=tuple(inputs), output=output)
 
 
-def backward(net, x, trace, output_gradient):
+def layer_walk(net, trace, seed=None):
+    """Yield (l, a, s) for each layer l, from the last layer down: the one reverse walk.
+
+    a = ``trace.layer_inputs[l]`` is layer l's (N, w_{l-1}) input and s
+    the (N, K, w_l) sensitivities d(seed[n] @ output[n]) / d(h_l[n]) of
+    the K output combinations in the (N, K, C) ``seed``; None seeds the
+    identity, K = C. The derivative of output combination k at point n
+    with respect to W_l[i, j] is a[n, i] s[n, k, j], and with respect to
+    b_l[j] it is s[n, k, j]. s moves down one layer per GEMM over the N*K
+    rows, s_{l-1} = (s_l W_l^T) * (1 - a^2).
+    """
+    n, c = trace.output.shape
+    if seed is None:
+        sens = np.zeros((n, c, c))
+        sens.reshape(n, c * c)[:, :: c + 1] = 1.0
+    else:
+        sens = np.asarray(seed, dtype=np.float64)
+        if sens.ndim != 3 or sens.shape[0] != n or sens.shape[2] != c:
+            raise DimensionMismatch(f"seed has shape {sens.shape}, expected ({n}, K, {c})")
+    k = sens.shape[1]
+    for l in range(net.arch.depth - 1, -1, -1):
+        a = trace.layer_inputs[l]
+        yield l, a, sens
+        if l > 0:
+            w = net.weights[l]
+            sens = (sens.reshape(n * k, w.shape[1]) @ w.T).reshape(n, k, w.shape[0])
+            sens *= (1.0 - a * a)[:, None, :]
+
+
+def backward(net, trace, output_gradient):
     """Gradient of a scalar loss with respect to every parameter, as one (P,) vector.
 
-    ``output_gradient`` holds d(loss)/d(output), one row per input; the
-    trace must come from ``forward(..., keep_trace=True)`` on the same
-    batch. Each layer's products are written straight into its
-    ``layer_blocks`` view of the gradient.
+    ``output_gradient`` holds d(loss)/d(output), one row per input of
+    ``trace``; it seeds ``layer_walk``, and each layer's products are
+    written straight into its ``layer_blocks`` view of the gradient.
     """
-    x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_gradient, dtype=np.float64)
-    if not trace.pre_activations:
-        raise DimensionMismatch("backward needs a trace kept during forward")
     if g.shape != trace.output.shape:
         raise DimensionMismatch(
             f"output gradient shape {g.shape} != output shape {trace.output.shape}"
         )
     grad = np.empty(net.param_count)
     blocks = layer_blocks(net.arch, grad)
-    delta = g
-    for l in range(net.arch.depth - 1, -1, -1):
-        inputs = x if l == 0 else trace.post_activations[l - 1]
-        np.matmul(inputs.T, delta, out=blocks[l][:-1])
-        delta.sum(axis=0, out=blocks[l][-1])
-        if l > 0:
-            post = trace.post_activations[l - 1]
-            delta = (delta @ net.weights[l].T) * (1.0 - post * post)
+    for l, a, s in layer_walk(net, trace, g[:, None, :]):
+        np.matmul(a.T, s[:, 0], out=blocks[l][:-1])
+        s[:, 0].sum(axis=0, out=blocks[l][-1])
     return grad
 
 
@@ -284,6 +297,8 @@ def train_map(arch, data, cfg, log_path=None):
     ``minibatches`` seeded with ``cfg.seed + 1``, so a fixed seed gives a
     bitwise-identical result. When ``log_path`` is given, a CSV of
     (iteration, loss) rows is written every ``LOG_EVERY`` iterations.
+    Under the ``nll_classification`` loss a target outside the class
+    labels [0, C) raises DimensionMismatch.
     """
     x, y = data
     x = np.asarray(x, dtype=np.float64)
@@ -292,6 +307,8 @@ def train_map(arch, data, cfg, log_path=None):
         raise DimensionMismatch("training data is empty")
     if y.ndim == 1:
         y = y[:, None]
+    if cfg.loss == "nll_classification" and not np.all((y >= 0) & (y < arch.output_dim)):
+        raise DimensionMismatch(f"class labels must lie in [0, {arch.output_dim})")
     params = init_network(arch, cfg.seed).flat_parameters()
     net = MlpNetwork.from_flat(arch, params)
     opt = AdamOptimizer(params, cfg.learning_rate, cfg.weight_decay)
@@ -299,12 +316,11 @@ def train_map(arch, data, cfg, log_path=None):
     batches = minibatches(x.shape[0], cfg.batch_size, cfg.seed + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergence is reported as NonFiniteValue
         for it, idx in zip(range(1, cfg.iterations + 1), batches):
-            batch_x = x[idx]
-            trace = forward(net, batch_x, keep_trace=True)
+            trace = forward(net, x[idx])
             loss, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
             if not np.isfinite(loss):
                 raise NonFiniteValue(f"training diverged at iteration {it}")
-            opt.step(backward(net, batch_x, trace, out_grad))
+            opt.step(backward(net, trace, out_grad))
             if not np.isfinite(params).all():
                 raise NonFiniteValue(f"training diverged at iteration {it}: a parameter is NaN or Inf")
             if it % LOG_EVERY == 0 or it == cfg.iterations:

@@ -361,8 +361,8 @@ def fit_valla(
     x, y = train
     x = as_inputs(x, ctx.net.arch.input_dim)
     n = x.shape[0]
-    if m_inducing > n:
-        raise DimensionMismatch(f"M = {m_inducing} exceeds N = {n}")
+    if not 1 <= m_inducing <= n:
+        raise DimensionMismatch(f"M = {m_inducing} must lie in [1, N = {n}]")
     if early_stopping and (validation is None or len(validation[0]) == 0):
         raise DimensionMismatch("early stopping needs a nonempty validation set")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagp.cli import BOOL, CONFIG_KEYS, FLOAT, INT, NATURAL, POSITIVE, main, parse_config_text, validate_config
+from lagp.cli import BOOL, CONFIG_KEYS, COUNT, FLOAT, INT, NATURAL, POSITIVE, main, parse_config_text, validate_config
 from lagp.errors import ConfigError
 from lagp.serialize import load_state, read_container, write_container
 
@@ -55,6 +55,7 @@ def _wrong_values():
     wrong = {
         INT: ("abc", "2.7"),
         NATURAL: ("abc", "2.7", "-1"),
+        COUNT: ("abc", "2.7", "0", "-2"),
         FLOAT: ("abc", "nan", "inf"),
         POSITIVE: ("abc", "nan", "inf"),
         BOOL: ("abc", "maybe"),
@@ -79,7 +80,6 @@ def _wrong_values():
         ("method.prior_variance", "-1"),
         ("method.noise_variance", "0"),
         ("dataset.kind", "Toy1d"),
-        ("train.loss", "mse"),
         ("method.objective", "ELBO"),
     ]
 
@@ -183,6 +183,14 @@ class TestTrainMap:
         cfg.write_text("no.such.key = 1\n")
         assert main(["train-map", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("loss", ["rmse", "nll_classification"])
+    def test_loss_key_is_unknown(self, tmp_path, capsys, loss):
+        """The task decides the loss, so a config that names one fails before any output."""
+        cfg = write_config(tmp_path, "loss.cfg", f"output_dir = {tmp_path / 'run'}\ntrain.loss = {loss}\n")
+        assert main(["train-map", str(cfg)]) == 2
+        assert "unknown key 'train.loss'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_negative_toy_size_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "neg.cfg", f"output_dir = {tmp_path / 'neg'}\n").read_text()
         (tmp_path / "neg.cfg").write_text(cfg.replace("dataset.n = 60", "dataset.n = -5"))
@@ -252,16 +260,20 @@ class TestFit:
         assert "alpha must lie in (0, 1]" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_ella_cap_below_one_exits_1(self, tmp_path, capsys, cap):
+    @pytest.mark.parametrize(
+        ("method", "key", "value"),
+        [("ella", "method.max_points", "-1"), ("ella", "method.max_points", "0"), ("ella", "method.anchors", "-1"),
+         ("valla", "method.inducing", "-2"), ("valla", "method.inducing", "0")],
+    )
+    def test_count_below_one_exits_2_before_output(self, tmp_path, capsys, method, key, value):
         checkpoint = train_checkpoint(tmp_path)
-        cfg = write_config(
-            tmp_path, "cap.cfg", f"output_dir = {tmp_path / 'cap'}\nmethod = ella\nmethod.max_points = {cap}\n"
-        )
-        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 1
+        base = "".join(line + "\n" for line in TOY_BASE.splitlines() if not line.startswith(key))
+        cfg = tmp_path / "count.cfg"
+        cfg.write_text(base + f"output_dir = {tmp_path / 'count'}\nmethod = {method}\n{key} = {value}\n")
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 2
         err = capsys.readouterr().err
-        assert "max_points >= 1" in err
-        assert "Traceback" not in err
+        assert err == f"config error: {key} = {value!r}: expected an integer >= 1\n"
+        assert not (tmp_path / "count").exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "mc.cfg", f"output_dir = {tmp_path / 'mc'}\n")

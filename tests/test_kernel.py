@@ -12,10 +12,9 @@ from lagp.kernel import (
     kernel_diag_blocks,
     kernel_input_vjp,
     kernel_tape,
-    layer_walk,
 )
 from lagp.linalg import rng_stream
-from lagp.nn import MlpArchitecture, MlpNetwork, forward
+from lagp.nn import MlpArchitecture, MlpNetwork, forward, layer_walk
 
 
 def random_ctx(rng, input_dim, hidden, output_dim, log_prior_variance=0.0, scale=1.0):
@@ -44,7 +43,7 @@ def jacobian(net, x):
     """Oracle: the explicit (C, P) Jacobian of the network output at one input.
 
     Its forward pass and back-propagation are its own and share no helper
-    with ``kernel.layer_walk``, which it checks. Columns follow the
+    with ``nn.forward`` or ``nn.layer_walk``, which it checks. Columns follow the
     checkpoint order: per layer, W_l row-major and then b_l.
     """
     x = as_inputs(x, net.arch.input_dim)
@@ -125,9 +124,7 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
 
     # z side: activations, their input tangents, sensitivities, and the
     # sensitivities' input tangents, batched over the M locations
-    a_z = [None] * depth
-    for l, a, _ in layer_walk(net, zs):
-        a_z[l] = a[:, :-1]
+    a_z = forward(net, zs).layer_inputs
     a_dot = [np.broadcast_to(np.eye(d), (m, d, d)).copy()]  # (M, w_{l-1}, D)
     for l in range(depth - 1):
         h_dot = np.einsum("ik,mid->mkd", net.weights[l], a_dot[l])
@@ -149,9 +146,9 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
 
     # x side: plain activations and sensitivities, from the walk
     out = np.zeros((n, m, c, c, d))
-    for l, ax, sx in layer_walk(net, x):
-        gain = ax[:, :-1] @ a_z[l].T + 1.0  # (N, M)
-        gain_dot = np.einsum("ni,mid->nmd", ax[:, :-1], a_dot[l])  # (N, M, D)
+    for l, ax, sx in layer_walk(net, forward(net, x)):
+        gain = ax @ a_z[l].T + 1.0  # (N, M)
+        gain_dot = np.einsum("ni,mid->nmd", ax, a_dot[l])  # (N, M, D)
         pair = np.einsum("nok,mpk->nmop", sx, sens_z[l])  # (N, M, C, C)
         pair_dot = np.einsum("nok,mpkd->nmopd", sx, sens_dot[l])
         out += pair_dot * gain[:, :, None, None, None]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagp import kernel, lla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
-from lagp.kernel import KernelContext, kernel_block_fast, kernel_diag_blocks
+from lagp.kernel import KernelContext, as_inputs, kernel_block_fast, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from lagp.lla import (
     GaussianPredictive,
@@ -23,6 +23,7 @@ from lagp.lla import (
     softmax,
     whiten,
 )
+from lagp import nn
 from lagp.nn import MlpArchitecture, MlpNetwork, forward
 from lagp.ella import _features, ella_fit
 from lagp.serialize import load_state, save_state
@@ -51,7 +52,7 @@ def last_layer_jacobian(net, x):
     weight (i, j) at i*C + j, then the C bias entries, which together
     equal the feature index i paired with class j.
     """
-    phi = last_layer_features(net, x)[0]
+    phi = last_layer_features(forward(net, as_inputs(x, net.arch.input_dim)))[0]
     c = net.arch.output_dim
     jac = np.zeros((c, phi.shape[0] * c))
     for o in range(c):
@@ -486,18 +487,24 @@ class TestLayerwise:
         assert_close_relative(pred.covariance, oracle.reshape(n_query, c, c))
 
     def test_kernel_paths_read_layer_walk(self, monkeypatch):
-        walked = []
-        original = kernel.layer_walk
+        walked, forwards = [], []
+        original_walk, original_forward = nn.layer_walk, nn.forward
 
-        def counted(net, x):
-            walked.append(x.shape[0])
-            return original(net, x)
+        def counted(net, trace, seed=None):
+            walked.append(trace.output.shape[0])
+            return original_walk(net, trace, seed)
+
+        def counted_forward(net, x):
+            forwards.append(np.shape(x)[0])
+            return original_forward(net, x)
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("lagp"):
                 for name, value in list(vars(module).items()):
-                    if value is original:
+                    if value is original_walk:
                         monkeypatch.setattr(module, name, counted)
+                    elif value is original_forward:
+                        monkeypatch.setattr(module, name, counted_forward)
         rng = rng_stream(28)
         ctx = random_ctx(rng, 3, [5, 4], 3)
         lik = LikelihoodModel(kind="categorical")
@@ -509,12 +516,18 @@ class TestLayerwise:
             "tape": lambda: kernel.kernel_tape(ctx, z, x),
             "diagonal LLA fit": lambda: fit_diag(ctx, lik, x),
             "diagonal LLA predict": lambda: diag_state.predict(x),
-            "last-layer features": lambda: last_layer_features(ctx.net, x),
         }
         for name, path in paths.items():
             walked.clear()
             path()
             assert walked, f"the {name} path does not call layer_walk"
+
+        # each fit runs one forward pass over X and walks that same trace
+        for fit, walks in ((fit_exact, [6]), (fit_diag, [6]), (fit_last_layer, [])):
+            walked.clear()
+            forwards.clear()
+            fit(ctx, lik, x)
+            assert forwards == [6] and walked == walks, f"{fit.__name__} ran {forwards} forward passes"
 
         # a VaLLA step and a VaLLA prediction each walk [Z; X] once, and
         # the inducing gradient reads the step's tape without walking again

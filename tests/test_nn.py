@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lagp import nn
 from lagp.errors import DimensionMismatch, FormatError, NonFiniteValue
 from lagp.linalg import rng_stream
 from lagp.nn import (
@@ -16,6 +21,7 @@ from lagp.nn import (
     forward,
     init_network,
     layer_blocks,
+    layer_walk,
     load_network,
     minibatches,
     save_network,
@@ -56,18 +62,17 @@ class ListAdam:
         return out
 
 
-def reference_backward(net, x, trace, g):
+def reference_backward(net, trace, g):
     """Reference gradient as (weight gradients, bias gradients), one fresh array per layer."""
     depth = net.arch.depth
     weight_grads, bias_grads = [None] * depth, [None] * depth
     delta = g
     for l in range(depth - 1, -1, -1):
-        inputs = x if l == 0 else trace.post_activations[l - 1]
+        inputs = trace.layer_inputs[l]
         weight_grads[l] = inputs.T @ delta
         bias_grads[l] = delta.sum(axis=0)
         if l > 0:
-            post = trace.post_activations[l - 1]
-            delta = (delta @ net.weights[l].T) * (1.0 - post * post)
+            delta = (delta @ net.weights[l].T) * (1.0 - inputs * inputs)
     return weight_grads, bias_grads
 
 
@@ -82,9 +87,9 @@ def reference_train_map(arch, x, y, cfg):
     batches = minibatches(x.shape[0], cfg.batch_size, cfg.seed + 1)
     for _, idx in zip(range(cfg.iterations), batches):
         current = MlpNetwork(arch=arch, weights=tuple(weights), biases=tuple(biases))
-        trace = forward(current, x[idx], keep_trace=True)
+        trace = forward(current, x[idx])
         _, out_grad = _loss_and_output_grad(trace.output, y[idx], cfg.loss)
-        w_grads, b_grads = reference_backward(current, x[idx], trace, out_grad)
+        w_grads, b_grads = reference_backward(current, trace, out_grad)
         updated = opt.step(weights + biases, w_grads + b_grads)
         weights, biases = updated[: len(weights)], updated[len(weights) :]
     return weights, biases
@@ -138,10 +143,14 @@ class TestForward:
     def test_trace_contents(self):
         rng = rng_stream(2)
         net = random_net(rng, 2, [3], 2)
-        trace = forward(net, rng.normal(size=(4, 2)), keep_trace=True)
-        assert len(trace.pre_activations) == 2
-        assert len(trace.post_activations) == 1
-        assert np.array_equal(trace.output, trace.pre_activations[-1])
+        x = rng.normal(size=(4, 2))
+        trace = forward(net, x)
+        assert len(trace.layer_inputs) == 2
+        assert np.array_equal(trace.layer_inputs[0], x)
+        hidden = np.tanh(x @ net.weights[0] + net.biases[0])
+        assert np.array_equal(trace.layer_inputs[1], hidden)
+        assert trace.layer_inputs[1].flags.c_contiguous
+        assert np.array_equal(trace.output, hidden @ net.weights[1] + net.biases[1])
 
     def test_dimension_mismatch(self):
         net = random_net(rng_stream(0), 3, [2], 1)
@@ -160,8 +169,8 @@ class TestBackward:
         rng = rng_stream(3)
         net = random_net(rng, 2, [4], 2)
         x = rng.normal(size=(3, 2))
-        trace = forward(net, x, keep_trace=True)
-        grad = backward(net, x, trace, np.zeros_like(trace.output))
+        trace = forward(net, x)
+        grad = backward(net, trace, np.zeros_like(trace.output))
         assert np.array_equal(grad, np.zeros(net.param_count))
 
     def test_matches_finite_differences(self):
@@ -174,8 +183,8 @@ class TestBackward:
             x = rng.normal(size=(3, net.arch.input_dim))
             coeff = rng.normal(size=(3, net.arch.output_dim))
 
-            trace = forward(net, x, keep_trace=True)
-            grad = backward(net, x, trace, coeff)
+            trace = forward(net, x)
+            grad = backward(net, trace, coeff)
             params = net.flat_parameters()
 
             def loss_at(flat):
@@ -193,9 +202,9 @@ class TestBackward:
         net = random_net(rng, 3, [5, 4], 2)
         x = rng.normal(size=(7, 3))
         coeff = rng.normal(size=(7, 2))
-        trace = forward(net, x, keep_trace=True)
-        grad = backward(net, x, trace, coeff)
-        w_grads, b_grads = reference_backward(net, x, trace, coeff)
+        trace = forward(net, x)
+        grad = backward(net, trace, coeff)
+        w_grads, b_grads = reference_backward(net, trace, coeff)
         for block, w, b in zip(layer_blocks(net.arch, grad), w_grads, b_grads):
             assert np.array_equal(block[:-1], w)
             assert np.array_equal(block[-1], b)
@@ -208,18 +217,87 @@ class TestBackward:
         net = MlpNetwork(arch=arch, weights=(w,), biases=(b,))
         x = rng.normal(size=(6, 3))
         y = rng.normal(size=(6, 2))
-        trace = forward(net, x, keep_trace=True)
+        trace = forward(net, x)
         resid = trace.output - y
-        (block,) = layer_blocks(arch, backward(net, x, trace, 2.0 * resid))
+        (block,) = layer_blocks(arch, backward(net, trace, 2.0 * resid))
         assert np.allclose(block[:-1], 2.0 * x.T @ resid, atol=1e-10)
         assert np.allclose(block[-1], 2.0 * resid.sum(axis=0), atol=1e-10)
 
-    def test_requires_trace(self):
+    def test_wrong_output_gradient_shape(self):
         net = random_net(rng_stream(0), 2, [2], 1)
-        x = np.zeros((1, 2))
-        trace = forward(net, x, keep_trace=False)
+        trace = forward(net, np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
-            backward(net, x, trace, np.zeros((1, 1)))
+            backward(net, trace, np.zeros((2, 1)))
+
+
+class TestLayerWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(st.integers(1, 6), max_size=3),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_seeded_walk_is_seed_times_identity_walk(self, d, c, hidden, n, k, seed):
+        """At every layer, s from a seed equals seed @ s from the identity walk."""
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, d, hidden, c)
+        trace = forward(net, rng.normal(size=(n, d)))
+        seed_rows = rng.normal(size=(n, k, c))
+        steps = list(zip(layer_walk(net, trace), layer_walk(net, trace, seed_rows)))
+        assert [l for (l, _, _), _ in steps] == list(range(net.arch.depth - 1, -1, -1))
+        for (l, a, s), (l2, a2, s2) in steps:
+            assert l2 == l and a2 is a is trace.layer_inputs[l]
+            assert s.shape == (n, c, net.arch.layer_dims[l + 1]) and s2.shape == (n, k, s.shape[2])
+            np.testing.assert_allclose(s2, seed_rows @ s, rtol=0, atol=1e-12 * (1.0 + np.abs(s).max()))
+
+    def test_identity_walk_matches_explicit_sensitivities(self):
+        rng = rng_stream(9)
+        net = random_net(rng, 2, [3, 4], 2)
+        x = rng.normal(size=(5, 2))
+        trace = forward(net, x)
+        steps = {l: s for l, _, s in layer_walk(net, trace)}
+        assert np.array_equal(steps[2], np.broadcast_to(np.eye(2), (5, 2, 2)))
+        a2 = trace.layer_inputs[2]
+        want = (np.eye(2) @ net.weights[2].T)[None] * (1.0 - a2 * a2)[:, None, :]
+        assert np.allclose(steps[1], want, atol=1e-14)
+
+    def test_seed_shape_checked(self):
+        net = random_net(rng_stream(1), 2, [3], 2)
+        trace = forward(net, np.zeros((4, 2)))
+        for bad in (np.zeros((4, 2)), np.zeros((3, 1, 2)), np.zeros((4, 1, 3))):
+            with pytest.raises(DimensionMismatch):
+                next(layer_walk(net, trace, bad))
+
+
+def _package_trees():
+    """(module file name, parsed syntax tree) of every source file of the package."""
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in Path(nn.__file__).parent.glob("*.py")]
+
+
+class TestSingleEvaluator:
+    """``nn.forward`` is the only evaluator of the network and ``nn.layer_walk`` the only walk."""
+
+    def test_only_nn_calls_tanh(self):
+        callers = sorted(
+            name
+            for name, tree in _package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "tanh" or getattr(node.func, "id", None) == "tanh")
+        )
+        assert set(callers) == {"nn.py"}, f"tanh is called outside nn.py: {callers}"
+
+    def test_layer_walk_defined_once_in_nn(self):
+        defined = [
+            name
+            for name, tree in _package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_walk")
+        ]
+        assert defined == ["nn.py"]
 
 
 class TestAdam:
@@ -332,6 +410,14 @@ class TestTrainMap:
         weights, biases = reference_train_map(arch, x, y, cfg)
         for got, want in zip(net.weights + net.biases, weights + biases):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        x = rng_stream(8).normal(size=(6, 2))
+        y = np.array([0, 1, 2, 0, 1, label])
+        cfg = TrainConfig(iterations=5, batch_size=6, learning_rate=1e-2, loss="nll_classification")
+        with pytest.raises(DimensionMismatch, match=r"\[0, 3\)"):
+            train_map(MlpArchitecture(2, (4,), 3), (x, y), cfg)
 
     def test_divergence_names_the_iteration(self):
         rng = rng_stream(7)

@@ -523,6 +523,16 @@ class TestFitValla:
         with pytest.raises(DimensionMismatch, match="learning_rate"):
             TrainSchedule(iterations=20, batch_size=6, learning_rate=-1.0)
 
+    @pytest.mark.parametrize("m", [0, -2, 13])
+    def test_inducing_count_outside_one_to_n_rejected(self, m):
+        rng = rng_stream(31)
+        ctx = random_ctx(rng, 1, [4], 1)
+        x, y = rng.normal(size=(12, 1)), rng.normal(size=(12, 1))
+        schedule = TrainSchedule(iterations=2, batch_size=6, learning_rate=0.01)
+        with pytest.raises(DimensionMismatch, match=r"\[1, N = 12\]"):
+            fit_valla(ctx, LikelihoodModel(kind="gaussian", noise_variance=0.1), (x, y), None, m, schedule,
+                      early_stopping=False)
+
     def test_zero_learning_rate_keeps_state(self):
         rng = rng_stream(19)
         ctx = random_ctx(rng, 1, [4], 1, log_prior_variance=0.1)
