@@ -33,7 +33,7 @@ from . import ella as ella_mod
 from . import lla as lla_mod
 from . import metrics as metrics_mod
 from . import valla as valla_mod
-from .errors import CapExceeded, ConfigError, LagpError, NonFiniteValue, ParseError
+from .errors import CapExceeded, ConfigError, DimensionMismatch, LagpError, NonFiniteValue, ParseError
 from .kernel import KernelContext
 from .lla import EVIDENCE_CAP, NOISE_GRID, PRIOR_GRID, GaussianPredictive, LikelihoodModel
 from .nn import MlpArchitecture, TrainConfig, load_network, save_network, train_map
@@ -210,6 +210,21 @@ def architecture_for(cfg, train):
     return MlpArchitecture(input_dim=train.inputs.shape[1], hidden_dims=cfg["arch.hidden"], output_dim=output_dim)
 
 
+def check_task(what, net, part, likelihood_kind=None):
+    """Raise DimensionMismatch, naming both, when a network or a state does not fit the data's task.
+
+    Classification needs one output per class and a categorical
+    likelihood, regression one output per target and a Gaussian one.
+    """
+    if part.task == "classification":
+        outputs, kind, task = part.n_classes, "categorical", f"{part.n_classes}-class classification"
+    else:
+        outputs, kind, task = part.targets.shape[1], "gaussian", f"regression with {part.targets.shape[1]} target(s)"
+    if net.arch.output_dim != outputs or likelihood_kind not in (None, kind):
+        found = f"{net.arch.output_dim} output(s)" + (f" and a {likelihood_kind} likelihood" if likelihood_kind else "")
+        raise DimensionMismatch(f"the {what} has {found}, but the data is {task}")
+
+
 def _existing(path, what):
     if not Path(path).exists():
         raise ConfigError(f"{what} {path} does not exist")
@@ -342,6 +357,7 @@ def cmd_fit(args):
     out = _prepare_outdir(cfg, text)
     net = load_network(_existing(args.checkpoint, "checkpoint"))
     train, val, _, normalization = prepare_splits(cfg)
+    check_task("checkpoint", net, train)
     started = time.monotonic()
     state, info = fit_method(cfg, net, train, val, log_dir=out)
     elapsed = time.monotonic() - started
@@ -431,6 +447,7 @@ def cmd_evaluate(args):
     part = {"train": train, "validation": val, "test": test}[args.split]
     if part.n == 0:
         raise ConfigError(f"split {args.split!r} is empty")
+    check_task("state", state.ctx.net, part, state.likelihood.kind)
 
     report, curve = evaluate_split(state, part, normalization)
     if part.task == "regression":
@@ -478,6 +495,7 @@ def cmd_compare(args):
     train, val, test, normalization = prepare_splits(cfg)
     if test.n == 0:
         raise ConfigError("test split is empty")
+    check_task("checkpoint", net, train)
 
     # every method shares one choice of the variances (one evidence search)
     prior_variance, noise_variance, _ = _choose_hyperparameters(cfg, net, train)

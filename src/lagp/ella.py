@@ -17,7 +17,9 @@ posterior covariance phi(x*) G^{-1} phi(x*)^T = r^T r, with
 r = L_G^-1 phi(x*)^T from one triangular solve against the Cholesky
 factor L_G of G, so every block is PSD by construction. At full rank (M = N,
 K = N*C) this reproduces the exact posterior; at low rank it tends to
-understate the variance away from the anchors.
+understate the variance away from the anchors. The anchors are evaluated
+once per fit or prediction, and each pass chunk once: its trace gives
+both its features and its curvature roots.
 """
 
 from dataclasses import dataclass
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFloorExhausted, FormatError
-from .kernel import as_inputs, kernel_block_fast
+from .kernel import support_blocks
 from .linalg import cholesky, rng_stream, solve_lower, sym_eig
 from .lla import LikelihoodModel, PosteriorState, curvature_roots, gram_blocks, whiten
-from .nn import forward
+from .nn import as_inputs, forward, layer_walk
 
 EIGEN_FLOOR_FACTOR = 1e-10
 PASS_CHUNK = 256  # training points per GEMM of the accumulation pass
@@ -50,8 +52,13 @@ class EllaState(PosteriorState):
     def feature_dim(self):
         return self.projection.shape[0]
 
-    def covariances(self, x):
-        return ella_covariances(self, x)
+    def covariances(self, trace):
+        """r^T r at each query of ``trace``, r = L_G^-1 phi(x*)^T, from one triangular solve over every query."""
+        net = self.ctx.net
+        walk = list(layer_walk(net, forward(net, self.anchors)))
+        phi = _features(net, self.projection, walk, trace)  # (N, C, K)
+        r = solve_lower(self.precision_factor, phi.reshape(-1, self.feature_dim).T)
+        return gram_blocks(r, phi.shape[1])
 
     def check(self):
         arch = self.ctx.net.arch
@@ -67,14 +74,12 @@ class EllaState(PosteriorState):
             raise FormatError(f"precision_factor must be a ({k}, {k}) lower triangle, got {shape}")
 
 
-def _features(state_ctx, projection, anchors, x):
-    """(N, C, K) feature rows per output channel."""
-    unscaled = state_ctx.with_log_prior_variance(0.0)
-    k = projection.shape[0]
-    n = x.shape[0]
-    c = state_ctx.net.arch.output_dim
-    proj = projection @ kernel_block_fast(unscaled, anchors, x).values  # (K, N*C)
-    return proj.reshape(k, n, c).transpose(1, 2, 0)
+def _features(net, projection, anchors_walk, trace):
+    """(N, C, K) feature rows per output channel at the inputs of ``trace``, from the stored anchor walk."""
+    block = support_blocks(anchors_walk, layer_walk(net, trace))[0]  # (M, C, N, C), unscaled
+    m, c, n, _ = block.shape
+    proj = projection @ block.reshape(m * c, n * c)  # (K, N*C)
+    return proj.reshape(projection.shape[0], n, c).transpose(1, 2, 0)
 
 
 def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
@@ -100,8 +105,9 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
     anchor_idx = np.sort(rng.choice(n, size=m, replace=False))
     anchors = x[anchor_idx].copy()
 
-    unscaled = ctx.with_log_prior_variance(0.0)
-    gram = kernel_block_fast(unscaled, anchors, anchors).values
+    net = ctx.net
+    walk = list(layer_walk(net, forward(net, anchors)))
+    gram = support_blocks(walk, walk)[0].reshape(m * c, m * c)
     gram = 0.5 * (gram + gram.T)
     eig = sym_eig(gram)
     floor = EIGEN_FLOOR_FACTOR * max(eig.values[0], 0.0)
@@ -120,9 +126,9 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
     precision = np.eye(k) / ctx.prior_variance
     for start in range(0, n_pass, PASS_CHUNK):
         stop = min(start + PASS_CHUNK, n_pass)
-        xb = x[start:stop]
-        phi = _features(ctx, projection, anchors, xb)  # (B, C, K)
-        roots = curvature_roots(likelihood, forward(ctx.net, xb).output)
+        trace = forward(net, x[start:stop])
+        phi = _features(net, projection, walk, trace)  # (B, C, K)
+        roots = curvature_roots(likelihood, trace.output)
         psi = whiten(roots, phi.reshape(-1, k))  # (B*C', K), C' the column count of the roots
         precision += psi.T @ psi
     precision = 0.5 * (precision + precision.T)
@@ -133,10 +139,3 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
         projection=projection,
         precision_factor=cholesky(precision),
     )
-
-
-def ella_covariances(state, x_star):
-    """r^T r at each query, r = L_G^-1 phi(x*)^T, from one triangular solve over every query."""
-    phi = _features(state.ctx, state.projection, state.anchors, x_star)  # (N, C, K)
-    r = solve_lower(state.precision_factor, phi.reshape(-1, state.feature_dim).T)
-    return gram_blocks(r, phi.shape[1])

@@ -24,29 +24,33 @@ with the identity: the Gram (``kernel_block_fast``), diagonal
 Laplace baselines of ``lla`` with their own seeds. No path forms a
 Jacobian; the explicit one, with a forward pass and back-propagation of
 its own, lives in the test suite as the independent oracle of the walk.
+``support_blocks`` pairs a stored walk with the walk of a caller's trace.
+A walk paired with itself reuses its arrays, so numpy's symmetric
+products give the Gram the same bits as one walk would.
 
 A sparse-posterior step needs K_Z, the cross block kappa(X, Z), the prior
 blocks kappa(x_i, x_i) and the gradient of the objective with respect to
 Z. ``kernel_tape`` gets all of them from one walk over the stacked rows
-[Z; X]: the block kappa([Z; X], Z), whose first rows are K_Z and whose
-rest is the cross block, the prior blocks of the X rows, and each layer's
-(a, s) over every row. ``kernel_input_vjp`` reads that tape and takes the
-gradient in reverse mode: a cotangent on the block is pushed through each
-layer's pair and gain (recomputed, one GEMM each, so the tape never holds
-anything the size of the block per layer), then back up the sensitivity
-chain and down the tanh activations to Z, for about the cost of one more
-kernel pass and no second walk.
+[Z; X], X from the caller's trace: the block kappa([Z; X], Z), whose first
+rows are K_Z and whose rest is the cross block, the prior blocks of the X
+rows, and each layer's (a, s) over every row. ``kernel_input_vjp`` reads
+that tape and takes the gradient in reverse mode: a cotangent on the block
+is pushed through each layer's pair and gain (recomputed, one GEMM each,
+so the tape never holds anything the size of the block per layer), then
+back up the sensitivity chain and down the tanh activations to Z, for
+about the cost of one more kernel pass and no second walk.
 
 Multi-output Gram matrices are laid out point-major: row i*C + c holds
 output c of point i, keeping each (C, C) pair block contiguous.
 """
 
 from dataclasses import dataclass, replace
+from itertools import tee
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .nn import forward, layer_walk
+from .nn import ForwardTrace, forward, layer_walk
 
 
 @dataclass(frozen=True)
@@ -68,21 +72,6 @@ class KernelBlockMatrix:
     right_points: int
     outputs: int
     values: np.ndarray  # (left_points*C, right_points*C)
-
-
-def as_inputs(x, input_dim):
-    """Inputs as an (N, D) float64 array; the one shape rule of every public function.
-
-    A 1-D array holds N scalar points when D = 1 and is one point when
-    D > 1 (its length must then equal D). A 2-D array must be (N, D). Any
-    other shape raises DimensionMismatch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None] if input_dim == 1 else x[None, :]
-    if x.ndim != 2 or x.shape[1] != input_dim:
-        raise DimensionMismatch(f"input has shape {x.shape}, expected (N, {input_dim})")
-    return x
 
 
 def _pair(sx, sz):
@@ -107,36 +96,45 @@ def _diag_term(a, s):
     return (s @ s.transpose(0, 2, 1)) * (np.einsum("ik,ik->i", a, a) + 1.0)[:, None, None]
 
 
+def support_blocks(support, walk):
+    """Unscaled (n, K, q, C) block sum_l <s, s_q> (<a, a_q> + 1) and (q, C, C) query prior blocks.
+
+    ``support`` and ``walk`` yield ``nn.layer_walk`` steps (l, a, s) from
+    the top layer down, over n rows with K output combinations and over q
+    queries with the identity seed; both are read in step, once.
+    """
+    steps = zip(support, walk)
+    (_, a, s), (_, aq, sq) = next(steps)  # the top layer's terms start the sums: no zero block to fill
+    block, prior = _gram_term(a, s, aq, sq), _diag_term(aq, sq)
+    for (_, a, s), (_, aq, sq) in steps:
+        block += _gram_term(a, s, aq, sq)
+        prior += _diag_term(aq, sq)
+    return block, prior
+
+
 def kernel_block_fast(ctx, batch_x, batch_z):
     """Gram matrix of kernel blocks for two batches; an empty batch gives an empty block.
 
-    Accumulates the per-layer identity from the module docstring over one
-    ``nn.layer_walk`` per distinct batch, so no buffer ever scales with the
+    Accumulates the per-layer identity from the module docstring over the
+    two batches' walks in step, so no buffer ever scales with the
     parameter count. Equals the pairwise Jacobian products to
     floating-point accuracy.
     """
-    x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    z = as_inputs(batch_z, ctx.net.arch.input_dim)
     net = ctx.net
-    n1, n2 = x.shape[0], z.shape[0]
-    c = net.arch.output_dim
-    same = x.shape == z.shape and np.array_equal(x, z)
-    walk = layer_walk(net, forward(net, x))
-    steps = ((step, step) for step in walk) if same else zip(walk, layer_walk(net, forward(net, z)))
-    total = np.zeros((n1, c, n2, c))
-    for (_, ax, sx), (_, az, sz) in steps:
-        total += _gram_term(ax, sx, az, sz)
-
-    values = ctx.prior_variance * total.reshape(n1 * c, n2 * c)
+    walk = layer_walk(net, forward(net, batch_x))
+    walks = tee(walk) if batch_z is batch_x else (walk, layer_walk(net, forward(net, batch_z)))
+    block, _ = support_blocks(*walks)
+    n1, c, n2, _ = block.shape
+    values = ctx.prior_variance * block.reshape(n1 * c, n2 * c)
     return KernelBlockMatrix(left_points=n1, right_points=n2, outputs=c, values=values)
 
 
 def kernel_diag_blocks(ctx, batch_x):
     """(N, C, C) diagonal blocks kappa(x_i, x_i) without the full Gram: sum_l (s s^T) (|a|^2 + 1)."""
-    x = as_inputs(batch_x, ctx.net.arch.input_dim)
+    trace = forward(ctx.net, batch_x)
     c = ctx.net.arch.output_dim
-    total = np.zeros((x.shape[0], c, c))
-    for _, a, s in layer_walk(ctx.net, forward(ctx.net, x)):
+    total = np.zeros((trace.output.shape[0], c, c))
+    for _, a, s in layer_walk(ctx.net, trace):
         total += _diag_term(a, s)
     return ctx.prior_variance * total
 
@@ -164,17 +162,20 @@ class KernelTape:
         return self.stacked[self.stacked.shape[1] :]
 
 
-def kernel_tape(ctx, z, x):
-    """The ``KernelTape`` of the locations z and the inputs x, from one ``nn.layer_walk``."""
+def kernel_tape(ctx, z, trace):
+    """The ``KernelTape`` of the locations z and the batch of the ``nn.forward`` trace, from one ``nn.layer_walk``."""
     net = ctx.net
-    z = as_inputs(z, net.arch.input_dim)
-    x = as_inputs(x, net.arch.input_dim)
-    m, n = z.shape[0], x.shape[0]
+    tz = forward(net, z)
+    m, n = tz.output.shape[0], trace.output.shape[0]
     c = net.arch.output_dim
+    rows = ForwardTrace(
+        tuple(np.vstack(pair) for pair in zip(tz.layer_inputs, trace.layer_inputs)),
+        np.vstack([tz.output, trace.output]),
+    )
     walk = [None] * net.arch.depth
     stacked = np.zeros((m + n, c, m, c))
     prior = np.zeros((n, c, c))
-    for l, a, s in layer_walk(net, forward(net, np.vstack([z, x]))):
+    for l, a, s in layer_walk(net, rows):
         walk[l] = (a, s)
         stacked += _gram_term(a, s, a[:m], s[:m])
         prior += _diag_term(a[m:], s[m:])

@@ -10,7 +10,9 @@ the oracle of the exact, diagonal and last-layer routes.
 No route forms a Jacobian. Each fit runs ``nn.forward`` once over X:
 the outputs of that trace give the curvature roots B below, and the
 exact and diagonal fits walk the same trace with ``nn.layer_walk``
-seeded with B^T, so the sensitivities arrive whitened. The checkpoint
+seeded with B^T, so the sensitivities arrive whitened. A prediction
+likewise runs ``nn.forward`` once over its queries: the trace gives the
+mean, and each kind's ``covariances`` reads the same trace. The checkpoint
 stores each layer's W_l (w_{l-1} x w_l, row-major) and then b_l, so over
 layer l's parameters the Jacobian row of output c at input x is
 kron(a(x), s(x)_c) followed by s(x)_c, with a the layer input and s the
@@ -51,12 +53,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
-from .kernel import KernelContext, _diag_term, _gram_term, as_inputs, kernel_block_fast, kernel_diag_blocks
+from .kernel import KernelContext, _gram_term, support_blocks
 from .linalg import CholeskyFactor, cholesky, solve_lower, sym_eig
 from .nn import forward, layer_blocks, layer_walk
 
 EXACT_CAP = 3000  # max N*C for the function-space route
-PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in exact_covariances and last_layer_covariances (32 MB)
+PREDICT_BLOCK_FLOATS = 2**22  # max entries of one query chunk's block in the exact and last-layer covariances (32 MB)
 EVIDENCE_CAP = 500  # training points the CLI's evidence search reads (the first ones)
 PRIOR_GRID = tuple(np.logspace(-3, 3, 10))  # prior variances of the default evidence search
 NOISE_GRID = tuple(np.logspace(-4, 1, 10))  # noise variances of the default evidence search
@@ -147,10 +149,11 @@ class PosteriorState:
 
     A state is its ``ctx`` (the network and the prior variance), its
     ``likelihood`` (with the noise variance) and the arrays of its kind.
-    ``predict(x)`` returns the GaussianPredictive at the inputs x, read by
-    ``kernel.as_inputs``: the mean is the network's output, and each kind
-    supplies only ``covariances(x)``, the (N, C, C) function-space
-    covariances at an (N, D) array x. ``KIND`` tags the state in a state
+    ``predict(x)`` returns the GaussianPredictive at the inputs x: it runs
+    ``nn.forward`` once, which reads x by ``nn.as_inputs``, and takes the
+    mean from that trace's output. Each kind supplies only
+    ``covariances(trace)``, the (N, C, C) function-space covariances at
+    the inputs of that same trace. ``KIND`` tags the state in a state
     file. The payload holds the fields named in ``ARRAYS`` as arrays, the
     Cholesky factors named in ``FACTORS`` by their lower triangles (a
     factor that is None is left out), and the scalars in ``META`` (name ->
@@ -166,8 +169,8 @@ class PosteriorState:
     META = {}
 
     def predict(self, x):
-        x = as_inputs(x, self.ctx.net.arch.input_dim)
-        return GaussianPredictive(forward(self.ctx.net, x).output, self.covariances(x), self.likelihood)
+        trace = forward(self.ctx.net, x)
+        return GaussianPredictive(trace.output, self.covariances(trace), self.likelihood)
 
     def payload(self):
         """(meta, arrays) of the fields this kind adds to ctx and likelihood."""
@@ -221,9 +224,9 @@ class MapState(PosteriorState):
     ctx: KernelContext
     likelihood: LikelihoodModel
 
-    def covariances(self, x):
-        c = self.ctx.net.arch.output_dim
-        return np.zeros((x.shape[0], c, c))
+    def covariances(self, trace):
+        n, c = trace.output.shape
+        return np.zeros((n, c, c))
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,29 @@ class LlaExactState(PosteriorState):
     sqrt_lambda: np.ndarray  # (N, C, K) roots B of ``curvature_roots``, K = C - 1 or C (older files: symmetric (N, C, C) roots)
     q_factor: object  # Cholesky of the N*K square I + B^T kappa(X, X) B; None when N*K = 0
 
-    def covariances(self, x):
-        return exact_covariances(self, x)
+    def covariances(self, trace):
+        """Prior blocks minus r^T r at the queries of ``trace``, r = L^-1 B^T kappa(X, x*), in query chunks.
+
+        X is walked once, seeded with B^T; each chunk of the query trace is
+        walked once for both its cross block and its prior blocks
+        (``kernel.support_blocks``).
+        """
+        ctx = self.ctx
+        n, c, k = self.sqrt_lambda.shape
+        seed = ctx.prior_variance * self.sqrt_lambda.transpose(0, 2, 1)
+        train = list(layer_walk(ctx.net, forward(ctx.net, self.train_inputs), seed))
+        if self.q_factor is None:  # N*K = 0: the posterior is the prior
+            return ctx.prior_variance * support_blocks(train, layer_walk(ctx.net, trace))[1]
+        # queries in chunks, so the (N*K, chunk*C) cross block stays within the block size
+        chunk = max(1, PREDICT_BLOCK_FLOATS // (n * k * c))
+        covs = np.empty((trace.output.shape[0], c, c))
+        for start in range(0, covs.shape[0], chunk):
+            rows = slice(start, start + chunk)
+            v, prior = support_blocks(train, layer_walk(ctx.net, trace.rows(rows)))
+            r = solve_lower(self.q_factor, v.reshape(n * k, -1))
+            covs[rows] = gram_blocks(r, c, ctx.prior_variance * prior)
+            del v, r  # the next chunk's blocks must not coexist with these
+        return covs
 
     def check(self):
         arch = self.ctx.net.arch
@@ -264,12 +288,10 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     scaled by sqrt(prior_variance), each layer adds (S S^T) * (A A^T + 1)
     for the whitened sensitivities S = B^T s and the layer inputs A.
     """
-    x = as_inputs(x, ctx.net.arch.input_dim)
-    n = x.shape[0]
-    c = ctx.net.arch.output_dim
+    trace = forward(ctx.net, x)
+    n, c = trace.output.shape
     if n * c > cap:
         raise CapExceeded(f"N*C = {n * c} exceeds exact cap {cap}; use a sparse method")
-    trace = forward(ctx.net, x)
     roots = curvature_roots(likelihood, trace.output)
     k = roots.shape[2]
     q_factor = None
@@ -280,35 +302,9 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
         q = q.reshape(n * k, n * k)
         q.flat[:: n * k + 1] += 1.0
         q_factor = cholesky(q)
-    return LlaExactState(ctx=ctx, likelihood=likelihood, train_inputs=x, sqrt_lambda=roots, q_factor=q_factor)
-
-
-def exact_covariances(state, x_star):
-    """Prior blocks minus r^T r at each query, r = L^-1 B^T kappa(X, x*), in query chunks.
-
-    X is walked once, seeded with B^T; each chunk of queries is walked
-    once for both its cross block and its prior blocks.
-    """
-    ctx = state.ctx
-    if state.q_factor is None:
-        return kernel_diag_blocks(ctx, x_star)
-    n, c, k = state.sqrt_lambda.shape
-    seed = ctx.prior_variance * state.sqrt_lambda.transpose(0, 2, 1)
-    train = list(layer_walk(ctx.net, forward(ctx.net, state.train_inputs), seed))
-    # queries in chunks, so the (N*K, chunk*C) cross block stays within the block size
-    chunk = max(1, PREDICT_BLOCK_FLOATS // (n * k * c))
-    covs = np.empty((x_star.shape[0], c, c))
-    for start in range(0, x_star.shape[0], chunk):
-        rows = x_star[start : start + chunk]
-        v = np.zeros((n, k, rows.shape[0], c))
-        prior = np.zeros((rows.shape[0], c, c))
-        for (_, a, s), (_, aq, sq) in zip(train, layer_walk(ctx.net, forward(ctx.net, rows))):
-            v += _gram_term(a, s, aq, sq)
-            prior += _diag_term(aq, sq)
-        r = solve_lower(state.q_factor, v.reshape(n * k, -1))
-        covs[start : start + chunk] = gram_blocks(r, c, ctx.prior_variance * prior)
-        del v, r  # the next chunk's blocks must not coexist with these
-    return covs
+    return LlaExactState(
+        ctx=ctx, likelihood=likelihood, train_inputs=trace.layer_inputs[0], sqrt_lambda=roots, q_factor=q_factor
+    )
 
 
 @dataclass(frozen=True)
@@ -320,8 +316,16 @@ class LlaDiagState(PosteriorState):
     likelihood: LikelihoodModel
     precision_diag: np.ndarray
 
-    def covariances(self, x):
-        return diag_covariances(self, x)
+    def covariances(self, trace):
+        """sum_l (s * (a^2 V_l + u_l)) s^T over the walk of ``trace``, V_l and u_l rows of 1 / precision_diag."""
+        net = self.ctx.net
+        inv = layer_blocks(net.arch, 1.0 / self.precision_diag)
+        n, c = trace.output.shape
+        covs = np.zeros((n, c, c))
+        for l, a, s in layer_walk(net, trace):
+            scale = (a * a) @ inv[l][:-1] + inv[l][-1]
+            covs += (s * scale[:, None, :]) @ s.transpose(0, 2, 1)
+        return 0.5 * (covs + covs.transpose(0, 2, 1))
 
     def check(self):
         p = self.ctx.net.param_count
@@ -338,7 +342,7 @@ def fit_diag(ctx, likelihood, x):
     over the training points, and its bias row adds sum_n sum_k G_n[k]^2.
     """
     net = ctx.net
-    trace = forward(net, as_inputs(x, net.arch.input_dim))
+    trace = forward(net, x)
     diag = np.full(net.param_count, 1.0 / ctx.prior_variance)
     blocks = layer_blocks(net.arch, diag)
     roots_t = curvature_roots(likelihood, trace.output).transpose(0, 2, 1)
@@ -347,18 +351,6 @@ def fit_diag(ctx, likelihood, x):
         blocks[l][:-1] += (a * a).T @ g2
         blocks[l][-1] += g2.sum(axis=0)
     return LlaDiagState(ctx=ctx, likelihood=likelihood, precision_diag=diag)
-
-
-def diag_covariances(state, x_star):
-    """Covariance sum_l (s * (a^2 V_l + u_l)) s^T, with V_l and u_l layer l's rows of 1 / precision_diag."""
-    net = state.ctx.net
-    c = net.arch.output_dim
-    inv = layer_blocks(net.arch, 1.0 / state.precision_diag)
-    covs = np.zeros((x_star.shape[0], c, c))
-    for l, a, s in layer_walk(net, forward(net, x_star)):
-        scale = (a * a) @ inv[l][:-1] + inv[l][-1]
-        covs += (s * scale[:, None, :]) @ s.transpose(0, 2, 1)
-    return 0.5 * (covs + covs.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -370,8 +362,24 @@ class LlaLastLayerState(PosteriorState):
     likelihood: LikelihoodModel
     precision_factor: object  # Cholesky over the (width+1)*C last-layer parameters
 
-    def covariances(self, x):
-        return last_layer_covariances(self, x)
+    def covariances(self, trace):
+        """Covariance r^T r at each input of ``trace``, with r = L^-1 J^T and L the precision factor.
+
+        J's row for output o holds phi_i at column i*C + o, so with L^-1
+        regrouped as (F*C, F, C), r = phi . L^-1 is one batched product per
+        query chunk of at most ``PREDICT_BLOCK_FLOATS`` entries of r.
+        """
+        phi = last_layer_features(trace)
+        n, c = trace.output.shape
+        fc = phi.shape[1] * c
+        inv_lower = solve_lower(self.precision_factor, np.eye(fc)).reshape(fc, -1, c)
+        chunk = max(1, PREDICT_BLOCK_FLOATS // (fc * c))
+        covs = np.empty((n, c, c))
+        for start in range(0, n, chunk):
+            rows = slice(start, start + chunk)
+            r = np.matmul(phi[rows], inv_lower)  # (F*C, chunk, C): r[:, q] = L^-1 J(x_q)^T
+            covs[rows] = gram_blocks(r.reshape(fc, -1), c)
+        return covs
 
     def check(self):
         arch = self.ctx.net.arch
@@ -388,10 +396,8 @@ def last_layer_features(trace):
 
 def fit_last_layer(ctx, likelihood, x):
     """Weight-space pipeline restricted to the final layer's parameters."""
-    net = ctx.net
-    x = as_inputs(x, net.arch.input_dim)
-    n, c = x.shape[0], net.arch.output_dim
-    trace = forward(net, x)
+    trace = forward(ctx.net, x)
+    n, c = trace.output.shape
     phi = last_layer_features(trace)
     roots = curvature_roots(likelihood, trace.output)
     # precision[(i,j),(i',j')] = sum_n phi_i phi_i' Lambda_n[j,j'] at the
@@ -405,27 +411,6 @@ def fit_last_layer(ctx, likelihood, x):
         precision[j::c] += phi.T @ (phi[:, :, None] * lam[:, None, j, :]).reshape(n, cols)
     precision = 0.5 * (precision + precision.T)
     return LlaLastLayerState(ctx=ctx, likelihood=likelihood, precision_factor=cholesky(precision))
-
-
-def last_layer_covariances(state, x_star):
-    """Covariance r^T r at each input, with r = L^-1 J^T and L the precision factor.
-
-    J's row for output o holds phi_i at column i*C + o, so with L^-1
-    regrouped as (F*C, F, C), r = phi . L^-1 is one batched product per
-    query chunk of at most ``PREDICT_BLOCK_FLOATS`` entries of r.
-    """
-    net = state.ctx.net
-    phi = last_layer_features(forward(net, x_star))
-    n, c = x_star.shape[0], net.arch.output_dim
-    fc = phi.shape[1] * c
-    inv_lower = solve_lower(state.precision_factor, np.eye(fc)).reshape(fc, -1, c)
-    chunk = max(1, PREDICT_BLOCK_FLOATS // (fc * c))
-    covs = np.empty((n, c, c))
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        r = np.matmul(phi[rows], inv_lower)  # (F*C, chunk, C): r[:, q] = L^-1 J(x_q)^T
-        covs[rows] = gram_blocks(r.reshape(fc, -1), c)
-    return covs
 
 
 def _variance_grid(grid, default, name):
@@ -471,14 +456,16 @@ def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
     noise_grid = _variance_grid(noise_grid, NOISE_GRID, "noise_grid")
     if net.arch.output_dim != 1:
         raise DimensionMismatch("the evidence search needs a single-output regression network")
-    x = as_inputs(x, net.arch.input_dim)
+    trace = forward(net, x)
+    n = trace.output.shape[0]
     y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape[0] == 0 or y.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"evidence search needs N >= 1 inputs and N targets, got {x.shape[0]} and {y.shape[0]}")
-    resid = y - forward(net, x).output.ravel()
+    if n == 0 or y.shape[0] != n:
+        raise DimensionMismatch(f"evidence search needs N >= 1 inputs and N targets, got {n} and {y.shape[0]}")
+    resid = y - trace.output.ravel()
     if not np.all(np.isfinite(resid)):
         raise NonFiniteValue("evidence search residuals contain NaN or Inf")
-    unscaled = kernel_block_fast(KernelContext(net=net, log_prior_variance=0.0), x, x).values
+    walk = list(layer_walk(net, trace))
+    unscaled = support_blocks(walk, walk)[0].reshape(n, n)
     eig = sym_eig(0.5 * (unscaled + unscaled.T))
     spectrum = np.maximum(eig.values, 0.0)
     rotated_sq = (eig.vectors.T @ resid) ** 2

@@ -52,10 +52,24 @@ def nll_gaussian(pred, y):
     return float(np.mean(0.5 * np.log(2.0 * np.pi * variances) + (y - means) ** 2 / (2.0 * variances)))
 
 
+def class_labels(labels, n_classes, n):
+    """The n labels of n points as a 1-D int array, the one label reader.
+
+    Raises DimensionMismatch when a label lies outside [0, n_classes) or
+    there are not n labels.
+    """
+    raw = np.asarray(labels).ravel()
+    if not np.all((raw >= 0) & (raw < n_classes)):
+        raise DimensionMismatch(f"class labels must lie in [0, {n_classes})")
+    if raw.shape[0] != n:
+        raise DimensionMismatch(f"{raw.shape[0]} labels for {n} points")
+    return raw.astype(int)
+
+
 def nll_categorical(probabilities, labels):
     """Average negative log probability of each label, floored at 1e-300."""
     p = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels).astype(int).ravel()
+    labels = class_labels(labels, p.shape[1], p.shape[0])
     return float(np.mean(-np.log(np.maximum(p[np.arange(p.shape[0]), labels], 1e-300))))
 
 
@@ -116,9 +130,7 @@ def _check_simplex(probabilities):
 def ece(probabilities, labels, bins=ECE_DEFAULT_BINS):
     """Top-label expected calibration error with equal-width confidence bins."""
     p = _check_simplex(probabilities)
-    labels = np.asarray(labels).astype(int).ravel()
-    if labels.shape[0] != p.shape[0]:
-        raise DimensionMismatch("probabilities and labels differ in length")
+    labels = class_labels(labels, p.shape[1], p.shape[0])
     confidence = p.max(axis=1)
     predicted = p.argmax(axis=1)
     correct = (predicted == labels).astype(np.float64)
@@ -140,7 +152,7 @@ def ece(probabilities, labels, bins=ECE_DEFAULT_BINS):
 def brier(probabilities, labels):
     """Mean squared distance between probability rows and one-hot labels."""
     p = _check_simplex(probabilities)
-    labels = np.asarray(labels).astype(int).ravel()
+    labels = class_labels(labels, p.shape[1], p.shape[0])
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), labels] = 1.0
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1)))
@@ -148,8 +160,7 @@ def brier(probabilities, labels):
 
 def accuracy(probabilities, labels):
     p = _check_simplex(probabilities)
-    labels = np.asarray(labels).astype(int).ravel()
-    return float(np.mean(p.argmax(axis=1) == labels))
+    return float(np.mean(p.argmax(axis=1) == class_labels(labels, p.shape[1], p.shape[0])))
 
 
 def predictive_entropy(probabilities):

@@ -2,8 +2,9 @@
 
 Layer l computes ``h_l = a_{l-1} @ W_l + b_l`` with ``W_l`` of shape
 (fan_in, fan_out), a_0 = x and a_l = tanh(h_l) between layers; the final
-layer is linear. ``forward`` is the one evaluator of the network: its
-``ForwardTrace`` keeps every layer's input beside the output.
+layer is linear. ``forward`` is the one evaluator of the network and
+applies the one input rule, ``as_inputs``. Its ``ForwardTrace`` keeps
+every layer's input beside the output, and callers pass it on.
 ``layer_walk`` is the one reverse walk over such a trace: it carries the
 sensitivities of seeded output combinations down the layers.
 ``backward`` seeds it with the loss gradient; the tangent-kernel and
@@ -118,6 +119,10 @@ class ForwardTrace:
     layer_inputs: tuple  # layer l's (N, w_{l-1}) input a_{l-1}: x, then each tanh activation
     output: np.ndarray
 
+    def rows(self, index):
+        """The trace of the rows ``index`` (a slice) of the batch, as views."""
+        return ForwardTrace(tuple(a[index] for a in self.layer_inputs), self.output[index])
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -147,14 +152,24 @@ def init_network(arch, seed):
     return MlpNetwork.from_flat(arch, params)
 
 
-def forward(net, x):
-    """Evaluate the network on an (N, D) batch; the trace keeps every layer's input."""
+def as_inputs(x, input_dim):
+    """Inputs as an (N, D) float64 array; the one shape rule, which ``forward`` applies.
+
+    A 1-D array holds N scalar points when D = 1 and is one point when
+    D > 1 (its length must then equal D). A 2-D array must be (N, D). Any
+    other shape raises DimensionMismatch.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
-        raise DimensionMismatch(
-            f"input has shape {x.shape}, expected (N, {net.arch.input_dim})"
-        )
-    inputs = [x]
+    if x.ndim == 1:
+        x = x[:, None] if input_dim == 1 else x[None, :]
+    if x.ndim != 2 or x.shape[1] != input_dim:
+        raise DimensionMismatch(f"input has shape {x.shape}, expected (N, {input_dim})")
+    return x
+
+
+def forward(net, x):
+    """Evaluate the network on the inputs x, read by ``as_inputs``; the trace keeps every layer's input."""
+    inputs = [as_inputs(x, net.arch.input_dim)]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
             inputs.append(np.tanh(inputs[-1] @ w + b))

@@ -26,12 +26,13 @@ objective.
 A fitted state is (ctx, likelihood, Z, L, alpha), with the fitted prior
 variance in ctx and the fitted noise variance in the likelihood.
 
-Every prediction, validation check and training step reads one kernel
-tape (``kernel.kernel_tape``): a single layer walk over the stacked rows
-[Z; X] gives K_Z, the cross block kappa(X, Z) and the prior blocks of X,
-and the step's inducing-location gradient is one reverse pass over the
-same tape (``kernel.kernel_input_vjp``). The mean is ``nn.forward`` of the
-network, bit for bit, not a by-product of the walk.
+Every prediction, validation check and training step runs ``nn.forward``
+once over its batch and reads one kernel tape (``kernel.kernel_tape``)
+built on that trace: a single layer walk over the stacked rows [Z; X]
+gives K_Z, the cross block kappa(X, Z) and the prior blocks of X, and the
+step's inducing-location gradient is one reverse pass over the same tape
+(``kernel.kernel_input_vjp``). The mean, in a prediction and in a step's
+data term alike, is the output of that same trace.
 
 Training maximizes a likelihood-power data term minus the KL. For
 alpha = 1 and Gaussian noise the data term is the exact log marginal of
@@ -59,11 +60,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, NonFiniteValue
-from .kernel import KernelContext, as_inputs, kernel_input_vjp, kernel_tape
+from .kernel import KernelContext, kernel_input_vjp, kernel_tape
 from .linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from .lla import LikelihoodModel, PosteriorState, gram_blocks
-from .metrics import nll_categorical, nll_gaussian, predictive_class_probs
-from .nn import AdamOptimizer, forward, minibatches, write_log
+from .metrics import class_labels, nll_categorical, nll_gaussian, predictive_class_probs
+from .nn import AdamOptimizer, as_inputs, forward, minibatches, write_log
 
 A_FACTOR_INIT_SCALE = 1e-3
 
@@ -85,8 +86,9 @@ class VallaState(PosteriorState):
         # the benchmark's output check still reads this name; it goes with ROADMAP item 1
         return self.ctx
 
-    def covariances(self, x):
-        return valla_covariances(self, x)
+    def covariances(self, trace):
+        """Prior blocks minus r^T r at each query of ``trace``, r = L_H^-1 L^T k(Z, x*), from one kernel tape."""
+        return _batch_posterior(self, trace)[3]
 
     def check(self):
         arch = self.ctx.net.arch
@@ -135,11 +137,6 @@ def _capacity_factor(lower, k_ind):
     return k_ind, cholesky(np.eye(u.shape[0]) + 0.5 * (u + u.T))
 
 
-def valla_covariances(state, x_star):
-    """Prior blocks minus r^T r at each query, r = L_H^-1 L^T k(Z, x*), from one kernel tape."""
-    return _batch_posterior(state, x_star)[3]
-
-
 def _gaussian_power_data_terms(y, means, variances, noise, alpha, n_scale):
     """Per-point value and derivative pieces of the likelihood-power term.
 
@@ -172,9 +169,9 @@ def _categorical_data_terms(labels, means, variance_diags, n_scale):
     return n_scale * values, n_scale * ((indicator - np.exp(t - log_z)) * dt_dv)
 
 
-def _batch_posterior(state, batch_x):
-    """(tape, K_Z, L_H, covs) of an (N, D) batch from one ``kernel_tape``; prediction reads covs alone."""
-    tape = kernel_tape(state.ctx, state.inducing, batch_x)
+def _batch_posterior(state, trace):
+    """(tape, K_Z, L_H, covs) of an ``nn.forward`` trace's batch from one ``kernel_tape``; prediction reads covs."""
+    tape = kernel_tape(state.ctx, state.inducing, trace)
     k_ind, h_factor = _capacity_factor(state.a_factor, tape.k_z)
     r = solve_lower(h_factor, state.a_factor.T @ tape.cross.T)
     return tape, k_ind, h_factor, gram_blocks(r, tape.prior.shape[1], tape.prior)
@@ -207,10 +204,10 @@ def _data_term(state, means, covs, batch_y, n_total, mode):
         return float(values.sum()), g_blocks, float(d_dnoise.sum())
     if mode == "elbo":
         raise DimensionMismatch("elbo data term is implemented for the gaussian likelihood only")
-    labels = np.asarray(batch_y).astype(int).ravel()
+    c = covs.shape[1]
+    labels = class_labels(batch_y, c, b)
     var_diags = np.diagonal(covs, axis1=1, axis2=2)
     values, d_dvdiag = _categorical_data_terms(labels, means, var_diags, n_scale)
-    c = covs.shape[1]
     g_blocks = np.zeros((b, c, c))
     g_blocks[:, np.arange(c), np.arange(c)] = d_dvdiag
     return float(values.sum()), g_blocks, 0.0
@@ -235,15 +232,14 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     blocks; it is left at zero when the locations are frozen.
     """
     ctx = state.ctx
-    batch_x = as_inputs(batch_x, ctx.net.arch.input_dim)
-    c = ctx.net.arch.output_dim
-    b = batch_x.shape[0]
+    trace = forward(ctx.net, batch_x)
+    b, c = trace.output.shape
     q = state.inducing.shape[0] * c
     lower = state.a_factor
 
-    tape, k_ind, h_factor, covs = _batch_posterior(state, batch_x)
+    tape, k_ind, h_factor, covs = _batch_posterior(state, trace)
     cross = tape.cross  # (B*C, q), kappa(X, Z)
-    data, g_blocks, d_dnoise = _data_term(state, forward(ctx.net, batch_x).output, covs, batch_y, n_total, mode)
+    data, g_blocks, d_dnoise = _data_term(state, trace.output, covs, batch_y, n_total, mode)
 
     # the identities of the module docstring; five q x q x q products
     g_t = solve_psd(h_factor, lower.T)  # G^T = H^{-1} L^T
@@ -356,7 +352,8 @@ def fit_valla(
     initial predictive variance is close to the prior. Validation NLL is
     checked every ``schedule.validate_every`` iterations; after
     ``schedule.patience`` consecutive non-improving checks the best state
-    seen is returned.
+    seen is returned. Under the categorical likelihood a training label
+    outside [0, C) raises DimensionMismatch.
     """
     x, y = train
     x = as_inputs(x, ctx.net.arch.input_dim)
@@ -367,6 +364,8 @@ def fit_valla(
         raise DimensionMismatch("early stopping needs a nonempty validation set")
 
     c = ctx.net.arch.output_dim
+    if likelihood.kind == "categorical":
+        y = class_labels(y, c, n)
     q = int(m_inducing) * c
 
     def leaves(vec):

@@ -492,6 +492,69 @@ class TestEvaluate:
         assert main(["evaluate", str(cfg), "--state", str(tmp_path / "none.bin")]) == 2
 
 
+@pytest.fixture(scope="module")
+def three_class_run(tmp_path_factory):
+    """(config, checkpoint, lla_diag state) of a 3-class IDX task with one input per point."""
+    import struct
+
+    tmp = tmp_path_factory.mktemp("three_class")
+    n = 60
+    (tmp / "images.idx").write_bytes(struct.pack(">IIII", 0x803, n, 1, 1) + bytes(range(100, 100 + n)))
+    (tmp / "labels.idx").write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
+    idx = f"dataset.kind = idx\ndataset.images = {tmp / 'images.idx'}\ndataset.labels = {tmp / 'labels.idx'}\n"
+    cfg = tmp / "idx.cfg"
+    cfg.write_text(TOY_BASE.replace("dataset.kind = toy1d\n", idx) + f"output_dir = {tmp / 'run'}\nmethod = lla_diag\n")
+    assert main(["train-map", str(cfg)]) == 0
+    assert main(["fit", str(cfg), "--checkpoint", str(tmp / "run" / "checkpoint.bin")]) == 0
+    return cfg, tmp / "run" / "checkpoint.bin", tmp / "run" / "state_lla_diag.bin"
+
+
+def retarget(cfg, path, out, method="lla_diag"):
+    """A copy of the config at ``cfg`` written to ``path``, writing into ``out`` with ``method``."""
+    lines = cfg.read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith(("output_dir", "method =")))
+    path.write_text(kept + f"output_dir = {out}\nmethod = {method}\n")
+    return path
+
+
+class TestTaskMismatch:
+    """A checkpoint or state that does not fit the data's task exits 1 with one line and writes nothing."""
+
+    def run(self, capsys, argv, written):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not written.exists()
+        return err
+
+    def test_regression_state_on_class_data(self, tmp_path, capsys, fitted_states_dir, three_class_run):
+        cfg = retarget(three_class_run[0], tmp_path / "mismatch.cfg", tmp_path / "ev")
+        state = fitted_states_dir[1] / "state_lla_diag.bin"
+        err = self.run(capsys, ["evaluate", cfg, "--state", state], tmp_path / "ev" / "metrics_test.json")
+        assert "1 output(s) and a gaussian likelihood" in err and "3-class classification" in err
+
+    def test_class_state_on_regression_data(self, tmp_path, capsys, three_class_run):
+        _, _, state = three_class_run
+        cfg = write_config(tmp_path, "toy.cfg", f"output_dir = {tmp_path / 'ev'}\n")
+        err = self.run(capsys, ["evaluate", cfg, "--state", state], tmp_path / "ev" / "metrics_test.json")
+        assert "3 output(s) and a categorical likelihood" in err and "regression with 1 target(s)" in err
+
+    @pytest.mark.parametrize("method", ["lla_diag", "valla"])
+    def test_fit_of_regression_checkpoint_on_class_data(self, tmp_path, capsys, three_class_run, method):
+        cfg = retarget(three_class_run[0], tmp_path / "mismatch.cfg", tmp_path / "fit", method)
+        checkpoint = train_checkpoint(tmp_path)
+        err = self.run(capsys, ["fit", cfg, "--checkpoint", checkpoint], tmp_path / "fit" / f"state_{method}.bin")
+        assert "checkpoint has 1 output(s)" in err and "3-class classification" in err
+
+    def test_compare_of_class_checkpoint_on_regression_data(self, tmp_path, capsys, three_class_run):
+        _, checkpoint, _ = three_class_run
+        cfg = write_config(tmp_path, "toy.cfg", f"output_dir = {tmp_path / 'cmp'}\n")
+        err = self.run(capsys, ["compare", cfg, "--checkpoint", checkpoint], tmp_path / "cmp" / "compare.csv")
+        assert "checkpoint has 3 output(s)" in err and "regression" in err
+        assert not list((tmp_path / "cmp").glob("state_*"))
+
+
 class TestPredictGrid:
     def test_grid_csv_contract(self, tmp_path):
         cfg, state = TestEvaluate().fit_state(tmp_path)

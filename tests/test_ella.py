@@ -6,9 +6,15 @@ from lagp.kernel import kernel_block_fast
 from lagp.linalg import rng_stream, solve_psd
 from lagp.lla import LikelihoodModel, fit_exact
 from lagp.ella import _features, ella_fit
-from lagp.nn import forward
+from lagp.nn import forward, layer_walk
 
 from test_kernel import random_ctx
+
+
+def features(ctx, state, x):
+    """(N, C, K) ELLA features of the inputs x under a fitted state."""
+    anchors = list(layer_walk(ctx.net, forward(ctx.net, state.anchors)))
+    return _features(ctx.net, state.projection, anchors, forward(ctx.net, x))
 
 
 class TestEllaFit:
@@ -17,7 +23,7 @@ class TestEllaFit:
         ctx = random_ctx(rng, 1, [6], 1, log_prior_variance=0.4)
         x = rng.normal(size=(10, 1))
         state = ella_fit(ctx, LikelihoodModel(kind="gaussian", noise_variance=0.1), x, m=10, k=None, seed=0)
-        phi = _features(ctx, state.projection, state.anchors, x)  # (N, C, K)
+        phi = features(ctx, state, x)  # (N, C, K)
         flat = phi.reshape(10, -1)
         unscaled = kernel_block_fast(ctx.with_log_prior_variance(0.0), x, x).values
         assert np.max(np.abs(flat @ flat.T - unscaled)) <= 1e-8
@@ -64,7 +70,7 @@ class TestEllaFit:
         x = rng.normal(size=(30, 2))
         state = ella_fit(ctx, LikelihoodModel(kind=kind, noise_variance=0.1), x, m=10, k=None, seed=2)
         x_star = rng.normal(size=(40, 2))
-        phi = _features(ctx, state.projection, state.anchors, x_star)  # (N, C, K)
+        phi = features(ctx, state, x_star)  # (N, C, K)
         loop = np.stack([p @ solve_psd(state.precision_factor, p.T) for p in phi])
         loop = 0.5 * (loop + loop.transpose(0, 2, 1))
         pred = state.predict(x_star)

@@ -1,4 +1,4 @@
-"""The one input rule (``kernel.as_inputs``) as every state kind's ``predict`` sees it."""
+"""The one input rule (``nn.as_inputs``) as ``nn.forward`` and every state kind's ``predict`` see it."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lagp import GaussianPredictive
 from lagp.cli import predict_any
 from lagp.errors import DimensionMismatch
-from lagp.kernel import as_inputs
+from lagp.nn import as_inputs, forward
 
 from test_serialize import STATE_NAMES, fitted_states
 
@@ -15,6 +15,14 @@ from test_serialize import STATE_NAMES, fitted_states
 def states(d):
     kind = "gaussian" if d % 2 else "categorical"
     return [(name, state) for name, (state, _) in fitted_states(d, kind).items()]
+
+
+def assert_same_trace(net, x, d):
+    """forward(net, x) equals the forward pass of as_inputs(x, d), layer by layer."""
+    trace, reference = forward(net, x), forward(net, as_inputs(x, d))
+    assert trace.layer_inputs[0].shape == (reference.output.shape[0], d)
+    for a, b in zip((*trace.layer_inputs, trace.output), (*reference.layer_inputs, reference.output)):
+        assert np.array_equal(a, b)
 
 
 def assert_same(a, b):
@@ -44,6 +52,7 @@ class TestInputRule:
     def test_predict_reads_inputs_through_the_rule(self, case):
         d, n, x = case
         for _, state in states(d):
+            assert_same_trace(state.ctx.net, x, d)
             pred = state.predict(x)
             assert_same(pred, state.predict(as_inputs(x, d)))
             c = state.ctx.net.arch.output_dim
@@ -64,11 +73,14 @@ class TestInputRule:
             for x in bad:
                 with pytest.raises(DimensionMismatch):
                     state.predict(x)
+                with pytest.raises(DimensionMismatch):
+                    forward(state.ctx.net, x)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_zero_queries_give_empty_predictive(self, d):
         for name, state in states(d):
             c = state.ctx.net.arch.output_dim
+            assert forward(state.ctx.net, np.zeros((0, d))).output.shape == (0, c), name
             pred = state.predict(np.zeros((0, d)))
             assert pred.mean.shape == (0, c), name
             assert pred.covariance.shape == (0, c, c), name
@@ -77,6 +89,8 @@ class TestInputRule:
     def test_one_dimensional_input(self, d):
         x = np.linspace(-1.0, 1.0, 5 if d == 1 else d)
         for _, state in states(d):
+            assert_same_trace(state.ctx.net, x, d)
+            assert forward(state.ctx.net, x).output.shape[0] == (5 if d == 1 else 1)
             pred = state.predict(x)
             assert len(pred) == (5 if d == 1 else 1)
             assert_same(pred, state.predict(x.reshape(-1, d)))

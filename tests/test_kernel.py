@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from lagp.errors import DimensionMismatch
 from lagp.kernel import (
     KernelContext,
-    as_inputs,
     kernel_block_fast,
     kernel_diag_blocks,
     kernel_input_vjp,
     kernel_tape,
 )
 from lagp.linalg import rng_stream
-from lagp.nn import MlpArchitecture, MlpNetwork, forward, layer_walk
+from lagp.nn import MlpArchitecture, MlpNetwork, as_inputs, forward, layer_walk
 
 
 def random_ctx(rng, input_dim, hidden, output_dim, log_prior_variance=0.0, scale=1.0):
@@ -353,11 +352,11 @@ class TestKernelBlockFast:
         assert kernel_block_fast(ctx, x, empty).values.shape == (6, 0)
         assert kernel_block_fast(ctx, empty, empty).values.shape == (0, 0)
         assert kernel_diag_blocks(ctx, empty).shape == (0, 2, 2)
-        tape = kernel_tape(ctx, x, empty)  # the tape over Z alone
+        tape = kernel_tape(ctx, x, forward(ctx.net, empty))  # the tape over Z alone
         assert tape.cross.shape == (0, 6) and tape.prior.shape == (0, 2, 2)
         grad = kernel_input_vjp(ctx, tape, np.zeros((3, 2, 3, 2)))
         assert np.array_equal(grad, np.zeros((3, 2)))
-        tape = kernel_tape(ctx, empty, x)
+        tape = kernel_tape(ctx, empty, forward(ctx.net, x))
         assert tape.stacked.shape == (6, 0)
         assert kernel_input_vjp(ctx, tape, np.zeros((3, 2, 0, 2))).shape == (0, 2)
 
@@ -382,7 +381,7 @@ class TestKernelBlockFast:
         blocks = ref.reshape(n, c, n, c)[np.arange(n), :, np.arange(n)]
         assert np.max(np.abs(kernel_diag_blocks(ctx, xs) - blocks), initial=0.0) <= tol
 
-        tape = kernel_tape(ctx, zs, xs)
+        tape = kernel_tape(ctx, zs, forward(ctx.net, xs))
         ref = pairwise_gram(ctx, np.vstack([zs, xs]), zs)
         tol = 1e-12 * np.max(np.abs(ref), initial=0.0)
         assert np.max(np.abs(tape.stacked - ref), initial=0.0) <= tol
@@ -457,13 +456,13 @@ class TestKernelInputVjp:
         xs[:shared] = zs[:shared]
         rows = np.vstack([zs, xs])
         g = rng.normal(size=(m + n, c, m, c))
-        got = kernel_input_vjp(ctx, kernel_tape(ctx, zs, xs), g)
+        got = kernel_input_vjp(ctx, kernel_tape(ctx, zs, forward(ctx.net, xs)), g)
         ref = np.einsum("iomp,imopd->md", g, kernel_input_gradient_multi(ctx, rows, zs))
         assert got.shape == (m, d)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wrong_cotangent_shape_rejected(self):
         ctx = random_ctx(rng_stream(0), 2, [3], 2)
-        tape = kernel_tape(ctx, np.zeros((2, 2)), np.zeros((1, 2)))
+        tape = kernel_tape(ctx, np.zeros((2, 2)), forward(ctx.net, np.zeros((1, 2))))
         with pytest.raises(DimensionMismatch):
             kernel_input_vjp(ctx, tape, np.zeros((3, 2, 2, 1)))

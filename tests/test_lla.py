@@ -6,13 +6,14 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from lagp import kernel, lla
+from lagp import ella, kernel, lla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
-from lagp.kernel import KernelContext, as_inputs, kernel_block_fast, kernel_diag_blocks
+from lagp.kernel import KernelContext, kernel_block_fast, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from lagp.lla import (
     GaussianPredictive,
     LikelihoodModel,
+    MapState,
     curvature_roots,
     fit_diag,
     fit_exact,
@@ -24,11 +25,12 @@ from lagp.lla import (
     whiten,
 )
 from lagp import nn
-from lagp.nn import MlpArchitecture, MlpNetwork, forward
-from lagp.ella import _features, ella_fit
+from lagp.nn import MlpArchitecture, MlpNetwork, as_inputs, forward
+from lagp.ella import ella_fit
 from lagp.serialize import load_state, save_state
-from lagp.valla import _capacity_factor, objective_gradient
+from lagp.valla import TrainSchedule, _capacity_factor, fit_valla, objective_gradient
 
+from test_ella import features
 from test_kernel import dense_covariances, dense_ggn, jacobian, random_ctx
 from test_valla import make_state
 
@@ -269,7 +271,7 @@ class TestOneSolveForm:
         assert_matches_oracle(valla_state.predict(x_star).covariance, oracle)
 
         ella_state = ella_fit(ctx, lik, x, m=4, k=None, seed=0)
-        phi = _features(ctx, ella_state.projection, ella_state.anchors, x_star)  # (N, C, K)
+        phi = features(ctx, ella_state, x_star)  # (N, C, K)
         v = phi.reshape(-1, ella_state.feature_dim).T
         oracle = -two_solve_blocks(np.zeros((n_query, c, c)), v, ella_state.precision_factor)
         cov = ella_state.predict(x_star).covariance
@@ -513,7 +515,7 @@ class TestLayerwise:
         paths = {
             "gram": lambda: kernel_block_fast(ctx, x, z),
             "diagonal": lambda: kernel_diag_blocks(ctx, x),
-            "tape": lambda: kernel.kernel_tape(ctx, z, x),
+            "tape": lambda: kernel.kernel_tape(ctx, z, forward(ctx.net, x)),
             "diagonal LLA fit": lambda: fit_diag(ctx, lik, x),
             "diagonal LLA predict": lambda: diag_state.predict(x),
         }
@@ -532,7 +534,7 @@ class TestLayerwise:
         # a VaLLA step and a VaLLA prediction each walk [Z; X] once, and
         # the inducing gradient reads the step's tape without walking again
         valla_state = make_state(rng, ctx, m=2, kind="categorical")
-        tape = kernel.kernel_tape(ctx, z, x)
+        tape = kernel.kernel_tape(ctx, z, forward(ctx.net, x))
         paths = {
             "VaLLA step": (lambda: objective_gradient(valla_state, x, rng.integers(0, 3, size=6), 6), 8),
             "VaLLA predict": (lambda: valla_state.predict(x), 8),
@@ -562,6 +564,64 @@ class TestLayerwise:
         walked.clear()
         exact.predict(z)
         assert walked == [6, 2]
+
+
+class TestOneForwardPassPerInputSet:
+    """Each query set, training chunk, anchor set and VaLLA batch reaches ``nn.forward`` once per call."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The row count of every ``nn.forward`` call, in call order."""
+        seen, original = [], nn.forward
+
+        def counted(net, x):
+            trace = original(net, x)
+            seen.append(trace.output.shape[0])
+            return trace
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("lagp"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    def test_rows_per_call(self, rows, monkeypatch, kind):
+        rng = rng_stream(29)
+        c = 1 if kind == "gaussian" else 3
+        ctx = random_ctx(rng, 2, [5, 4], c)
+        lik = LikelihoodModel(kind=kind, noise_variance=0.3)
+        x, x_star, x_val = rng.normal(size=(6, 2)), rng.normal(size=(7, 2)), rng.normal(size=(5, 2))
+        y, y_val = (rng.normal(size=(n, 1)) if c == 1 else rng.integers(0, c, size=n) for n in (6, 5))
+
+        def ran(call, expected, what):
+            rows.clear()
+            result = call()
+            assert rows == expected, f"{what} passed {rows} rows to nn.forward, expected {expected}"
+            return result
+
+        states = {
+            "map": MapState(ctx=ctx, likelihood=lik),
+            "lla_exact": ran(lambda: fit_exact(ctx, lik, x), [6], "fit_exact"),
+            "lla_diag": ran(lambda: fit_diag(ctx, lik, x), [6], "fit_diag"),
+            "lla_last_layer": ran(lambda: fit_last_layer(ctx, lik, x), [6], "fit_last_layer"),
+            "ella": ran(lambda: ella_fit(ctx, lik, x, m=3, k=None, seed=0), [3, 6], "ella_fit"),
+            "valla": make_state(rng, ctx, m=2, kind=kind),
+        }
+        support = {"lla_exact": [6], "ella": [3], "valla": [2]}
+        for name, state in states.items():
+            ran(lambda: state.predict(x_star), [7] + support.get(name, []), f"{name} predict")
+
+        # a pass of two chunks evaluates the anchors once and each chunk once
+        monkeypatch.setattr(ella, "PASS_CHUNK", 4)
+        ran(lambda: ella_fit(ctx, lik, x, m=3, k=None, seed=0), [3, 4, 2], "ella_fit in two chunks")
+
+        ran(lambda: objective_gradient(states["valla"], x, y, 6), [6, 2], "a VaLLA step")
+        schedule = TrainSchedule(iterations=2, batch_size=4, learning_rate=0.01, validate_every=1)
+        ran(lambda: fit_valla(ctx, lik, (x, y), (x_val, y_val), 2, schedule), [4, 2, 5, 2] * 2, "fit_valla")
+        if kind == "gaussian":
+            ran(lambda: grid_search_hyperparameters(ctx.net, x, y), [6], "the evidence search")
 
 
 def unit_kernel_and_residuals(net, x, y):

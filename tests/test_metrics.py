@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from lagp.errors import SimplexViolation
+from lagp.errors import DimensionMismatch, SimplexViolation
 from lagp.linalg import rng_stream
 from lagp.lla import GaussianPredictive, LikelihoodModel
 from lagp.metrics import (
@@ -13,6 +13,7 @@ from lagp.metrics import (
     cqm,
     crps_gaussian,
     ece,
+    nll_categorical,
     nll_gaussian,
     ood_auc,
     predictive_class_probs,
@@ -239,3 +240,19 @@ class TestPredictiveClassProbs:
     def test_accuracy_helper(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
         assert accuracy(p, [0, 1, 1]) == pytest.approx(2 / 3)
+
+
+class TestClassLabels:
+    @pytest.mark.parametrize("metric", [nll_categorical, brier, accuracy, ece])
+    @pytest.mark.parametrize("bad", [-1, 3, 3.5])
+    def test_label_outside_classes_rejected(self, metric, bad):
+        p = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
+        assert np.isfinite(metric(p, [0, 2]))
+        with pytest.raises(DimensionMismatch, match=r"\[0, 3\)"):
+            metric(p, [0, bad])
+
+    @pytest.mark.parametrize("metric", [nll_categorical, brier, accuracy, ece])
+    def test_label_count_must_match_rows(self, metric):
+        p = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
+        with pytest.raises(DimensionMismatch, match="labels for 2 points"):
+            metric(p, [0, 1, 2])

@@ -278,7 +278,7 @@ def _package_trees():
 
 
 class TestSingleEvaluator:
-    """``nn.forward`` is the only evaluator of the network and ``nn.layer_walk`` the only walk."""
+    """``nn.forward`` is the only evaluator of the network and of the input rule, ``nn.layer_walk`` the only walk."""
 
     def test_only_nn_calls_tanh(self):
         callers = sorted(
@@ -298,6 +298,15 @@ class TestSingleEvaluator:
             if isinstance(node, ast.FunctionDef) and node.name.endswith("_walk")
         ]
         assert defined == ["nn.py"]
+
+    def test_as_inputs_defined_once_in_nn(self):
+        defined = [
+            name
+            for name, tree in _package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "as_inputs"
+        ]
+        assert defined == ["nn.py"], f"as_inputs is defined in {defined}"
 
 
 class TestAdam:

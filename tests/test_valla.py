@@ -533,6 +533,18 @@ class TestFitValla:
             fit_valla(ctx, LikelihoodModel(kind="gaussian", noise_variance=0.1), (x, y), None, m, schedule,
                       early_stopping=False)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_classes_rejected(self, bad):
+        rng = rng_stream(32)
+        ctx = random_ctx(rng, 2, [4], 3)
+        x, y = rng.normal(size=(12, 2)), rng.integers(0, 3, size=12)
+        y[5] = bad
+        schedule = TrainSchedule(iterations=2, batch_size=6, learning_rate=0.01)
+        with pytest.raises(DimensionMismatch, match=r"\[0, 3\)"):
+            fit_valla(ctx, LikelihoodModel(kind="categorical"), (x, y), None, 2, schedule, early_stopping=False)
+        with pytest.raises(DimensionMismatch, match=r"\[0, 3\)"):
+            objective_gradient(make_state(rng, ctx, m=2, kind="categorical"), x, y, 12)
+
     def test_zero_learning_rate_keeps_state(self):
         rng = rng_stream(19)
         ctx = random_ctx(rng, 1, [4], 1, log_prior_variance=0.1)
