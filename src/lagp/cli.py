@@ -466,8 +466,14 @@ def cmd_predict_grid(args):
     if args.resolution < 1:
         raise ConfigError("resolution must be >= 1")
     state, normalization = load_state(_existing(args.state, "state file"))
-    if state.ctx.net.arch.input_dim != 1:
+    arch = state.ctx.net.arch
+    if arch.input_dim != 1:
         raise ConfigError("predict-grid supports 1-D inputs only")
+    if arch.output_dim != 1 or state.likelihood.kind != "gaussian":
+        raise DimensionMismatch(
+            f"predict-grid needs a regression state with one output; the state has "
+            f"{arch.output_dim} output(s) and a {state.likelihood.kind} likelihood"
+        )
     grid = np.linspace(*args.range, args.resolution)
     x = grid[:, None]
     if normalization is not None:

@@ -14,12 +14,13 @@ feature-space precision
 with B_n the curvature root of ``lla.curvature_roots`` (B_n B_n^T is the
 curvature block), one GEMM per chunk of points. Its inverse gives the
 posterior covariance phi(x*) G^{-1} phi(x*)^T = r^T r, with
-r = L_G^-1 phi(x*)^T from one triangular solve against the Cholesky
-factor L_G of G, so every block is PSD by construction. At full rank (M = N,
-K = N*C) this reproduces the exact posterior; at low rank it tends to
-understate the variance away from the anchors. The anchors are evaluated
-once per fit or prediction, and each pass chunk once: its trace gives
-both its features and its curvature roots.
+r = L_G^-1 phi(x*)^T from one ``linalg.solve_lower`` over every query,
+against the Cholesky factor L_G of G, so every block is PSD by
+construction. At full rank (M = N, K = N*C) this reproduces the exact
+posterior; at low rank it tends to understate the variance away from
+the anchors. The anchors are evaluated once per fit or prediction, and
+each pass chunk once: its trace gives both its features and its
+curvature roots.
 """
 
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ class EllaState(PosteriorState):
         return self.projection.shape[0]
 
     def covariances(self, trace):
-        """r^T r at each query of ``trace``, r = L_G^-1 phi(x*)^T, from one triangular solve over every query."""
+        """r^T r at each query of ``trace``, r = L_G^-1 phi(x*)^T, from one ``solve_lower`` over every query."""
         net = self.ctx.net
         walk = list(layer_walk(net, forward(net, self.anchors)))
         phi = _features(net, self.projection, walk, trace)  # (N, C, K)

@@ -1,15 +1,18 @@
 """Dense real linear algebra substrate used by every other module.
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` objects in row-major
-order. Factorizations are delegated to LAPACK through numpy/scipy; this
-module owns the contracts (jitter escalation, ordering, error mapping)
-rather than the inner loops.
+order. Factorizations are delegated to LAPACK through numpy/scipy, and
+this module owns their contracts (jitter escalation, ordering, error
+mapping). The triangular solves are its own: a blocked substitution over
+panels of ``PANEL_ROWS`` rows, in which GEMM does nearly all the work
+and each panel's diagonal block is inverted by LAPACK ``dtrtri`` and
+applied by BLAS ``dtrmm`` (see ``solve_lower``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
@@ -20,6 +23,7 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteValue, NotPo
 JITTER_START_FACTOR = 1e-8
 JITTER_CAP_FACTOR = 1e-2
 SYMMETRY_TOL = 1e-10
+PANEL_ROWS = 256  # rows per panel of the triangular solves; square tiles of the symmetry check
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,23 @@ def as_matrix(a, name="matrix"):
 
 
 def check_symmetric(a, name="matrix", tol=SYMMETRY_TOL):
+    """``a`` as a finite square matrix with max|a - a^T| <= tol * max(1, max|a|).
+
+    The difference is formed one ``PANEL_ROWS``-square tile at a time,
+    against the transposed mirror tile, so no (n, n) temporary is made.
+    """
     a = as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
+    n = a.shape[0]
+    if n != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if a.size:
-        # max|a| without an |a| temporary; a - a^T is antisymmetric entry
-        # for entry, so its largest entry is its largest magnitude
-        scale = max(1.0, float(a.max()), -float(a.min()))
-        if float((a - a.T).max()) > tol * scale:
-            raise DimensionMismatch(f"{name} is not symmetric within {tol}")
+        # max|a| without an |a| temporary
+        limit = tol * max(1.0, float(a.max()), -float(a.min()))
+        for i in range(0, n, PANEL_ROWS):
+            for j in range(i, n, PANEL_ROWS):
+                d = a[i : i + PANEL_ROWS, j : j + PANEL_ROWS] - a[j : j + PANEL_ROWS, i : i + PANEL_ROWS].T
+                if max(float(d.max()), -float(d.min())) > limit:
+                    raise DimensionMismatch(f"{name} is not symmetric within {tol}")
     return a
 
 
@@ -95,27 +107,84 @@ def cholesky(a):
         attempt = nxt
 
 
+def _inverse_transpose(lower):
+    """L^-T of a lower triangle as an upper triangle in column-major order, by LAPACK ``dtrtri``.
+
+    ``dtrtri`` runs on the column-major view L^T and reads only its upper
+    triangle. A zero pivot raises NotPositiveDefinite.
+    """
+    inv_t, info = scipy.linalg.lapack.dtrtri(lower.T, lower=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"triangular factor has a zero pivot at row {info - 1}")
+    return inv_t
+
+
+def inverse_lower(factor):
+    """L^-1 as a row-major lower triangle: n^3/3 flops where solving against the identity costs n^3.
+
+    Like the solves, it reads only the lower triangle of L.
+    """
+    return np.tril(_inverse_transpose(factor.lower).T)
+
+
+def _substitute(lower, x, transpose):
+    """x := L^-1 x, or L^-T x when ``transpose``, in place on a row-major (n, m) x, one panel at a time.
+
+    BLAS works on the column-major view x[s:e]^T of a panel's rows. Each
+    panel is first updated in place by one GEMM per panel t:u already
+    solved: x[s:e] -= L[s:e, t:u] x[t:u], or x[s:e] -= L[t:u, s:e]^T x[t:u].
+    Its diagonal block B is then applied as B^-1 (or B^-T) by ``dtrmm``,
+    which multiplies x[s:e]^T from the right by B^-T (or B^-1). The
+    scipy wrappers copy at most one (PANEL_ROWS, PANEL_ROWS) block of L
+    per call into column-major order, and no (PANEL_ROWS, m) temporary
+    is made.
+    """
+    n = lower.shape[0]
+    panels = [(s, min(s + PANEL_ROWS, n)) for s in range(0, n, PANEL_ROWS)]
+    if transpose:
+        panels.reverse()
+    for k, (s, e) in enumerate(panels):
+        for t, u in panels[:k]:
+            block = lower[t:u, s:e] if transpose else lower[s:e, t:u]
+            scipy.linalg.blas.dgemm(
+                -1.0, x[t:u].T, block.T, beta=1.0, c=x[s:e].T, trans_b=int(transpose), overwrite_c=1
+            )
+        inv_t = _inverse_transpose(lower[s:e, s:e])
+        scipy.linalg.blas.dtrmm(1.0, inv_t, x[s:e].T, side=1, lower=0, trans_a=int(transpose), overwrite_b=1)
+        if not transpose and not np.isfinite(x[s:e]).all():
+            raise NonFiniteValue("triangular solve: the right-hand side holds NaN or Inf")
+
+
+def _solve(factor, b, transposes):
+    """A row-major copy of b as (dim, k), run through ``_substitute`` once per entry of ``transposes``.
+
+    A 1-D b is one right-hand side and gives a 1-D result.
+    """
+    x = np.array(b, dtype=np.float64, order="C")
+    vector_input = x.ndim == 1
+    if vector_input:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] != factor.dim:
+        raise DimensionMismatch(f"rhs has shape {np.shape(b)}, expected ({factor.dim}, k)")
+    if x.shape[1]:
+        for transpose in transposes:
+            _substitute(factor.lower, x, transpose)
+    return x[:, 0] if vector_input else x
+
+
 def solve_lower(factor, b):
     """L^-1 b for one or more right-hand sides; a 1-D b gives a 1-D result.
 
-    With r = L^-1 v, the quadratic form v^T (L L^T)^-1 v is r^T r.
+    With r = L^-1 v, the quadratic form v^T (L L^T)^-1 v is r^T r. The
+    caller's b is left unmodified; a NaN or Inf in it raises
+    NonFiniteValue.
     """
-    b = np.asarray(b, dtype=np.float64)
-    vector_input = b.ndim == 1
-    if vector_input:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != factor.dim:
-        raise DimensionMismatch(
-            f"rhs has shape {b.shape}, expected ({factor.dim}, k)"
-        )
-    y = scipy.linalg.solve_triangular(factor.lower, b, lower=True)
-    return y[:, 0] if vector_input else y
+    return _solve(factor, b, (False,))
 
 
 def solve_psd(factor, b):
-    """Solve (L @ L.T) x = b for one or more right-hand sides."""
-    y = solve_lower(factor, b)
-    return scipy.linalg.solve_triangular(factor.lower.T, y, lower=False)
+    """Solve (L @ L.T) x = b for one or more right-hand sides, as L^-T (L^-1 b)."""
+    return _solve(factor, b, (False, True))
 
 
 def logdet(factor):

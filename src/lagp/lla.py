@@ -36,10 +36,12 @@ positive definite, instead of inverting the curvature. ``fit_exact``
 assembles Q in place from one walk over X seeded with B^T, so each
 layer's sensitivities arrive whitened and no (N*C)^2 kernel is formed.
 The predictive covariance is cov = prior - r^T r blockwise, with
-r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q: one
-triangular solve. The diagonal and last-layer fits add their part of
+r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q, from
+``linalg.solve_lower``, whose blocked substitution spends nearly all its
+flops in GEMM. The diagonal and last-layer fits add their part of
 G^T G with G = B^T J per data point; only the last-layer fit forms
-B B^T, to keep its Kronecker structure.
+B B^T, to keep its Kronecker structure. The last-layer predictive reads
+L^-1 itself, from one LAPACK ``dtrtri`` (``linalg.inverse_lower``).
 
 Regression picks its variances by maximizing the evidence
 log N(y - g(X) | 0, pv K + nv I) over a grid of finite positive (pv, nv).
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
 from .kernel import KernelContext, _gram_term, support_blocks
-from .linalg import CholeskyFactor, cholesky, solve_lower, sym_eig
+from .linalg import CholeskyFactor, cholesky, inverse_lower, solve_lower, sym_eig
 from .nn import forward, layer_blocks, layer_walk
 
 EXACT_CAP = 3000  # max N*C for the function-space route
@@ -159,8 +161,9 @@ class PosteriorState:
     factor that is None is left out), and the scalars in ``META`` (name ->
     type) as metadata; ``serialize`` stores ctx and likelihood itself.
     Reading a payload raises FormatError, naming the field, when an array
-    or factor holds NaN or Inf; ``check`` then runs on the state and
-    raises FormatError when its arrays do not fit the network.
+    or factor holds NaN or Inf, or when a factor's diagonal is not
+    strictly positive; ``check`` then runs on the state and raises
+    FormatError when its arrays do not fit the network.
     """
 
     KIND = None
@@ -188,9 +191,13 @@ class PosteriorState:
                 raise FormatError(f"{name} holds NaN or Inf")
         for name in cls.FACTORS:
             lower = arrays.get(name)
-            if lower is not None and lower.ndim != 2:
-                raise FormatError(f"{name} must be a matrix, got shape {lower.shape}")
-            fields[name] = None if lower is None else CholeskyFactor(lower=lower, dim=lower.shape[0])
+            if lower is not None:
+                if lower.ndim != 2:
+                    raise FormatError(f"{name} must be a matrix, got shape {lower.shape}")
+                if not np.all(np.diagonal(lower) > 0.0):
+                    raise FormatError(f"{name} must be a Cholesky factor with a strictly positive diagonal")
+                lower = CholeskyFactor(lower=lower, dim=lower.shape[0])
+            fields[name] = lower
         fields.update((name, meta[name]) for name in cls.META)
         state = cls(ctx=ctx, likelihood=likelihood, **fields)
         state.check()
@@ -205,8 +212,8 @@ def gram_blocks(r, c, prior=None):
 
     r_i is the (q, C) column block of point i in the point-major (q, N*C)
     matrix r. With r = L^-1 v for a Cholesky factor L, r_i^T r_i is the
-    quadratic form v_i^T (L L^T)^-1 v_i from one triangular solve. The
-    stacked products run as one matmul over strided views.
+    quadratic form v_i^T (L L^T)^-1 v_i. The stacked products run as one
+    matmul over strided views.
     """
     q, n = r.shape[0], r.shape[1] // c
     blocks = r.reshape(q, n, c).transpose(1, 2, 0) @ r.reshape(q, n, c).transpose(1, 0, 2)
@@ -366,13 +373,14 @@ class LlaLastLayerState(PosteriorState):
         """Covariance r^T r at each input of ``trace``, with r = L^-1 J^T and L the precision factor.
 
         J's row for output o holds phi_i at column i*C + o, so with L^-1
-        regrouped as (F*C, F, C), r = phi . L^-1 is one batched product per
-        query chunk of at most ``PREDICT_BLOCK_FLOATS`` entries of r.
+        (``linalg.inverse_lower``) regrouped as (F*C, F, C), r = phi . L^-1
+        is one batched product per query chunk of at most
+        ``PREDICT_BLOCK_FLOATS`` entries of r.
         """
         phi = last_layer_features(trace)
         n, c = trace.output.shape
         fc = phi.shape[1] * c
-        inv_lower = solve_lower(self.precision_factor, np.eye(fc)).reshape(fc, -1, c)
+        inv_lower = inverse_lower(self.precision_factor).reshape(fc, -1, c)
         chunk = max(1, PREDICT_BLOCK_FLOATS // (fc * c))
         covs = np.empty((n, c, c))
         for start in range(0, n, chunk):

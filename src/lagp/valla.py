@@ -12,7 +12,7 @@ posterior covariance between two inputs is
 which is the inverse-free rewriting of the textbook form
 kappa - k (A^{-1} + K_Z)^{-1} k'. With L_H the Cholesky factor of
 H = I + L^T K_Z L, its diagonal blocks are cov = prior - r^T r with
-r = L_H^-1 L^T k(Z, x), from one triangular solve; equivalently
+r = L_H^-1 L^T k(Z, x), from one ``linalg.solve_lower``; equivalently
 cov = prior - k(x, Z) P k(Z, x) with P = L H^{-1} L^T. The divergence
 from the prior over the inducing basis reduces to the two covariance
 terms

@@ -458,6 +458,23 @@ class TestEvaluate:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        ("method", "field"),
+        [("lla_exact", "q_factor"), ("lla_last_layer", "precision_factor"), ("ella", "precision_factor")],
+    )
+    def test_non_positive_factor_diagonal_exits_1(self, tmp_path, capsys, fitted_states_dir, method, field, value):
+        cfg, run = fitted_states_dir
+        kind, meta, arrays = read_container(run / f"state_{method}.bin")
+        arrays[field] = arrays[field].copy()
+        arrays[field][1, 1] = value
+        write_container(tmp_path / "bad.bin", kind, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "bad.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert field in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -592,6 +609,16 @@ class TestPredictGrid:
     def test_zero_resolution_exits_2(self, tmp_path):
         cfg, state = TestEvaluate().fit_state(tmp_path)
         assert main(["predict-grid", "--state", str(state), "--resolution", "0"]) == 2
+
+    def test_classification_state_exits_1(self, tmp_path, capsys, three_class_run):
+        # one input per point, but three logits and a categorical likelihood: no regression curve to draw
+        _, _, state = three_class_run
+        capsys.readouterr()
+        out_csv = tmp_path / "grid.csv"
+        assert main(["predict-grid", "--state", str(state), "--output", str(out_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: predict-grid needs a regression state with one output; the state has 3 output(s) and a categorical likelihood\n"
+        assert not out_csv.exists()
 
 
 class TestCompare:

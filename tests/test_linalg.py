@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lagp.errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
+from lagp.errors import ConvergenceFailure, DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 from lagp.linalg import (
+    PANEL_ROWS,
     SYMMETRY_TOL,
     CholeskyFactor,
     check_symmetric,
     cholesky,
+    inverse_lower,
     logdet,
     rng_stream,
     solve_lower,
@@ -93,6 +96,91 @@ class TestCheckSymmetric:
             outside = np.array([[-scale, sign * np.nextafter(limit, 1.0)], [0.0, 0.5]])
             with pytest.raises(DimensionMismatch):
                 check_symmetric(outside)
+
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_threshold_holds_in_every_tile(self, sign):
+        # n = 600 spans three tiles per side: an asymmetry in the last
+        # off-diagonal tile is measured exactly as in a 2 x 2 matrix
+        n = 600
+        limit = SYMMETRY_TOL * 4.0
+        for i, j in ((n - 1, 3), (3, n - 1), (PANEL_ROWS, PANEL_ROWS - 1), (1, 0)):
+            a = np.eye(n)
+            a[0, 0] = -4.0
+            a[i, j] = sign * limit
+            assert check_symmetric(a) is a
+            a[i, j] = sign * np.nextafter(limit, 1.0)
+            with pytest.raises(DimensionMismatch):
+                check_symmetric(a)
+
+
+def well_conditioned_factor(rng, n):
+    b = rng.normal(size=(n, n))
+    return cholesky(b @ b.T / n + np.eye(n))
+
+
+def rel_err(x, ref):
+    return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300) if ref.size else 0.0
+
+
+class TestPanelSolves:
+    """The blocked solves against scipy's triangular solve, across the panel edges."""
+
+    @pytest.mark.parametrize("n", [1, PANEL_ROWS - 1, PANEL_ROWS, PANEL_ROWS + 1, 600])
+    @pytest.mark.parametrize("width", [0, 1, 7, None], ids=["w0", "w1", "w7", "vector"])
+    def test_matches_scipy_oracle(self, n, width):
+        rng = rng_stream(100 + n)
+        fac = well_conditioned_factor(rng, n)
+        b = rng.normal(size=(n,) if width is None else (n, width))
+        before = b.copy()
+        forward = scipy.linalg.solve_triangular(fac.lower, b, lower=True)
+        both = scipy.linalg.solve_triangular(fac.lower.T, forward, lower=False)
+        r, x = solve_lower(fac, b), solve_psd(fac, b)
+        assert np.array_equal(b, before)
+        assert r.shape == x.shape == b.shape
+        assert rel_err(r, forward) <= 1e-12
+        assert rel_err(x, both) <= 1e-12
+        if b.size:
+            residual = fac.lower @ (fac.lower.T @ x) - b
+            assert np.max(np.abs(residual)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
+
+    def test_reads_only_the_lower_triangle(self):
+        rng = rng_stream(14)
+        fac = well_conditioned_factor(rng, 600)
+        junk = CholeskyFactor(lower=fac.lower + np.triu(rng.normal(size=(600, 600)), 1), dim=600)
+        b = rng.normal(size=(600, 3))
+        assert np.array_equal(solve_lower(junk, b), solve_lower(fac, b))
+        assert np.array_equal(solve_psd(junk, b), solve_psd(fac, b))
+        assert np.array_equal(inverse_lower(junk), inverse_lower(fac))
+
+    @pytest.mark.parametrize("n", [1, PANEL_ROWS + 1, 510])
+    def test_inverse_lower(self, n):
+        fac = well_conditioned_factor(rng_stream(300 + n), n)
+        inv = inverse_lower(fac)
+        assert inv.flags["C_CONTIGUOUS"]
+        assert np.all(np.triu(inv, 1) == 0.0)
+        assert rel_err(inv, scipy.linalg.solve_triangular(fac.lower, np.eye(n), lower=True)) <= 1e-12
+
+    @pytest.mark.parametrize("row", [0, 5, 599])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, row, value):
+        fac = well_conditioned_factor(rng_stream(15), 600)
+        b = np.ones((600, 2))
+        b[row, 1] = value
+        for solve in (solve_lower, solve_psd):
+            with pytest.raises(NonFiniteValue):
+                solve(fac, b)
+
+    @pytest.mark.parametrize("pivot", [0, 3, PANEL_ROWS + 3])
+    def test_zero_pivot_raises(self, pivot):
+        lower = well_conditioned_factor(rng_stream(16), 300).lower.copy()
+        lower[pivot, pivot] = 0.0
+        fac = CholeskyFactor(lower=lower, dim=300)
+        for solve in (solve_lower, solve_psd):
+            with pytest.raises(NotPositiveDefinite):
+                solve(fac, np.ones((300, 2)))
+        with pytest.raises(NotPositiveDefinite):
+            inverse_lower(fac)
 
 
 class TestSolvePsd:

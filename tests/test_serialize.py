@@ -209,8 +209,10 @@ class TestStateRoundtrips:
             for where, value in edits:
                 blob[int(where * len(blob))] = value
         (tmp_path / "s.bin").write_bytes(bytes(blob))
+        # a state that loads must also predict, or fail as a LagpError
         try:
-            load_state(tmp_path / "s.bin")
+            loaded, _ = load_state(tmp_path / "s.bin")
+            loaded.predict(rng_stream(95).normal(size=(3, 2)))
         except LagpError:
             pass
 
@@ -334,6 +336,19 @@ STATE_FIELDS = [
 ]
 
 
+# (state name, field) of every Cholesky factor a state file stores
+CHOLESKY_FIELDS = [(name, field) for name in STATE_NAMES if name != "lla-exact-empty" for field in STATE_KINDS[name].FACTORS]
+
+
+def _with_diagonal_entry(edit):
+    def change(f):
+        f = f.copy()
+        f[1, 1] = edit(f[1, 1])
+        return f
+
+    return change
+
+
 class TestMalformedStates:
     """States whose arrays do not fit the network are refused at load, before any predict."""
 
@@ -379,6 +394,15 @@ class TestMalformedStates:
         state, _ = fitted_states(2, kind)[name]
         with pytest.raises(FormatError, match=field):
             load_state(with_arrays_changed(tmp_path, state, _set(field, _last_entry(value))))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
+    @pytest.mark.parametrize("edit", [lambda v: 0.0, lambda v: -v], ids=["zero", "negated"])
+    @pytest.mark.parametrize(("name", "field"), CHOLESKY_FIELDS)
+    def test_non_positive_factor_diagonal_rejected(self, tmp_path, kind, edit, name, field):
+        state, _ = fitted_states(2, kind)[name]
+        assert getattr(state, field).lower[1, 1] > 0.0
+        with pytest.raises(FormatError, match=f"{field} must be a Cholesky factor with a strictly positive diagonal"):
+            load_state(with_arrays_changed(tmp_path, state, _set(field, _with_diagonal_entry(edit))))
 
     @pytest.mark.parametrize(("name", "change"), BAD_NORMALIZATIONS.values(), ids=BAD_NORMALIZATIONS.keys())
     def test_bad_normalization_rejected(self, tmp_path, name, change):
