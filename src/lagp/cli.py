@@ -5,7 +5,8 @@ comments allowed. ``CONFIG_KEYS`` declares each key's default and type:
 an integer, a non-negative integer (seeds), a count (an integer >= 1:
 iterations, batch sizes, inducing points, anchors), a finite number,
 ``true``/``false``, a path, one of a set of words, a non-negative
-integer or one word, or a comma-separated list. Every value is read as
+integer or a count that may also be one word (``sequential``,
+``auto``), or a comma-separated list. Every value is read as
 its key's type when the file loads, and a value that does not
 fit, like an unknown key, is a ``ConfigError`` (exit 2) raised before any
 output is written. An empty value unsets a key whose default is None
@@ -24,6 +25,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from . import ella as ella_mod
 from . import lla as lla_mod
 from . import metrics as metrics_mod
 from . import valla as valla_mod
-from .errors import CapExceeded, ConfigError, DimensionMismatch, LagpError, NonFiniteValue, ParseError
+from .errors import CapExceeded, ConfigError, DimensionMismatch, EmptyFile, LagpError, NonFiniteValue, ParseError
 from .kernel import KernelContext
 from .lla import EVIDENCE_CAP, NOISE_GRID, PRIOR_GRID, GaussianPredictive, LikelihoodModel
 from .nn import MlpArchitecture, TrainConfig, load_network, save_network, train_map
@@ -58,12 +60,10 @@ def _words(*choices):
     return _type(" | ".join(choices), ok=lambda raw: raw in choices)
 
 
-def _natural_or(word):
-    return _type(
-        f"a non-negative integer or {word}",
-        lambda raw: raw if raw == word else int(raw),
-        lambda value: value == word or value >= 0,
-    )
+def _or(kind, word):
+    """The value type ``kind``, or the one word ``word``."""
+    expected, read = kind
+    return f"{expected} or {word}", lambda raw: raw if raw == word else read(raw)
 
 
 INT = _type("an integer", int)
@@ -94,7 +94,7 @@ CONFIG_KEYS = {
     "dataset.limit": (None, NATURAL, "optional cap on idx records"),
     "dataset.standardize": (True, BOOL, "standardize inputs (and regression targets) on train stats"),
     "split.fractions": ((0.8, 0.1, 0.1), FRACTIONS, "train, validation, test fractions"),
-    "split.shuffle": (0, _natural_or("sequential"), "shuffle seed, or sequential for in-order splits"),
+    "split.shuffle": (0, _or(NATURAL, "sequential"), "shuffle seed, or sequential for in-order splits"),
     "arch.hidden": ((50, 50), INTS, "hidden layer widths"),
     "train.iterations": (12000, COUNT, "MAP training iterations"),
     "train.batch_size": (100, COUNT, "MAP training batch size"),
@@ -116,7 +116,7 @@ CONFIG_KEYS = {
     "method.train_noise_variance": (True, BOOL, "optimize the noise variance (valla)"),
     "method.early_stopping": (True, BOOL, "use validation-based early stopping (valla)"),
     "method.anchors": (20, COUNT, "anchor subset size (ella)"),
-    "method.features": ("auto", _natural_or("auto"), "feature count, or auto for the usable rank (ella)"),
+    "method.features": ("auto", _or(COUNT, "auto"), "feature count, or auto for the usable rank (ella)"),
     "method.max_points": (None, COUNT, "optional cap on the accumulation pass (ella)"),
 }
 
@@ -420,11 +420,15 @@ def evaluate_split(state, part, normalization):
 def _read_scores(path):
     """The scores of an entropy csv written by ``evaluate`` (one header row)."""
     try:
-        scores = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+        with warnings.catch_warnings():  # a file with no rows is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            scores = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
     except OSError as exc:
         raise ConfigError(f"cannot read scores {path}: {exc}") from None
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if scores.size == 0:
+        raise EmptyFile(f"{path}: no scores below the header")
     if not np.all(np.isfinite(scores)):
         raise NonFiniteValue(f"{path}: scores contain NaN or Inf")
     return scores
@@ -480,8 +484,7 @@ def cmd_predict_grid(args):
         x = (x - normalization.input_mean) / normalization.input_std
     pred = _to_original_units(state.predict(x), normalization)
     var_f = np.maximum(pred.covariance[:, 0, 0], 0.0)
-    noise = pred.likelihood.noise_variance if pred.likelihood.kind == "gaussian" else 0.0
-    columns = zip(grid, pred.mean[:, 0], np.sqrt(var_f), np.sqrt(var_f + noise))
+    columns = zip(grid, pred.mean[:, 0], np.sqrt(var_f), np.sqrt(var_f + pred.likelihood.noise_variance))
     rows = ["x,mean,std_function,std_y"] + [",".join(repr(float(v)) for v in row) for row in columns]
     output = "\n".join(rows) + "\n"
     if args.output:

@@ -18,9 +18,10 @@ r = L_G^-1 phi(x*)^T from one ``linalg.solve_lower`` over every query,
 against the Cholesky factor L_G of G, so every block is PSD by
 construction. At full rank (M = N, K = N*C) this reproduces the exact
 posterior; at low rank it tends to understate the variance away from
-the anchors. The anchors are evaluated once per fit or prediction, and
-each pass chunk once: its trace gives both its features and its
-curvature roots.
+the anchors. The anchors are walked once per fit or prediction, and
+``kernel.gram`` pairs that walk with itself for the anchor Gram and with
+each pass chunk's walk for its features; the chunk's trace gives both
+its features and its curvature roots.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFloorExhausted, FormatError
-from .kernel import support_blocks
+from .kernel import gram
 from .linalg import cholesky, rng_stream, solve_lower, sym_eig
 from .lla import LikelihoodModel, PosteriorState, curvature_roots, gram_blocks, whiten
 from .nn import as_inputs, forward, layer_walk
@@ -77,7 +78,7 @@ class EllaState(PosteriorState):
 
 def _features(net, projection, anchors_walk, trace):
     """(N, C, K) feature rows per output channel at the inputs of ``trace``, from the stored anchor walk."""
-    block = support_blocks(anchors_walk, layer_walk(net, trace))[0]  # (M, C, N, C), unscaled
+    block = gram(anchors_walk, layer_walk(net, trace))  # (M, C, N, C), unscaled
     m, c, n, _ = block.shape
     proj = projection @ block.reshape(m * c, n * c)  # (K, N*C)
     return proj.reshape(projection.shape[0], n, c).transpose(1, 2, 0)
@@ -108,20 +109,15 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
 
     net = ctx.net
     walk = list(layer_walk(net, forward(net, anchors)))
-    gram = support_blocks(walk, walk)[0].reshape(m * c, m * c)
-    gram = 0.5 * (gram + gram.T)
-    eig = sym_eig(gram)
+    anchor_gram = gram(walk, walk).reshape(m * c, m * c)
+    eig = sym_eig(0.5 * (anchor_gram + anchor_gram.T))
     floor = EIGEN_FLOOR_FACTOR * max(eig.values[0], 0.0)
     usable = int(np.sum(eig.values > floor))
     if k is None:
         k = usable
     if usable < k:
-        raise EigenFloorExhausted(
-            f"only {usable} eigenvalues above floor {floor:.3e}, requested K={k}"
-        )
-    vals = eig.values[:k]
-    vecs = eig.vectors[:, :k]
-    projection = vecs.T / np.sqrt(vals)[:, None]
+        raise EigenFloorExhausted(f"only {usable} eigenvalues above floor {floor:.3e}, requested K={k}")
+    projection = eig.vectors[:, :k].T / np.sqrt(eig.values[:k])[:, None]
 
     n_pass = n if max_points is None else min(max_points, n)
     precision = np.eye(k) / ctx.prior_variance

@@ -18,15 +18,14 @@ sensitivity_j * input_i, and the derivative w.r.t. bias j is
 sensitivity_j alone, which adds the +1 to the gain. Each layer's
 sensitivity pairs are one GEMM.
 
-Every path reads ``nn.layer_walk`` over an ``nn.forward`` trace, seeded
-with the identity: the Gram (``kernel_block_fast``), diagonal
-(``kernel_diag_blocks``) and tape (``kernel_tape``) paths here, and the
-Laplace baselines of ``lla`` with their own seeds. No path forms a
-Jacobian; the explicit one, with a forward pass and back-propagation of
-its own, lives in the test suite as the independent oracle of the walk.
-``support_blocks`` pairs a stored walk with the walk of a caller's trace.
-A walk paired with itself reuses its arrays, so numpy's symmetric
-products give the Gram the same bits as one walk would.
+``gram`` (two ``nn.layer_walk`` walks read in step) and ``diag_blocks``
+(one walk) are the only sums of these layer terms; both return unscaled
+blocks. The tape below, the exact LLA of ``lla`` (its training walk
+seeded with the curvature roots), the evidence search and ELLA all read
+them. No path forms a Jacobian; the explicit one lives in the test suite
+as the independent oracle of the walk. A walk paired with itself reuses
+its arrays, so numpy's symmetric products give the Gram the same bits as
+one walk would.
 
 A sparse-posterior step needs K_Z, the cross block kappa(X, Z), the prior
 blocks kappa(x_i, x_i) and the gradient of the objective with respect to
@@ -45,7 +44,6 @@ output c of point i, keeping each (C, C) pair block contiguous.
 """
 
 from dataclasses import dataclass, replace
-from itertools import tee
 
 import numpy as np
 
@@ -66,18 +64,10 @@ class KernelContext:
         return replace(self, log_prior_variance=float(value))
 
 
-@dataclass(frozen=True)
-class KernelBlockMatrix:
-    left_points: int
-    right_points: int
-    outputs: int
-    values: np.ndarray  # (left_points*C, right_points*C)
-
-
 def _pair(sx, sz):
     """(N1, K1, N2, K2) sensitivity inner products <sx[i, o], sz[j, p]>, as one GEMM.
 
-    K1 and K2 are C for plain sensitivities; ``lla`` also pairs whitened ones.
+    K1 and K2 are C for identity-seeded walks; ``lla`` also pairs whitened ones.
     """
     n1, k1, w = sx.shape
     n2, k2, _ = sz.shape
@@ -96,47 +86,33 @@ def _diag_term(a, s):
     return (s @ s.transpose(0, 2, 1)) * (np.einsum("ik,ik->i", a, a) + 1.0)[:, None, None]
 
 
-def support_blocks(support, walk):
-    """Unscaled (n, K, q, C) block sum_l <s, s_q> (<a, a_q> + 1) and (q, C, C) query prior blocks.
+def gram(left, right):
+    """Unscaled (N1, K1, N2, K2) block sum_l <s, s'> (<a, a'> + 1) of two ``nn.layer_walk`` walks.
 
-    ``support`` and ``walk`` yield ``nn.layer_walk`` steps (l, a, s) from
-    the top layer down, over n rows with K output combinations and over q
-    queries with the identity seed; both are read in step, once.
+    Both yield the steps (l, a, s) of the same layers in the same order,
+    over N1 rows with K1 output combinations and N2 rows with K2.
     """
-    steps = zip(support, walk)
-    (_, a, s), (_, aq, sq) = next(steps)  # the top layer's terms start the sums: no zero block to fill
-    block, prior = _gram_term(a, s, aq, sq), _diag_term(aq, sq)
-    for (_, a, s), (_, aq, sq) in steps:
-        block += _gram_term(a, s, aq, sq)
-        prior += _diag_term(aq, sq)
-    return block, prior
+    steps = zip(left, right)
+    (_, a, s), (_, a2, s2) = next(steps)  # the top layer's term starts the sum: no zero block to fill
+    block = _gram_term(a, s, a2, s2)
+    for (_, a, s), (_, a2, s2) in steps:
+        block += _gram_term(a, s, a2, s2)
+    return block
 
 
-def kernel_block_fast(ctx, batch_x, batch_z):
-    """Gram matrix of kernel blocks for two batches; an empty batch gives an empty block.
-
-    Accumulates the per-layer identity from the module docstring over the
-    two batches' walks in step, so no buffer ever scales with the
-    parameter count. Equals the pairwise Jacobian products to
-    floating-point accuracy.
-    """
-    net = ctx.net
-    walk = layer_walk(net, forward(net, batch_x))
-    walks = tee(walk) if batch_z is batch_x else (walk, layer_walk(net, forward(net, batch_z)))
-    block, _ = support_blocks(*walks)
-    n1, c, n2, _ = block.shape
-    values = ctx.prior_variance * block.reshape(n1 * c, n2 * c)
-    return KernelBlockMatrix(left_points=n1, right_points=n2, outputs=c, values=values)
+def diag_blocks(walk):
+    """Unscaled (N, K, K) blocks sum_l (s s^T) (|a|^2 + 1) of one ``nn.layer_walk`` walk."""
+    steps = iter(walk)
+    _, a, s = next(steps)
+    blocks = _diag_term(a, s)
+    for _, a, s in steps:
+        blocks += _diag_term(a, s)
+    return blocks
 
 
 def kernel_diag_blocks(ctx, batch_x):
-    """(N, C, C) diagonal blocks kappa(x_i, x_i) without the full Gram: sum_l (s s^T) (|a|^2 + 1)."""
-    trace = forward(ctx.net, batch_x)
-    c = ctx.net.arch.output_dim
-    total = np.zeros((trace.output.shape[0], c, c))
-    for _, a, s in layer_walk(ctx.net, trace):
-        total += _diag_term(a, s)
-    return ctx.prior_variance * total
+    """(N, C, C) diagonal blocks kappa(x_i, x_i) without the full Gram."""
+    return ctx.prior_variance * diag_blocks(layer_walk(ctx.net, forward(ctx.net, batch_x)))
 
 
 @dataclass(frozen=True)
@@ -172,16 +148,13 @@ def kernel_tape(ctx, z, trace):
         tuple(np.vstack(pair) for pair in zip(tz.layer_inputs, trace.layer_inputs)),
         np.vstack([tz.output, trace.output]),
     )
-    walk = [None] * net.arch.depth
-    stacked = np.zeros((m + n, c, m, c))
-    prior = np.zeros((n, c, c))
-    for l, a, s in layer_walk(net, rows):
-        walk[l] = (a, s)
-        stacked += _gram_term(a, s, a[:m], s[:m])
-        prior += _diag_term(a[m:], s[m:])
+    steps = list(layer_walk(net, rows))
+    stacked = gram(steps, [(l, a[:m], s[:m]) for l, a, s in steps])
+    prior = diag_blocks((l, a[m:], s[m:]) for l, a, s in steps)
     stacked *= ctx.prior_variance
     prior *= ctx.prior_variance
-    return KernelTape(stacked=stacked.reshape((m + n) * c, m * c), prior=prior, walk=tuple(walk))
+    walk = tuple((a, s) for _, a, s in reversed(steps))  # indexed by layer
+    return KernelTape(stacked=stacked.reshape((m + n) * c, m * c), prior=prior, walk=walk)
 
 
 def kernel_input_vjp(ctx, tape, cotangent):

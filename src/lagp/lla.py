@@ -33,8 +33,8 @@ rank of the softmax block, for the categorical one. The categorical block
 is singular, so the function-space route whitens the kernel with B:
 solves use the N*K square Q = I + B^T kappa(X, X) B, which is always
 positive definite, instead of inverting the curvature. ``fit_exact``
-assembles Q in place from one walk over X seeded with B^T, so each
-layer's sensitivities arrive whitened and no (N*C)^2 kernel is formed.
+takes Q from ``kernel.gram`` of one walk over X seeded with B^T, so the
+sensitivities arrive whitened and no (N*C)^2 kernel is formed.
 The predictive covariance is cov = prior - r^T r blockwise, with
 r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q, from
 ``linalg.solve_lower``, whose blocked substitution spends nearly all its
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
-from .kernel import KernelContext, _gram_term, support_blocks
+from .kernel import KernelContext, diag_blocks, gram
 from .linalg import CholeskyFactor, cholesky, inverse_lower, solve_lower, sym_eig
 from .nn import forward, layer_blocks, layer_walk
 
@@ -155,8 +155,9 @@ class PosteriorState:
     ``nn.forward`` once, which reads x by ``nn.as_inputs``, and takes the
     mean from that trace's output. Each kind supplies only
     ``covariances(trace)``, the (N, C, C) function-space covariances at
-    the inputs of that same trace. ``KIND`` tags the state in a state
-    file. The payload holds the fields named in ``ARRAYS`` as arrays, the
+    the inputs of that same trace; a NaN or Inf among them raises
+    NonFiniteValue. ``KIND`` tags the state in a state file. The
+    payload holds the fields named in ``ARRAYS`` as arrays, the
     Cholesky factors named in ``FACTORS`` by their lower triangles (a
     factor that is None is left out), and the scalars in ``META`` (name ->
     type) as metadata; ``serialize`` stores ctx and likelihood itself.
@@ -173,7 +174,11 @@ class PosteriorState:
 
     def predict(self, x):
         trace = forward(self.ctx.net, x)
-        return GaussianPredictive(trace.output, self.covariances(trace), self.likelihood)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the check below reports it
+            covs = self.covariances(trace)
+        if not np.all(np.isfinite(covs)):
+            raise NonFiniteValue(f"{self.KIND} state predicted NaN or Inf covariances")
+        return GaussianPredictive(trace.output, covs, self.likelihood)
 
     def payload(self):
         """(meta, arrays) of the fields this kind adds to ctx and likelihood."""
@@ -252,24 +257,24 @@ class LlaExactState(PosteriorState):
         """Prior blocks minus r^T r at the queries of ``trace``, r = L^-1 B^T kappa(X, x*), in query chunks.
 
         X is walked once, seeded with B^T; each chunk of the query trace is
-        walked once for both its cross block and its prior blocks
-        (``kernel.support_blocks``).
+        walked once, and that walk gives both its cross block
+        (``kernel.gram``) and its prior blocks (``kernel.diag_blocks``).
         """
         ctx = self.ctx
+        if self.q_factor is None:  # N*K = 0: the posterior is the prior
+            return ctx.prior_variance * diag_blocks(layer_walk(ctx.net, trace))
         n, c, k = self.sqrt_lambda.shape
         seed = ctx.prior_variance * self.sqrt_lambda.transpose(0, 2, 1)
         train = list(layer_walk(ctx.net, forward(ctx.net, self.train_inputs), seed))
-        if self.q_factor is None:  # N*K = 0: the posterior is the prior
-            return ctx.prior_variance * support_blocks(train, layer_walk(ctx.net, trace))[1]
         # queries in chunks, so the (N*K, chunk*C) cross block stays within the block size
         chunk = max(1, PREDICT_BLOCK_FLOATS // (n * k * c))
         covs = np.empty((trace.output.shape[0], c, c))
         for start in range(0, covs.shape[0], chunk):
             rows = slice(start, start + chunk)
-            v, prior = support_blocks(train, layer_walk(ctx.net, trace.rows(rows)))
-            r = solve_lower(self.q_factor, v.reshape(n * k, -1))
-            covs[rows] = gram_blocks(r, c, ctx.prior_variance * prior)
-            del v, r  # the next chunk's blocks must not coexist with these
+            query = list(layer_walk(ctx.net, trace.rows(rows)))
+            r = solve_lower(self.q_factor, gram(train, query).reshape(n * k, -1))
+            covs[rows] = gram_blocks(r, c, ctx.prior_variance * diag_blocks(query))
+            del r  # the next chunk's blocks must not coexist with these
         return covs
 
     def check(self):
@@ -290,10 +295,10 @@ class LlaExactState(PosteriorState):
 def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     """Condition the tangent-kernel prior on the training data.
 
-    Q = I + B^T kappa(X, X) B is accumulated layer by layer into one
-    (N*K)^2 buffer from a single walk over X seeded with B^T: with B
-    scaled by sqrt(prior_variance), each layer adds (S S^T) * (A A^T + 1)
-    for the whitened sensitivities S = B^T s and the layer inputs A.
+    Q = I + B^T kappa(X, X) B is ``kernel.gram`` of a single walk over X,
+    seeded with B^T scaled by sqrt(prior_variance) and paired with
+    itself: each layer adds (S S^T) * (A A^T + 1) for the whitened
+    sensitivities S = B^T s and the layer inputs A.
     """
     trace = forward(ctx.net, x)
     n, c = trace.output.shape
@@ -303,10 +308,8 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     k = roots.shape[2]
     q_factor = None
     if n * k:
-        q = np.zeros((n, k, n, k))
-        for _, a, s in layer_walk(ctx.net, trace, np.sqrt(ctx.prior_variance) * roots.transpose(0, 2, 1)):
-            q += _gram_term(a, s, a, s)
-        q = q.reshape(n * k, n * k)
+        walk = list(layer_walk(ctx.net, trace, np.sqrt(ctx.prior_variance) * roots.transpose(0, 2, 1)))
+        q = gram(walk, walk).reshape(n * k, n * k)
         q.flat[:: n * k + 1] += 1.0
         q_factor = cholesky(q)
     return LlaExactState(
@@ -473,7 +476,7 @@ def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
     if not np.all(np.isfinite(resid)):
         raise NonFiniteValue("evidence search residuals contain NaN or Inf")
     walk = list(layer_walk(net, trace))
-    unscaled = support_blocks(walk, walk)[0].reshape(n, n)
+    unscaled = gram(walk, walk).reshape(n, n)
     eig = sym_eig(0.5 * (unscaled + unscaled.T))
     spectrum = np.maximum(eig.values, 0.0)
     rotated_sq = (eig.vectors.T @ resid) ** 2

@@ -1,5 +1,6 @@
 import json
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,7 @@ def _wrong_values():
         ("split.shuffle", "abc"),
         ("split.shuffle", "-3"),
         ("method.features", "-1"),
+        ("method.features", "0"),
         ("split.fractions", "0.5,0.5"),
         ("split.fractions", "0.5,nan,0.5"),
         ("method.prior_variance", "0"),
@@ -395,7 +397,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         ("scores", "code"),
-        [(None, 2), ("entropy\n0.1\nabc\n", 1), ("entropy\n0.1\nnan\n", 1), ("entropy\n0.1\ninf\n", 1)],
+        [
+            (None, 2),
+            ("entropy\n0.1\nabc\n", 1),
+            ("entropy\n0.1\nnan\n", 1),
+            ("entropy\n0.1\ninf\n", 1),
+            ("entropy\n", 1),
+        ],
     )
     def test_ood_bad_scores(self, tmp_path, capsys, scores, code):
         good = tmp_path / "in.csv"
@@ -403,7 +411,9 @@ class TestEvaluate:
         bad = tmp_path / "out.csv"
         if scores is not None:
             bad.write_text(scores)
-        assert main(["evaluate", "--ood-in", str(good), "--ood-out", str(bad)]) == code
+        with warnings.catch_warnings():  # a warning on the way to the error fails the test
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--ood-in", str(good), "--ood-out", str(bad)]) == code
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
@@ -474,6 +484,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert field in err and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_overflowing_covariance_exits_1(self, tmp_path, capsys, fitted_states_dir):
+        # 1e-320 is finite and positive, so the state loads, but its inverse overflows
+        cfg, run = fitted_states_dir
+        kind, meta, arrays = read_container(run / "state_lla_diag.bin")
+        arrays["precision_diag"] = np.full_like(arrays["precision_diag"], 1e-320)
+        write_container(tmp_path / "tiny.bin", kind, meta, arrays)
+        cfg = retarget(cfg, tmp_path / "tiny.cfg", tmp_path / "out")
+        capsys.readouterr()
+        assert main(["evaluate", str(cfg), "--state", str(tmp_path / "tiny.bin"), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: lla-diag state predicted NaN or Inf covariances\n"
+        assert not (tmp_path / "out" / "metrics_test.json").exists()
+        assert main(["predict-grid", "--state", str(tmp_path / "tiny.bin"), "--output", str(tmp_path / "grid.csv")]) == 1
+        assert capsys.readouterr().err == "error: lla-diag state predicted NaN or Inf covariances\n"
+        assert not (tmp_path / "grid.csv").exists()
 
     @pytest.mark.parametrize(
         "change",

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from lagp.errors import DimensionMismatch, EigenFloorExhausted
-from lagp.kernel import kernel_block_fast
 from lagp.linalg import rng_stream, solve_psd
 from lagp.lla import LikelihoodModel, fit_exact
 from lagp.ella import _features, ella_fit
 from lagp.nn import forward, layer_walk
 
-from test_kernel import random_ctx
+from test_kernel import gram_matrix, random_ctx
 
 
 def features(ctx, state, x):
@@ -25,7 +24,7 @@ class TestEllaFit:
         state = ella_fit(ctx, LikelihoodModel(kind="gaussian", noise_variance=0.1), x, m=10, k=None, seed=0)
         phi = features(ctx, state, x)  # (N, C, K)
         flat = phi.reshape(10, -1)
-        unscaled = kernel_block_fast(ctx.with_log_prior_variance(0.0), x, x).values
+        unscaled = gram_matrix(ctx.with_log_prior_variance(0.0), x, x)
         assert np.max(np.abs(flat @ flat.T - unscaled)) <= 1e-8
 
     @pytest.mark.parametrize("kind,c", [("gaussian", 1), ("categorical", 3)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lagp.errors import DimensionMismatch
 from lagp.kernel import (
     KernelContext,
-    kernel_block_fast,
+    gram,
     kernel_diag_blocks,
     kernel_input_vjp,
     kernel_tape,
@@ -105,6 +105,22 @@ def pairwise_gram(ctx, xs, zs):
     return out
 
 
+def gram_matrix(ctx, xs, zs):
+    """The scaled point-major (N1*C, N2*C) Gram matrix kappa(xs, zs), from ``kernel.gram``.
+
+    When zs is xs, one walk is paired with itself, as the package pairs it.
+    """
+    net = ctx.net
+    left = layer_walk(net, forward(net, xs))
+    if zs is xs:
+        left = right = list(left)
+    else:
+        right = layer_walk(net, forward(net, zs))
+    block = gram(left, right)
+    n1, c, n2, _ = block.shape
+    return ctx.prior_variance * block.reshape(n1 * c, n2 * c)
+
+
 def kernel_input_gradient_multi(ctx, batch_x, batch_z):
     """Oracle: (N, M, C, C, D) derivatives of kappa(x_i, z_m) w.r.t. each z_m.
 
@@ -156,10 +172,10 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
 
 
 def auxiliary_floats(ctx, xs, zs):
-    """Traced peak of ``kernel_block_fast`` beyond its output, in floats."""
+    """Traced peak of ``gram_matrix`` beyond its output, in floats."""
     tracemalloc.start()
     try:
-        out = kernel_block_fast(ctx, xs, zs).values
+        out = gram_matrix(ctx, xs, zs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,14 +242,14 @@ class TestKernelBlock:
         ctx = linear_ctx(rng, 4, c=1, log_prior_variance=np.log(2.5))
         x = rng.normal(size=4)
         z = rng.normal(size=4)
-        block = kernel_block_fast(ctx, x, z).values
+        block = gram_matrix(ctx, x, z)
         assert np.allclose(block, 2.5 * (x @ z + 1.0), atol=1e-12)
 
     def test_self_block_psd(self):
         rng = rng_stream(4)
         ctx = random_ctx(rng, 3, [5], 4)
         x = rng.normal(size=3)
-        block = kernel_block_fast(ctx, x, x).values
+        block = gram_matrix(ctx, x, x)
         vals = np.linalg.eigvalsh(0.5 * (block + block.T))
         assert vals.min() >= -1e-10
 
@@ -242,7 +258,7 @@ class TestKernelBlock:
         ctx = random_ctx(rng, 3, [6, 4], 2, log_prior_variance=0.3)
         x = rng.normal(size=3)
         z = rng.normal(size=3)
-        block = kernel_block_fast(ctx, x, z).values
+        block = gram_matrix(ctx, x, z)
         explicit = ctx.prior_variance * jacobian(ctx.net, x) @ jacobian(ctx.net, z).T
         assert np.max(np.abs(block - explicit)) <= 1e-10
 
@@ -251,7 +267,7 @@ class TestKernelBlock:
         ctx = random_ctx(rng, 2, [5, 5], 3)
         x = rng.normal(size=2)
         z = rng.normal(size=2)
-        assert np.max(np.abs(kernel_block_fast(ctx, x, z).values - kernel_block_fast(ctx, z, x).values.T)) <= 1e-12
+        assert np.max(np.abs(gram_matrix(ctx, x, z) - gram_matrix(ctx, z, x).T)) <= 1e-12
 
     def test_prior_variance_scaling_exact(self):
         rng = rng_stream(7)
@@ -259,7 +275,7 @@ class TestKernelBlock:
         ctx2 = ctx1.with_log_prior_variance(np.log(2.0))
         x = rng.normal(size=2)
         z = rng.normal(size=2)
-        assert np.array_equal(2.0 * kernel_block_fast(ctx1, x, z).values, kernel_block_fast(ctx2, x, z).values)
+        assert np.array_equal(2.0 * gram_matrix(ctx1, x, z), gram_matrix(ctx2, x, z))
 
 
 class TestKernelBlockFast:
@@ -268,18 +284,18 @@ class TestKernelBlockFast:
         ctx = random_ctx(rng, 3, [4], 2)
         x = rng.normal(size=(1, 3))
         z = rng.normal(size=(1, 3))
-        gram = kernel_block_fast(ctx, x, z)
-        assert gram.values.shape == (2, 2)
+        block = gram_matrix(ctx, x, z)
+        assert block.shape == (2, 2)
         # one point given as a 1-D input of length D
-        assert np.array_equal(gram.values, kernel_block_fast(ctx, x[0], z[0]).values)
+        assert np.array_equal(block, gram_matrix(ctx, x[0], z[0]))
 
     def test_batch_matches_pairwise_oracle(self):
         rng = rng_stream(9)
         ctx = random_ctx(rng, 4, [7, 5], 3, log_prior_variance=-0.2)
         xs = rng.normal(size=(10, 4))
         zs = rng.normal(size=(10, 4))
-        gram = kernel_block_fast(ctx, xs, zs).values
-        assert np.max(np.abs(gram - pairwise_gram(ctx, xs, zs))) <= 1e-10
+        block = gram_matrix(ctx, xs, zs)
+        assert np.max(np.abs(block - pairwise_gram(ctx, xs, zs))) <= 1e-10
 
     def test_depth_width_sweep_against_oracle(self):
         rng = rng_stream(10)
@@ -288,14 +304,14 @@ class TestKernelBlockFast:
             ctx = random_ctx(rng, 3, hidden, c)
             xs = rng.normal(size=(4, 3))
             zs = rng.normal(size=(3, 3))
-            gram = kernel_block_fast(ctx, xs, zs).values
-            assert np.max(np.abs(gram - pairwise_gram(ctx, xs, zs))) <= 1e-10
+            block = gram_matrix(ctx, xs, zs)
+            assert np.max(np.abs(block - pairwise_gram(ctx, xs, zs))) <= 1e-10
 
     def test_diag_blocks_match_full_gram(self):
         rng = rng_stream(11)
         ctx = random_ctx(rng, 2, [6], 3)
         xs = rng.normal(size=(5, 2))
-        full = kernel_block_fast(ctx, xs, xs).values
+        full = gram_matrix(ctx, xs, xs)
         diag = kernel_diag_blocks(ctx, xs)
         for i in range(5):
             assert np.allclose(diag[i], full[i * 3 : (i + 1) * 3, i * 3 : (i + 1) * 3], atol=1e-12)
@@ -305,9 +321,9 @@ class TestKernelBlockFast:
         for _ in range(50):
             ctx = random_ctx(rng, int(rng.integers(1, 4)), [int(rng.integers(2, 12))], int(rng.integers(1, 4)))
             xs = rng.normal(size=(int(rng.integers(2, 7)), ctx.net.arch.input_dim))
-            gram = kernel_block_fast(ctx, xs, xs).values
-            gram = 0.5 * (gram + gram.T)
-            np.linalg.cholesky(gram + 1e-8 * np.eye(gram.shape[0]))
+            block = gram_matrix(ctx, xs, xs)
+            block = 0.5 * (block + block.T)
+            np.linalg.cholesky(block + 1e-8 * np.eye(block.shape[0]))
 
     def test_storage_counter_linear_in_width(self):
         # the traced peak beyond the returned block: never Jacobian-sized,
@@ -348,9 +364,9 @@ class TestKernelBlockFast:
         ctx = random_ctx(rng_stream(0), 2, [3], 2)
         x = rng_stream(1).normal(size=(3, 2))
         empty = np.zeros((0, 2))
-        assert kernel_block_fast(ctx, empty, x).values.shape == (0, 6)
-        assert kernel_block_fast(ctx, x, empty).values.shape == (6, 0)
-        assert kernel_block_fast(ctx, empty, empty).values.shape == (0, 0)
+        assert gram_matrix(ctx, empty, x).shape == (0, 6)
+        assert gram_matrix(ctx, x, empty).shape == (6, 0)
+        assert gram_matrix(ctx, empty, empty).shape == (0, 0)
         assert kernel_diag_blocks(ctx, empty).shape == (0, 2, 2)
         tape = kernel_tape(ctx, x, forward(ctx.net, empty))  # the tape over Z alone
         assert tape.cross.shape == (0, 6) and tape.prior.shape == (0, 2, 2)
@@ -377,9 +393,19 @@ class TestKernelBlockFast:
         for left, right in ((xs, zs), (xs, xs)):
             ref = pairwise_gram(ctx, left, right)
             tol = 1e-12 * np.max(np.abs(ref), initial=0.0)
-            assert np.max(np.abs(kernel_block_fast(ctx, left, right).values - ref), initial=0.0) <= tol
+            assert np.max(np.abs(gram_matrix(ctx, left, right) - ref), initial=0.0) <= tol
         blocks = ref.reshape(n, c, n, c)[np.arange(n), :, np.arange(n)]
         assert np.max(np.abs(kernel_diag_blocks(ctx, xs) - blocks), initial=0.0) <= tol
+
+        # a walk seeded with the (N, K, C) transposed roots B^T pairs to B^T kappa B, as in the exact fit
+        k = int(rng.integers(1, c + 1))
+        roots = rng.normal(size=(n, c, k))
+        walk = list(layer_walk(ctx.net, forward(ctx.net, xs), roots.transpose(0, 2, 1)))
+        whitened = ctx.prior_variance * gram(walk, walk)
+        kappa = ref.reshape(n, c, n, c)
+        oracle = np.einsum("ick,icjd,jdl->ikjl", roots, kappa, roots)
+        scale = np.einsum("ick,icjd,jdl->ikjl", np.abs(roots), np.abs(kappa), np.abs(roots))
+        assert np.max(np.abs(whitened - oracle), initial=0.0) <= 1e-12 * np.max(scale, initial=0.0)
 
         tape = kernel_tape(ctx, zs, forward(ctx.net, xs))
         ref = pairwise_gram(ctx, np.vstack([zs, xs]), zs)
@@ -409,7 +435,7 @@ class TestKernelInputGradient:
             zp, zm = z.copy(), z.copy()
             zp[d] += step
             zm[d] -= step
-            fd = (kernel_block_fast(ctx, x, zp).values - kernel_block_fast(ctx, x, zm).values) / (2 * step)
+            fd = (gram_matrix(ctx, x, zp) - gram_matrix(ctx, x, zm)) / (2 * step)
             assert np.max(np.abs(fd - grad[:, :, d])) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
 
     def test_coincident_points_finite_and_correct(self):
@@ -423,7 +449,7 @@ class TestKernelInputGradient:
             zp, zm = x.copy(), x.copy()
             zp[d] += step
             zm[d] -= step
-            fd = (kernel_block_fast(ctx, x, zp).values - kernel_block_fast(ctx, x, zm).values) / (2 * step)
+            fd = (gram_matrix(ctx, x, zp) - gram_matrix(ctx, x, zm)) / (2 * step)
             assert np.max(np.abs(fd - grad[:, :, d])) <= 1e-5 * (1.0 + np.max(np.abs(fd)))
 
     def test_batch_version_matches_single(self):

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lagp import ella, kernel, lla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
-from lagp.kernel import KernelContext, kernel_block_fast, kernel_diag_blocks
+from lagp.kernel import KernelContext, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
 from lagp.lla import (
     GaussianPredictive,
@@ -31,7 +32,7 @@ from lagp.serialize import load_state, save_state
 from lagp.valla import TrainSchedule, _capacity_factor, fit_valla, objective_gradient
 
 from test_ella import features
-from test_kernel import dense_covariances, dense_ggn, jacobian, random_ctx
+from test_kernel import dense_covariances, dense_ggn, gram_matrix, jacobian, random_ctx
 from test_valla import make_state
 
 
@@ -144,7 +145,7 @@ class TestFitExact:
         state = fit_exact(ctx, lik, np.zeros((0, 2)))
         x_star = rng.normal(size=2)
         pred = state.predict(x_star)[0]
-        assert np.allclose(pred.covariance, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-12)
+        assert np.allclose(pred.covariance, gram_matrix(ctx, x_star, x_star), atol=1e-12)
 
     def test_huge_noise_recovers_prior(self):
         rng = rng_stream(2)
@@ -155,7 +156,7 @@ class TestFitExact:
         state = fit_exact(ctx, lik, x)
         x_star = rng.normal(size=1)
         pred = state.predict(x_star)[0]
-        prior = kernel_block_fast(ctx, x_star, x_star).values
+        prior = gram_matrix(ctx, x_star, x_star)
         assert np.max(np.abs(pred.covariance - prior)) <= 1e-6 * np.max(np.abs(prior))
 
     def test_cap_enforced(self):
@@ -183,7 +184,7 @@ class TestFitExact:
         for _ in range(10):
             x_star = rng.normal(size=2)
             post = np.diag(state.predict(x_star)[0].covariance)
-            prior = np.diag(kernel_block_fast(ctx, x_star, x_star).values)
+            prior = np.diag(gram_matrix(ctx, x_star, x_star))
             assert np.all(post <= prior + 1e-10)
 
     def test_query_chunks_match_one_cross_kernel(self, monkeypatch):
@@ -193,7 +194,7 @@ class TestFitExact:
         chunk = 3  # queries per block with 5 training points, C = 2 and K = C - 1 = 1
         monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", chunk * 5 * 1 * 2)
         x_star = rng.normal(size=(chunk + 1, 2))
-        v = whiten(state.sqrt_lambda, kernel_block_fast(ctx, state.train_inputs, x_star).values)
+        v = whiten(state.sqrt_lambda, gram_matrix(ctx, state.train_inputs, x_star))
         whole = gram_blocks(solve_lower(state.q_factor, v), 2, kernel_diag_blocks(ctx, x_star))
         pred = state.predict(x_star)
         assert np.array_equal(pred.mean, forward(ctx.net, x_star).output)
@@ -258,15 +259,15 @@ class TestOneSolveForm:
         exact = fit_exact(ctx, lik, x)
         oracle = kernel_diag_blocks(ctx, x_star)
         if exact.q_factor is not None:  # None for one class: the categorical curvature is zero
-            v = whiten(exact.sqrt_lambda, kernel_block_fast(ctx, x, x_star).values)
+            v = whiten(exact.sqrt_lambda, gram_matrix(ctx, x, x_star))
             oracle = two_solve_blocks(oracle, v, exact.q_factor)
         assert_matches_oracle(exact.predict(x_star).covariance, oracle)
 
         valla_state = make_state(rng, ctx, m=3, kind=kind)
         scaled = valla_state.ctx
         z = valla_state.inducing
-        t = valla_state.a_factor.T @ kernel_block_fast(scaled, z, x_star).values
-        h_factor = _capacity_factor(valla_state.a_factor, kernel_block_fast(scaled, z, z).values)[1]
+        t = valla_state.a_factor.T @ gram_matrix(scaled, z, x_star)
+        h_factor = _capacity_factor(valla_state.a_factor, gram_matrix(scaled, z, z))[1]
         oracle = two_solve_blocks(kernel_diag_blocks(scaled, x_star), t, h_factor)
         assert_matches_oracle(valla_state.predict(x_star).covariance, oracle)
 
@@ -306,7 +307,7 @@ class TestWeightSpaceEquivalence:
         precision = dense_ggn(ctx, lik, np.zeros((0, 2)))
         x_star = rng.normal(size=2)
         cov = dense_covariances(ctx.net, precision, [x_star])[0]
-        assert np.allclose(cov, kernel_block_fast(ctx, x_star, x_star).values, atol=1e-10)
+        assert np.allclose(cov, gram_matrix(ctx, x_star, x_star), atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["gaussian", "categorical"])
     def test_single_point_precision_assembly(self, kind):
@@ -368,6 +369,17 @@ class TestDiag:
         for _ in range(20):
             pred = diag.predict(rng.normal(size=3))[0]
             assert np.all(np.diag(pred.covariance) >= 0)
+
+    def test_overflowing_covariance_raises_non_finite_value(self):
+        # a denormal precision is finite and positive, so the state passes its
+        # check, but its inverse overflows; predict reports it without warnings
+        rng = rng_stream(14)
+        ctx = random_ctx(rng, 2, [4], 2)
+        diag = fit_diag(ctx, LikelihoodModel(kind="gaussian", noise_variance=0.1), rng.normal(size=(5, 2)))
+        tiny = replace(diag, precision_diag=np.full_like(diag.precision_diag, 1e-320))
+        tiny.check()
+        with pytest.raises(NonFiniteValue, match="lla-diag state predicted NaN or Inf covariances"):
+            tiny.predict(rng.normal(size=(3, 2)))
 
 
 class TestLastLayer:
@@ -513,7 +525,7 @@ class TestLayerwise:
         x, z = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
         diag_state = fit_diag(ctx, lik, x)
         paths = {
-            "gram": lambda: kernel_block_fast(ctx, x, z),
+            "ELLA fit": lambda: ella_fit(ctx, lik, x, m=3, k=None),
             "diagonal": lambda: kernel_diag_blocks(ctx, x),
             "tape": lambda: kernel.kernel_tape(ctx, z, forward(ctx.net, x)),
             "diagonal LLA fit": lambda: fit_diag(ctx, lik, x),
@@ -548,16 +560,8 @@ class TestLayerwise:
         kernel.kernel_input_vjp(ctx, tape, np.ones((8, 3, 2, 3)))
         assert walked == []
 
-        # the exact fit assembles Q from one walk over X and never forms
-        # the Gram matrix; its predictive walks X once and the queries once
-        def refuse(*args):
-            raise AssertionError("kernel_block_fast called")
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("lagp"):
-                for name, value in list(vars(module).items()):
-                    if value is kernel.kernel_block_fast:
-                        monkeypatch.setattr(module, name, refuse)
+        # the exact fit assembles Q from one walk over X; its predictive
+        # walks X once and the queries once
         walked.clear()
         exact = fit_exact(ctx, lik, x)
         assert walked == [6]
@@ -626,7 +630,7 @@ class TestOneForwardPassPerInputSet:
 
 def unit_kernel_and_residuals(net, x, y):
     """The symmetrized unit-prior tangent kernel K and the residuals y - g(X) the search reads."""
-    k = kernel_block_fast(KernelContext(net=net, log_prior_variance=0.0), x, x).values
+    k = gram_matrix(KernelContext(net=net, log_prior_variance=0.0), x, x)
     return 0.5 * (k + k.T), np.asarray(y, dtype=np.float64) - forward(net, x).output.ravel()
 
 
@@ -689,7 +693,7 @@ class TestLogMarginalLikelihood:
         lik = LikelihoodModel(kind="gaussian", noise_variance=0.3)
         value = evidence(ctx, lik, x, y)
         mean = forward(ctx.net, x).output.ravel()
-        cov = kernel_block_fast(ctx, x, x).values + 0.3 * np.eye(7)
+        cov = gram_matrix(ctx, x, x) + 0.3 * np.eye(7)
         expected = scipy.stats.multivariate_normal.logpdf(y, mean=mean, cov=cov)
         assert abs(value - expected) <= 1e-8
 

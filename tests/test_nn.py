@@ -290,6 +290,26 @@ class TestSingleEvaluator:
         )
         assert set(callers) == {"nn.py"}, f"tanh is called outside nn.py: {callers}"
 
+    def test_private_names_stay_in_their_module(self):
+        # an underscore name is its module's own: no module imports one from
+        # another, and the kernel's layer terms are summed in kernel.py alone
+        imported = sorted(
+            f"{name}: {alias.name}"
+            for name, tree in _package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "lagp")
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        assert imported == [], f"private names imported across modules: {imported}"
+        term_users = sorted(
+            path.name
+            for path in Path(nn.__file__).parent.glob("*.py")
+            for term in ("_gram_term", "_diag_term")
+            if path.name != "kernel.py" and term in path.read_text(encoding="utf-8")
+        )
+        assert term_users == [], f"kernel layer terms named outside kernel.py: {term_users}"
+
     def test_layer_walk_defined_once_in_nn(self):
         defined = [
             name

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lagp.data import Normalization
 from lagp.errors import FormatError, LagpError, VersionMismatch
-from lagp.kernel import kernel_block_fast
 from lagp.linalg import cholesky, rng_stream
 from lagp.lla import (
     LikelihoodModel,
@@ -23,7 +22,7 @@ from lagp.nn import forward
 from lagp.ella import ella_fit
 from lagp.serialize import MAGIC, STATE_KINDS, VERSION, load_state, read_container, save_state, write_container
 
-from test_kernel import random_ctx
+from test_kernel import gram_matrix, random_ctx
 from test_valla import make_state
 
 
@@ -158,7 +157,7 @@ class TestStateRoundtrips:
             vals, vecs = np.linalg.eigh(np.diag(p) - np.outer(p, p))
             roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T)
         r = scipy.linalg.block_diag(*roots)
-        gram = kernel_block_fast(ctx, x, x).values
+        gram = gram_matrix(ctx, x, x)
         q = np.eye(18) + r @ (0.5 * (gram + gram.T)) @ r
         old = LlaExactState(
             ctx=ctx,

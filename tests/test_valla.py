@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagp.errors import DimensionMismatch
-from lagp.kernel import kernel_block_fast, kernel_diag_blocks
+from lagp.kernel import kernel_diag_blocks
 from lagp.linalg import cholesky, rng_stream, solve_psd
 from lagp.lla import LikelihoodModel, fit_exact
 from lagp.nn import forward
@@ -17,7 +17,7 @@ from lagp.valla import (
     objective_gradient,
 )
 
-from test_kernel import kernel_input_gradient_multi, random_ctx
+from test_kernel import gram_matrix, kernel_input_gradient_multi, random_ctx
 
 
 def optimal_a(ctx, inducing, x, noise_variance):
@@ -29,9 +29,9 @@ def optimal_a(ctx, inducing, x, noise_variance):
     q = inducing.shape[0] * ctx.net.arch.output_dim
     if x.shape[0] == 0:
         return np.zeros((q, q))
-    k_ind = kernel_block_fast(ctx, inducing, inducing).values
+    k_ind = gram_matrix(ctx, inducing, inducing)
     k_ind = 0.5 * (k_ind + k_ind.T)
-    k_cross = kernel_block_fast(ctx, inducing, x).values
+    k_cross = gram_matrix(ctx, inducing, x)
     w = solve_psd(cholesky(k_ind), k_cross)
     a = w @ w.T / noise_variance
     return 0.5 * (a + a.T)
@@ -81,7 +81,7 @@ class TestPredict:
         )
         x_star = rng.normal(size=2)
         pred = state.predict(x_star)[0]
-        assert np.allclose(pred.covariance, kernel_block_fast(state.ctx, x_star, x_star).values, atol=1e-12)
+        assert np.allclose(pred.covariance, gram_matrix(state.ctx, x_star, x_star), atol=1e-12)
 
     def test_posterior_diagonal_deflated(self):
         rng = rng_stream(1)
@@ -89,7 +89,7 @@ class TestPredict:
         state = make_state(rng, ctx, m=4, kind="categorical")
         for _ in range(10):
             x_star = rng.normal(size=2)
-            prior = kernel_block_fast(state.ctx, x_star, x_star).values
+            prior = gram_matrix(state.ctx, x_star, x_star)
             post = state.predict(x_star)[0].covariance
             assert np.all(np.diag(post) <= np.diag(prior) + 1e-10)
 
@@ -142,9 +142,9 @@ class TestOptimalA:
         noise = 0.3
         z = x[:6]
         a_opt = optimal_a(ctx, z, x, noise)
-        k_ind = kernel_block_fast(ctx, z, z).values
-        k_cross = kernel_block_fast(ctx, z, x).values
-        k_diag = np.array([kernel_block_fast(ctx, xi, xi).values[0, 0] for xi in x])
+        k_ind = gram_matrix(ctx, z, z)
+        k_cross = gram_matrix(ctx, z, x)
+        k_diag = np.array([gram_matrix(ctx, xi, xi)[0, 0] for xi in x])
 
         def bound_terms(a_raw):
             # posterior variances and divergence evaluated at a raw
@@ -189,7 +189,7 @@ class TestKlDual:
             state = make_state(rng, ctx, m=3, kind="categorical" if c > 1 else "gaussian")
             dual = production_kl(state)
 
-            k = kernel_block_fast(state.ctx, state.inducing, state.inducing).values
+            k = gram_matrix(state.ctx, state.inducing, state.inducing)
             k = 0.5 * (k + k.T)
             lower = state.a_factor
             q = k.shape[0]
@@ -222,7 +222,7 @@ class TestKlDual:
             inducing=state.inducing,
             a_factor=2.0 * state.a_factor,
         )
-        k = kernel_block_fast(state.ctx, state.inducing, state.inducing).values
+        k = gram_matrix(state.ctx, state.inducing, state.inducing)
 
         def logdet_term(s):
             h = np.eye(4) + s.a_factor.T @ k @ s.a_factor
@@ -389,9 +389,9 @@ def assembled_objective_gradient(state, x, y, n_total, mode="alpha"):
     z, lower = state.inducing, state.a_factor
     m, b, c = z.shape[0], x.shape[0], ctx.net.arch.output_dim
     q = m * c
-    k_ind = kernel_block_fast(ctx, z, z).values
+    k_ind = gram_matrix(ctx, z, z)
     k_ind = 0.5 * (k_ind + k_ind.T)
-    cross = kernel_block_fast(ctx, z, x).values
+    cross = gram_matrix(ctx, z, x)
     prior = kernel_diag_blocks(ctx, x)
     u = lower.T @ k_ind @ lower
     u = 0.5 * (u + u.T)
