@@ -15,13 +15,14 @@ with B_n the curvature root of ``lla.curvature_roots`` (B_n B_n^T is the
 curvature block), one GEMM per chunk of points. Its inverse gives the
 posterior covariance phi(x*) G^{-1} phi(x*)^T = r^T r, with
 r = L_G^-1 phi(x*)^T from one ``linalg.solve_lower`` over every query,
-against the Cholesky factor L_G of G, so every block is PSD by
-construction. At full rank (M = N, K = N*C) this reproduces the exact
-posterior; at low rank it tends to understate the variance away from
-the anchors. The anchors are walked once per fit or prediction, and
-``kernel.gram`` pairs that walk with itself for the anchor Gram and with
-each pass chunk's walk for its features; the chunk's trace gives both
-its features and its curvature roots.
+in place on the fresh (K, N*C) feature block, against the Cholesky
+factor L_G of G, so every block is PSD by construction. At full rank
+(M = N, K = N*C) this reproduces the exact posterior; at low rank it
+tends to understate the variance away from the anchors. The anchors are
+walked once per fit or prediction, and ``kernel.gram`` pairs that walk
+with itself for the anchor Gram and with each pass chunk's walk for its
+features; the chunk's trace gives both its features and its curvature
+roots.
 """
 
 from dataclasses import dataclass
@@ -58,9 +59,8 @@ class EllaState(PosteriorState):
         """r^T r at each query of ``trace``, r = L_G^-1 phi(x*)^T, from one ``solve_lower`` over every query."""
         net = self.ctx.net
         walk = list(layer_walk(net, forward(net, self.anchors)))
-        phi = _features(net, self.projection, walk, trace)  # (N, C, K)
-        r = solve_lower(self.precision_factor, phi.reshape(-1, self.feature_dim).T)
-        return gram_blocks(r, phi.shape[1])
+        r = solve_lower(self.precision_factor, _features(net, self.projection, walk, trace), overwrite_b=True)
+        return gram_blocks(r, net.arch.output_dim)
 
     def check(self):
         arch = self.ctx.net.arch
@@ -77,11 +77,10 @@ class EllaState(PosteriorState):
 
 
 def _features(net, projection, anchors_walk, trace):
-    """(N, C, K) feature rows per output channel at the inputs of ``trace``, from the stored anchor walk."""
+    """(K, N*C) features phi(x)^T at the inputs of ``trace``, point-major columns, from the stored anchor walk."""
     block = gram(anchors_walk, layer_walk(net, trace))  # (M, C, N, C), unscaled
     m, c, n, _ = block.shape
-    proj = projection @ block.reshape(m * c, n * c)  # (K, N*C)
-    return proj.reshape(projection.shape[0], n, c).transpose(1, 2, 0)
+    return projection @ block.reshape(m * c, n * c)
 
 
 def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
@@ -124,9 +123,9 @@ def ella_fit(ctx, likelihood, x, m=20, k=20, seed=0, max_points=None):
     for start in range(0, n_pass, PASS_CHUNK):
         stop = min(start + PASS_CHUNK, n_pass)
         trace = forward(net, x[start:stop])
-        phi = _features(net, projection, walk, trace)  # (B, C, K)
+        phi = _features(net, projection, walk, trace).T  # (B*C, K)
         roots = curvature_roots(likelihood, trace.output)
-        psi = whiten(roots, phi.reshape(-1, k))  # (B*C', K), C' the column count of the roots
+        psi = whiten(roots, phi)  # (B*C', K), C' the column count of the roots
         precision += psi.T @ psi
     precision = 0.5 * (precision + precision.T)
     return EllaState(

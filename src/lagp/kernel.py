@@ -23,9 +23,12 @@ sensitivity pairs are one GEMM.
 blocks. The tape below, the exact LLA of ``lla`` (its training walk
 seeded with the curvature roots), the evidence search and ELLA all read
 them. No path forms a Jacobian; the explicit one lives in the test suite
-as the independent oracle of the walk. A walk paired with itself reuses
-its arrays, so numpy's symmetric products give the Gram the same bits as
-one walk would.
+as the independent oracle of the walk. ``gram`` accumulates in panels of
+left rows of at most about ``PANEL_FLOATS`` entries (one left point's
+rows if those are more), so beyond the block it holds one panel scratch
+and one panel's gain, not a second block. A walk paired with itself
+gives a block symmetric to rounding, not bit for bit: each panel is its
+own GEMM, so mirrored entries may come from different BLAS kernels.
 
 A sparse-posterior step needs K_Z, the cross block kappa(X, Z), the prior
 blocks kappa(x_i, x_i) and the gradient of the objective with respect to
@@ -50,6 +53,10 @@ import numpy as np
 from .errors import DimensionMismatch
 from .nn import ForwardTrace, forward, layer_walk
 
+# block entries per panel of ``gram`` (2 MB). Swept over 2^15..2^19 on a 650-point 10-class
+# exact predictive (one BLAS thread, 2 MB L2 per core): 2^18 and 2^19 ran fastest and 2^18 peaks lower.
+PANEL_FLOATS = 2**18
+
 
 @dataclass(frozen=True)
 class KernelContext:
@@ -67,18 +74,11 @@ class KernelContext:
 def _pair(sx, sz):
     """(N1, K1, N2, K2) sensitivity inner products <sx[i, o], sz[j, p]>, as one GEMM.
 
-    K1 and K2 are C for identity-seeded walks; ``lla`` also pairs whitened ones.
+    ``kernel_input_vjp`` recomputes each layer's pairs with it.
     """
     n1, k1, w = sx.shape
     n2, k2, _ = sz.shape
     return (sx.reshape(n1 * k1, w) @ sz.reshape(n2 * k2, w).T).reshape(n1, k1, n2, k2)
-
-
-def _gram_term(ax, sx, az, sz):
-    """(N1, K1, N2, K2) layer term of kappa(x_i, z_j): pair times gain <ax_i, az_j> + 1."""
-    pair = _pair(sx, sz)
-    pair *= (ax @ az.T + 1.0)[:, None, :, None]
-    return pair
 
 
 def _diag_term(a, s):
@@ -90,14 +90,39 @@ def gram(left, right):
     """Unscaled (N1, K1, N2, K2) block sum_l <s, s'> (<a, a'> + 1) of two ``nn.layer_walk`` walks.
 
     Both yield the steps (l, a, s) of the same layers in the same order,
-    over N1 rows with K1 output combinations and N2 rows with K2.
+    over N1 rows with K1 output combinations and N2 rows with K2. Layers
+    are the outer loop, and panels of left rows holding about
+    ``PANEL_FLOATS`` block entries the inner one. Per panel, the top
+    layer's pairs are written straight into the block and every other
+    layer's into one reused panel scratch; the gain, spread over the
+    panel's contiguous (rows, N2*K2) layout, scales them in place, and
+    the scratch is added to the block.
     """
-    steps = zip(left, right)
-    (_, a, s), (_, a2, s2) = next(steps)  # the top layer's term starts the sum: no zero block to fill
-    block = _gram_term(a, s, a2, s2)
-    for (_, a, s), (_, a2, s2) in steps:
-        block += _gram_term(a, s, a2, s2)
-    return block
+    block = scratch = None
+    for (_, a, s), (_, a2, s2) in zip(left, right):
+        n1, k1, w = s.shape
+        n2, k2, _ = s2.shape
+        cols = n2 * k2
+        if block is None:  # the top layer's pairs start the sum: no zero block to fill
+            block = np.empty((n1 * k1, cols))
+            step = max(1, min(n1, PANEL_FLOATS // max(1, k1 * cols)))  # left points per panel
+        elif scratch is None:
+            scratch = np.empty((step * k1, cols))
+        left_rows, right_t = s.reshape(n1 * k1, w), s2.reshape(cols, w).T
+        for start in range(0, n1, step):
+            stop = min(start + step, n1)
+            rows = slice(start * k1, stop * k1)
+            out = block[rows] if scratch is None else scratch[: rows.stop - rows.start]
+            np.matmul(left_rows[rows], right_t, out=out)
+            gain = a[start:stop] @ a2.T
+            gain += 1.0
+            if k2 > 1:
+                gain = np.repeat(gain, k2, axis=1)
+            pairs = out.reshape(stop - start, k1, cols)
+            pairs *= gain[:, None, :]
+            if scratch is not None:
+                block[rows] += out
+    return block.reshape(n1, k1, n2, k2)
 
 
 def diag_blocks(walk):

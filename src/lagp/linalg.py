@@ -6,7 +6,9 @@ this module owns their contracts (jitter escalation, ordering, error
 mapping). The triangular solves are its own: a blocked substitution over
 panels of ``PANEL_ROWS`` rows, in which GEMM does nearly all the work
 and each panel's diagonal block is inverted by LAPACK ``dtrtri`` and
-applied by BLAS ``dtrmm`` (see ``solve_lower``).
+applied by BLAS ``dtrmm`` (see ``solve_lower``). They run on a copy of the
+right-hand side, or, in ``solve_lower`` with ``overwrite_b``, in place on
+the caller's own C-contiguous float64 block.
 """
 
 from dataclasses import dataclass
@@ -155,12 +157,23 @@ def _substitute(lower, x, transpose):
             raise NonFiniteValue("triangular solve: the right-hand side holds NaN or Inf")
 
 
-def _solve(factor, b, transposes):
-    """A row-major copy of b as (dim, k), run through ``_substitute`` once per entry of ``transposes``.
+def _solve(factor, b, transposes, overwrite_b):
+    """b as a row-major (dim, k) x, run through ``_substitute`` once per entry of ``transposes``.
 
-    A 1-D b is one right-hand side and gives a 1-D result.
+    x is b itself when ``overwrite_b`` is set and b is a writeable,
+    aligned, C-contiguous float64 matrix, and a row-major copy of b
+    otherwise. A 1-D b is one right-hand side and gives a 1-D result.
     """
-    x = np.array(b, dtype=np.float64, order="C")
+    in_place = (
+        overwrite_b
+        and isinstance(b, np.ndarray)
+        and b.ndim == 2
+        and b.dtype == np.float64
+        and b.flags.c_contiguous
+        and b.flags.aligned
+        and b.flags.writeable
+    )
+    x = b if in_place else np.array(b, dtype=np.float64, order="C")
     vector_input = x.ndim == 1
     if vector_input:
         x = x[:, None]
@@ -172,19 +185,22 @@ def _solve(factor, b, transposes):
     return x[:, 0] if vector_input else x
 
 
-def solve_lower(factor, b):
+def solve_lower(factor, b, overwrite_b=False):
     """L^-1 b for one or more right-hand sides; a 1-D b gives a 1-D result.
 
-    With r = L^-1 v, the quadratic form v^T (L L^T)^-1 v is r^T r. The
-    caller's b is left unmodified; a NaN or Inf in it raises
-    NonFiniteValue.
+    With r = L^-1 v, the quadratic form v^T (L L^T)^-1 v is r^T r. A NaN
+    or Inf in b raises NonFiniteValue. The caller's b is left unmodified,
+    unless ``overwrite_b`` is set (named as in scipy): then a writeable,
+    C-contiguous float64 2-D b is solved in place and returned, so a
+    caller that discards b saves its copy; any other b is copied. An
+    overwritten b holds no defined values after an error.
     """
-    return _solve(factor, b, (False,))
+    return _solve(factor, b, (False,), overwrite_b)
 
 
 def solve_psd(factor, b):
     """Solve (L @ L.T) x = b for one or more right-hand sides, as L^-T (L^-1 b)."""
-    return _solve(factor, b, (False, True))
+    return _solve(factor, b, (False, True), False)
 
 
 def logdet(factor):

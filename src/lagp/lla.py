@@ -38,9 +38,10 @@ sensitivities arrive whitened and no (N*C)^2 kernel is formed.
 The predictive covariance is cov = prior - r^T r blockwise, with
 r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q, from
 ``linalg.solve_lower``, whose blocked substitution spends nearly all its
-flops in GEMM. The diagonal and last-layer fits add their part of
-G^T G with G = B^T J per data point; only the last-layer fit forms
-B B^T, to keep its Kronecker structure. The last-layer predictive reads
+flops in GEMM and runs in place on each query chunk's fresh v. The
+diagonal and last-layer fits add their part of G^T G with G = B^T J per
+data point; only the last-layer fit forms B B^T, to keep its Kronecker
+structure. The last-layer predictive reads
 L^-1 itself, from one LAPACK ``dtrtri`` (``linalg.inverse_lower``).
 
 Regression picks its variances by maximizing the evidence
@@ -257,8 +258,10 @@ class LlaExactState(PosteriorState):
         """Prior blocks minus r^T r at the queries of ``trace``, r = L^-1 B^T kappa(X, x*), in query chunks.
 
         X is walked once, seeded with B^T; each chunk of the query trace is
-        walked once, and that walk gives both its cross block
-        (``kernel.gram``) and its prior blocks (``kernel.diag_blocks``).
+        walked once, and that walk gives both its prior blocks
+        (``kernel.diag_blocks``) and its cross block (``kernel.gram``). The
+        walk is dropped before the solve, which runs in place on the fresh
+        cross block.
         """
         ctx = self.ctx
         if self.q_factor is None:  # N*K = 0: the posterior is the prior
@@ -272,9 +275,12 @@ class LlaExactState(PosteriorState):
         for start in range(0, covs.shape[0], chunk):
             rows = slice(start, start + chunk)
             query = list(layer_walk(ctx.net, trace.rows(rows)))
-            r = solve_lower(self.q_factor, gram(train, query).reshape(n * k, -1))
-            covs[rows] = gram_blocks(r, c, ctx.prior_variance * diag_blocks(query))
-            del r  # the next chunk's blocks must not coexist with these
+            prior = diag_blocks(query)
+            prior *= ctx.prior_variance
+            cross = gram(train, query).reshape(n * k, -1)
+            del query  # the solve does not read the walk
+            covs[rows] = gram_blocks(solve_lower(self.q_factor, cross, overwrite_b=True), c, prior)
+            del cross  # the next chunk's blocks must not coexist with these
         return covs
 
     def check(self):

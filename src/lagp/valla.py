@@ -12,10 +12,10 @@ posterior covariance between two inputs is
 which is the inverse-free rewriting of the textbook form
 kappa - k (A^{-1} + K_Z)^{-1} k'. With L_H the Cholesky factor of
 H = I + L^T K_Z L, its diagonal blocks are cov = prior - r^T r with
-r = L_H^-1 L^T k(Z, x), from one ``linalg.solve_lower``; equivalently
-cov = prior - k(x, Z) P k(Z, x) with P = L H^{-1} L^T. The divergence
-from the prior over the inducing basis reduces to the two covariance
-terms
+r = L_H^-1 L^T k(Z, x), from one ``linalg.solve_lower`` run in place on
+the fresh L^T k(Z, x); equivalently cov = prior - k(x, Z) P k(Z, x) with
+P = L H^{-1} L^T. The divergence from the prior over the inducing basis
+reduces to the two covariance terms
 
     KL = 1/2 log|H| - 1/2 tr(H^{-1} L^T K_Z L) = 1/2 log|H| - 1/2 tr(K_Z P);
 
@@ -31,8 +31,9 @@ once over its batch and reads one kernel tape (``kernel.kernel_tape``)
 built on that trace: a single layer walk over the stacked rows [Z; X]
 gives K_Z, the cross block kappa(X, Z) and the prior blocks of X, and the
 step's inducing-location gradient is one reverse pass over the same tape
-(``kernel.kernel_input_vjp``). The mean, in a prediction and in a step's
-data term alike, is the output of that same trace.
+(``kernel.kernel_input_vjp``); a prediction releases the tape's walk
+before its solve. The mean, in a prediction and in a step's data term
+alike, is the output of that same trace.
 
 Training maximizes a likelihood-power data term minus the KL. For
 alpha = 1 and Gaussian noise the data term is the exact log marginal of
@@ -87,8 +88,12 @@ class VallaState(PosteriorState):
         return self.ctx
 
     def covariances(self, trace):
-        """Prior blocks minus r^T r at each query of ``trace``, r = L_H^-1 L^T k(Z, x*), from one kernel tape."""
-        return _batch_posterior(self, trace)[3]
+        """Prior blocks minus r^T r at each query of ``trace``, r = L_H^-1 L^T k(Z, x*), from one kernel tape.
+
+        Only a training step's VJP reads the tape's walk, so it is released before the solve.
+        """
+        tape = replace(kernel_tape(self.ctx, self.inducing, trace), walk=())
+        return _posterior_blocks(self, tape)[2]
 
     def check(self):
         arch = self.ctx.net.arch
@@ -169,12 +174,11 @@ def _categorical_data_terms(labels, means, variance_diags, n_scale):
     return n_scale * values, n_scale * ((indicator - np.exp(t - log_z)) * dt_dv)
 
 
-def _batch_posterior(state, trace):
-    """(tape, K_Z, L_H, covs) of an ``nn.forward`` trace's batch from one ``kernel_tape``; prediction reads covs."""
-    tape = kernel_tape(state.ctx, state.inducing, trace)
+def _posterior_blocks(state, tape):
+    """(K_Z, L_H, covs) of a ``kernel_tape``'s batch; the solve runs in place on the fresh L^T k(Z, X)."""
     k_ind, h_factor = _capacity_factor(state.a_factor, tape.k_z)
-    r = solve_lower(h_factor, state.a_factor.T @ tape.cross.T)
-    return tape, k_ind, h_factor, gram_blocks(r, tape.prior.shape[1], tape.prior)
+    r = solve_lower(h_factor, state.a_factor.T @ tape.cross.T, overwrite_b=True)
+    return k_ind, h_factor, gram_blocks(r, tape.prior.shape[1], tape.prior)
 
 
 def _data_term(state, means, covs, batch_y, n_total, mode):
@@ -237,7 +241,8 @@ def objective_gradient(state, batch_x, batch_y, n_total, compute_inducing_gradie
     q = state.inducing.shape[0] * c
     lower = state.a_factor
 
-    tape, k_ind, h_factor, covs = _batch_posterior(state, trace)
+    tape = kernel_tape(ctx, state.inducing, trace)
+    k_ind, h_factor, covs = _posterior_blocks(state, tape)
     cross = tape.cross  # (B*C, q), kappa(X, Z)
     data, g_blocks, d_dnoise = _data_term(state, trace.output, covs, batch_y, n_total, mode)
 

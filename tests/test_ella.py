@@ -13,7 +13,8 @@ from test_kernel import gram_matrix, random_ctx
 def features(ctx, state, x):
     """(N, C, K) ELLA features of the inputs x under a fitted state."""
     anchors = list(layer_walk(ctx.net, forward(ctx.net, state.anchors)))
-    return _features(ctx.net, state.projection, anchors, forward(ctx.net, x))
+    phi_t = _features(ctx.net, state.projection, anchors, forward(ctx.net, x))  # (K, N*C)
+    return phi_t.reshape(phi_t.shape[0], len(x), -1).transpose(1, 2, 0)
 
 
 class TestEllaFit:

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from lagp.errors import DimensionMismatch
 from lagp.kernel import (
+    PANEL_FLOATS,
     KernelContext,
     gram,
     kernel_diag_blocks,
     kernel_input_vjp,
     kernel_tape,
 )
-from lagp.linalg import rng_stream
+from lagp.linalg import check_symmetric, rng_stream
 from lagp.nn import MlpArchitecture, MlpNetwork, as_inputs, forward, layer_walk
 
 
@@ -169,6 +170,15 @@ def kernel_input_gradient_multi(ctx, batch_x, batch_z):
         out += pair_dot * gain[:, :, None, None, None]
         out += pair[:, :, :, :, None] * gain_dot[:, :, None, None, :]
     return ctx.prior_variance * out
+
+
+def layer_sum_gram(left, right):
+    """Oracle: the (N1, K1, N2, K2) block as a plain sum of whole per-layer terms, pair times gain."""
+    block = 0.0
+    for (_, a, s), (_, a2, s2) in zip(left, right):
+        pair = np.einsum("iow,jpw->iojp", s, s2)
+        block = block + pair * (a @ a2.T + 1.0)[:, None, :, None]
+    return block
 
 
 def auxiliary_floats(ctx, xs, zs):
@@ -412,6 +422,70 @@ class TestKernelBlockFast:
         tol = 1e-12 * np.max(np.abs(ref), initial=0.0)
         assert np.max(np.abs(tape.stacked - ref), initial=0.0) <= tol
         assert np.max(np.abs(tape.prior - blocks), initial=0.0) <= 1e-12 * np.max(np.abs(blocks), initial=0.0)
+
+
+class TestPanelAccumulator:
+    """``kernel.gram`` in panels of left rows against whole per-layer terms, at the panel edges."""
+
+    C, K1, N2 = 3, 2, 2185  # a right walk this wide makes panels of a few left points
+
+    def walks(self, rng, n1, n2, k1):
+        ctx = random_ctx(rng, 4, [7, 5], self.C)
+        net = ctx.net
+        xs, zs = rng.normal(size=(n1, 4)), rng.normal(size=(n2, 4))
+        left = list(layer_walk(net, forward(net, xs), rng.normal(size=(n1, k1, self.C))))
+        right = list(layer_walk(net, forward(net, zs)))
+        return left, right
+
+    def panel(self, n2=N2, k1=K1):
+        return max(1, PANEL_FLOATS // (k1 * n2 * self.C))
+
+    @pytest.mark.parametrize("edge", ["0", "1", "p-1", "p", "p+1", "3p+2"])
+    def test_matches_layer_sum_oracle_at_panel_edges(self, edge):
+        p = self.panel()
+        assert p > 2
+        n1 = {"0": 0, "1": 1, "p-1": p - 1, "p": p, "p+1": p + 1, "3p+2": 3 * p + 2}[edge]
+        left, right = self.walks(rng_stream(40 + n1), n1, self.N2, self.K1)
+        block = gram(left, right)
+        oracle = layer_sum_gram(left, right)
+        assert block.shape == (n1, self.K1, self.N2, self.C)  # K1 != K2
+        assert np.max(np.abs(block - oracle), initial=0.0) <= 1e-13 * np.max(np.abs(oracle), initial=0.0)
+
+    def test_empty_right_walk(self):
+        left, right = self.walks(rng_stream(41), 5, 0, self.K1)
+        assert gram(left, right).shape == (5, self.K1, 0, self.C)
+
+    def test_walk_paired_with_itself_is_symmetric(self):
+        rng = rng_stream(42)
+        ctx = random_ctx(rng, 4, [7, 5], self.C)
+        n = 250  # several panels of the (N*C)^2 block
+        assert n * self.C * n * self.C > 2 * PANEL_FLOATS
+        walk = list(layer_walk(ctx.net, forward(ctx.net, rng.normal(size=(n, 4)))))
+        block = gram(walk, walk)
+        oracle = layer_sum_gram(walk, walk)
+        assert np.max(np.abs(block - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        check_symmetric(block.reshape(n * self.C, n * self.C))
+
+    @pytest.mark.parametrize("n2", [20, N2], ids=["one-panel", "many-panels"])
+    def test_peak_beyond_output_is_one_panel(self, n2):
+        # with the walks listed, the traced peak beyond the block is the
+        # panel scratch and the panel's gain, before and after its spread,
+        # plus at most one numpy ufunc buffer (``np.getbufsize()`` floats),
+        # which numpy's iterator fills when a broadcast multiply's inner
+        # loop is short
+        n1 = 8 * self.panel()  # eight panels of the wide right walk
+        left, right = self.walks(rng_stream(43), n1, n2, self.K1)
+        p = min(n1, self.panel(n2))
+        cols = n2 * self.C
+        tracemalloc.start()
+        try:
+            block = gram(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        panel_floats = p * self.K1 * cols + p * cols + p * n2
+        assert peak - block.nbytes <= 8 * (panel_floats + np.getbufsize()) + 16384
+        assert n1 * self.K1 * cols > 4 * panel_floats or n2 == 20
 
 
 class TestKernelInputGradient:

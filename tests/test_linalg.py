@@ -183,6 +183,40 @@ class TestPanelSolves:
             inverse_lower(fac)
 
 
+class TestOverwriteB:
+    """``solve_lower(..., overwrite_b=True)`` solves a writeable C-contiguous float64 matrix in place and copies any other b."""
+
+    @pytest.mark.parametrize("n", [1, PANEL_ROWS + 1, 600])
+    def test_in_place_returns_b_with_the_copying_bits(self, n):
+        rng = rng_stream(400 + n)
+        fac = well_conditioned_factor(rng, n)
+        b = rng.normal(size=(n, 5))
+        copied = solve_lower(fac, b)
+        out = solve_lower(fac, b, overwrite_b=True)
+        assert out is b
+        assert np.array_equal(out, copied)
+
+    @pytest.mark.parametrize("kind", ["vector", "fortran", "int", "read-only", "strided"])
+    def test_other_rhs_is_copied(self, kind):
+        rng = rng_stream(17)
+        fac = well_conditioned_factor(rng, 300)
+        base = rng.normal(size=(300, 6))
+        b = {
+            "vector": base[:, 0].copy(),
+            "fortran": np.asfortranarray(base),
+            "int": np.rint(10.0 * base).astype(np.int64),
+            "read-only": base.copy(),
+            "strided": base[:, ::2],
+        }[kind]
+        if kind == "read-only":
+            b.flags.writeable = False
+        before = b.copy()
+        out = solve_lower(fac, b, overwrite_b=True)
+        assert out is not b and not np.shares_memory(out, b)
+        assert np.array_equal(b, before)
+        assert np.array_equal(out, solve_lower(fac, b))
+
+
 class TestSolvePsd:
     def test_identity_factor(self):
         fac = CholeskyFactor(lower=np.eye(4), dim=4)

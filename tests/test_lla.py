@@ -1,4 +1,5 @@
 import sys
+import weakref
 from dataclasses import replace
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from lagp import ella, kernel, lla
+from lagp import ella, kernel, lla, valla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
 from lagp.kernel import KernelContext, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
@@ -568,6 +569,74 @@ class TestLayerwise:
         walked.clear()
         exact.predict(z)
         assert walked == [6, 2]
+
+
+class TestInPlacePredictiveSolves:
+    """Each predictive solve runs in place on its fresh block, with no walk over the queries alive."""
+
+    def spy_solves(self, monkeypatch, module, refs):
+        """Per ``solve_lower`` call of ``module``: (in place, walk arrays in ``refs`` still alive)."""
+        calls, original = [], module.solve_lower
+
+        def spied(factor, b, overwrite_b=False):
+            alive = sum(ref() is not None for ref in refs)
+            out = original(factor, b, overwrite_b=overwrite_b)
+            calls.append((overwrite_b and out is b, alive))
+            return out
+
+        monkeypatch.setattr(module, "solve_lower", spied)
+        return calls
+
+    def test_exact_chunks_drop_their_walk(self, monkeypatch):
+        rng = rng_stream(31)
+        ctx = random_ctx(rng, 3, [5, 4], 3)
+        x, x_star = rng.normal(size=(6, 3)), rng.normal(size=(7, 3))
+        state = fit_exact(ctx, LikelihoodModel(kind="categorical"), x)
+        monkeypatch.setattr(lla, "PREDICT_BLOCK_FLOATS", 6 * 2 * 3 * 3)  # chunks of 3 queries
+        expected = state.predict(x_star).covariance
+        refs, original = [], lla.layer_walk
+
+        def query_walk(net, trace, seed=None):
+            for step in original(net, trace, seed):
+                if seed is None:  # the queries' walks; the training walk is seeded
+                    refs.append(weakref.ref(step[2]))
+                yield step
+
+        monkeypatch.setattr(lla, "layer_walk", query_walk)
+        calls = self.spy_solves(monkeypatch, lla, refs)
+        assert np.array_equal(state.predict(x_star).covariance, expected)
+        assert calls == [(True, 0)] * 3 and len(refs) == 3 * 3
+
+    def test_valla_releases_the_tape_walk(self, monkeypatch):
+        rng = rng_stream(32)
+        ctx = random_ctx(rng, 3, [5, 4], 3)
+        state = make_state(rng, ctx, m=2, kind="categorical")
+        x_star = rng.normal(size=(7, 3))
+        expected = state.predict(x_star).covariance
+        refs, original = [], valla.kernel_tape
+
+        def tape(ctx, z, trace):
+            out = original(ctx, z, trace)
+            refs.extend(weakref.ref(arr) for pair in out.walk for arr in pair)
+            return out
+
+        monkeypatch.setattr(valla, "kernel_tape", tape)
+        calls = self.spy_solves(monkeypatch, valla, refs)
+        assert np.array_equal(state.predict(x_star).covariance, expected)
+        assert calls == [(True, 0)] and len(refs) == 6
+        # a training step's VJP still reads the walk of its own tape
+        report, grads = objective_gradient(state, x_star, rng.integers(0, 3, size=7), 7)
+        assert calls[1] == (True, 6) and np.all(np.isfinite(grads["inducing"]))
+
+    def test_ella_solves_its_feature_block(self, monkeypatch):
+        rng = rng_stream(33)
+        ctx = random_ctx(rng, 3, [5, 4], 3)
+        x, x_star = rng.normal(size=(8, 3)), rng.normal(size=(7, 3))
+        state = ella_fit(ctx, LikelihoodModel(kind="categorical"), x, m=4, k=None)
+        expected = state.predict(x_star).covariance
+        calls = self.spy_solves(monkeypatch, ella, [])
+        assert np.array_equal(state.predict(x_star).covariance, expected)
+        assert calls == [(True, 0)]
 
 
 class TestOneForwardPassPerInputSet:

@@ -305,7 +305,7 @@ class TestSingleEvaluator:
         term_users = sorted(
             path.name
             for path in Path(nn.__file__).parent.glob("*.py")
-            for term in ("_gram_term", "_diag_term")
+            for term in ("_pair", "_diag_term")
             if path.name != "kernel.py" and term in path.read_text(encoding="utf-8")
         )
         assert term_users == [], f"kernel layer terms named outside kernel.py: {term_users}"
