@@ -264,9 +264,11 @@ def cmd_train_map(args):
 def _choose_hyperparameters(cfg, net, train):
     """Fixed values from the config, or an evidence grid search (regression).
 
-    Returns (prior_variance, noise_variance, search): ``search`` is empty
-    when nothing was searched, else it records ``evidence_points`` (the
-    first ``EVIDENCE_CAP`` training points at most are searched) and
+    A variance the config fixes is searched on a one-point grid of its
+    value, so the other one is the best at it. Returns (prior_variance,
+    noise_variance, search): ``search`` is empty when nothing was
+    searched, else it records ``evidence_points`` (the first
+    ``EVIDENCE_CAP`` training points at most are searched) and
     ``evidence_at_grid_edge`` (a searched variance is an end of its grid).
     """
     pv = cfg["method.prior_variance"]
@@ -276,12 +278,14 @@ def _choose_hyperparameters(cfg, net, train):
     if pv is not None and nv is not None:
         return pv, nv, {}
     x, y = train.inputs[:EVIDENCE_CAP], train.targets.ravel()[:EVIDENCE_CAP]
-    best_pv, best_nv, _ = lla_mod.grid_search_hyperparameters(net, x, y)
+    prior_grid = PRIOR_GRID if pv is None else [pv]
+    noise_grid = NOISE_GRID if nv is None else [nv]
+    best_pv, best_nv, _ = lla_mod.grid_search_hyperparameters(net, x, y, prior_grid, noise_grid)
     edge = (pv is None and best_pv in (PRIOR_GRID[0], PRIOR_GRID[-1])) or (
         nv is None and best_nv in (NOISE_GRID[0], NOISE_GRID[-1])
     )
     search = {"evidence_points": int(x.shape[0]), "evidence_at_grid_edge": bool(edge)}
-    return (pv if pv is not None else best_pv, nv if nv is not None else best_nv, search)
+    return best_pv, best_nv, search
 
 
 def fit_method(cfg, net, train, val, log_dir=None):
@@ -469,6 +473,8 @@ def cmd_evaluate(args):
 def cmd_predict_grid(args):
     if args.resolution < 1:
         raise ConfigError("resolution must be >= 1")
+    if not np.all(np.isfinite(args.range)):
+        raise ConfigError(f"--range must be two finite numbers, got {args.range[0]!r} {args.range[1]!r}")
     state, normalization = load_state(_existing(args.state, "state file"))
     arch = state.ctx.net.arch
     if arch.input_dim != 1:

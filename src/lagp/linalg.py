@@ -8,7 +8,12 @@ panels of ``PANEL_ROWS`` rows, in which GEMM does nearly all the work
 and each panel's diagonal block is inverted by LAPACK ``dtrtri`` and
 applied by BLAS ``dtrmm`` (see ``solve_lower``). They run on a copy of the
 right-hand side, or, in ``solve_lower`` with ``overwrite_b``, in place on
-the caller's own C-contiguous float64 block.
+the caller's own C-contiguous float64 block; ``cholesky`` with
+``overwrite_a`` likewise factors the caller's block in place. Where only
+the eigenvalues and one vector's coordinates in the eigenbasis are
+needed (the evidence search), ``eigvals_and_squares`` gets them from one
+tridiagonal reduction and never forms the eigenvectors; ``sym_eig``
+forms them.
 """
 
 from dataclasses import dataclass
@@ -76,33 +81,67 @@ def check_symmetric(a, name="matrix", tol=SYMMETRY_TOL):
     return a
 
 
-def cholesky(a):
+def _own_block(b):
+    """Whether b is a writeable, aligned, C-contiguous float64 matrix that LAPACK and BLAS can work on in place."""
+    return (
+        isinstance(b, np.ndarray)
+        and b.ndim == 2
+        and b.dtype == np.float64
+        and b.flags.c_contiguous
+        and b.flags.aligned
+        and b.flags.writeable
+    )
+
+
+def cholesky(a, overwrite_a=False):
     """Factor a symmetric matrix as L @ L.T, escalating jitter on failure.
 
     The first attempt adds no jitter. If LAPACK rejects the matrix, the
     jitter starts at ``JITTER_START_FACTOR * trace(a) / dim`` and grows
     tenfold per retry until ``JITTER_CAP_FACTOR * trace(a) / dim``, after
-    which NotPositiveDefinite is raised. The input is left unmodified.
+    which NotPositiveDefinite is raised.
 
     LAPACK ``dpotrf`` runs on the column-major view a^T, which equals a,
-    and returns U with a = U^T U; U^T is then the row-major lower factor,
-    with no copy out. Only the lower triangle of a is read.
+    and writes U with a = U^T U over what is a's lower triangle; U^T, its
+    strict upper triangle zeroed, is then the row-major lower factor, with
+    no copy out. The input is left unmodified and only its lower triangle
+    is read, unless ``overwrite_a`` is set (named as in scipy): then a
+    writeable, C-contiguous float64 a is factored in place and becomes the
+    factor's ``lower``, and any other a is copied. In place, a retry
+    rebuilds the matrix from the strict upper triangle, which ``dpotrf``
+    leaves untouched, and the diagonal saved before the first attempt, so
+    for a matrix symmetric bit for bit the factor and jitter are the
+    copying call's. An overwritten a holds no defined values after an
+    error.
     """
     a = check_symmetric(a, "cholesky input")
     n = a.shape[0]
     if n < 1:
         raise DimensionMismatch("cholesky needs dim >= 1")
 
+    in_place = overwrite_a and _own_block(a)
+    mat = a if in_place else a.copy()
+    diag = a.diagonal().copy()
     scale = float(np.trace(a)) / n
     if scale <= 0.0:
         scale = 1.0
     attempt = 0.0
     cap = JITTER_CAP_FACTOR * scale
     while True:
-        mat = a.copy() if attempt == 0.0 else a + attempt * np.eye(n)
-        upper, info = scipy.linalg.lapack.dpotrf(mat.T, lower=0, clean=1, overwrite_a=1)
+        if attempt:
+            if in_place:
+                for i in range(1, n):
+                    mat[i, :i] = mat[:i, i]
+            else:
+                np.copyto(mat, a)
+            np.fill_diagonal(mat, diag + attempt)
+        # in place, a failed attempt must keep the strict upper triangle for the retry
+        _, info = scipy.linalg.lapack.dpotrf(mat.T, lower=0, clean=int(not in_place), overwrite_a=1)
         if info == 0:
-            return CholeskyFactor(lower=upper.T, dim=n, jitter=attempt)
+            if in_place:
+                for i in range(n - 1):
+                    mat[i, i + 1 :] = 0.0
+            return CholeskyFactor(lower=mat, dim=n, jitter=attempt)
         nxt = JITTER_START_FACTOR * scale if attempt == 0.0 else attempt * 10.0
         if nxt > cap:
             raise NotPositiveDefinite(f"matrix not positive definite after jitter cap {cap:.3e}")
@@ -164,16 +203,7 @@ def _solve(factor, b, transposes, overwrite_b):
     aligned, C-contiguous float64 matrix, and a row-major copy of b
     otherwise. A 1-D b is one right-hand side and gives a 1-D result.
     """
-    in_place = (
-        overwrite_b
-        and isinstance(b, np.ndarray)
-        and b.ndim == 2
-        and b.dtype == np.float64
-        and b.flags.c_contiguous
-        and b.flags.aligned
-        and b.flags.writeable
-    )
-    x = b if in_place else np.array(b, dtype=np.float64, order="C")
+    x = b if overwrite_b and _own_block(b) else np.array(b, dtype=np.float64, order="C")
     vector_input = x.ndim == 1
     if vector_input:
         x = x[:, None]
@@ -221,6 +251,45 @@ def sym_eig(a):
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from None
     order = np.argsort(values)[::-1]
     return SymEig(values=values[order], vectors=vectors[:, order])
+
+
+def eigvals_and_squares(a, r):
+    """Eigenvalues of a symmetric matrix and the squared coordinates of r in its eigenbasis.
+
+    Returns (values, squares), the eigenvalues in descending order and
+    (Q^T r)^2 in the same order for a = Q diag(values) Q^T, without
+    forming Q: LAPACK ``dsytrd`` (blocked, its workspace sized by
+    ``dsytrd_lwork``) reduces a to H T H^T, ``dormqr`` applies the n - 1
+    Householder reflectors of H to r, and ``dstevd``, the
+    divide-and-conquer solver that ``np.linalg.eigh`` runs, factors
+    T = V diag(values) V^T, so the squares are (V^T H^T r)^2. This skips
+    eigh's back-transformation H V of the (n, n) eigenvectors. Only the
+    lower triangle of a is read, as by eigh.
+    """
+    a = check_symmetric(a, "eigvals_and_squares input")
+    n = a.shape[0]
+    r = np.asarray(r, dtype=np.float64)
+    if n < 1 or r.shape != (n,):
+        raise DimensionMismatch(
+            f"eigvals_and_squares needs an (n, n) matrix, n >= 1, and an (n,) vector; got {a.shape} and {r.shape}"
+        )
+    if not np.all(np.isfinite(r)):
+        raise NonFiniteValue("eigvals_and_squares vector contains NaN or Inf")
+    if n == 1:
+        return a[0].copy(), r * r
+    lapack = scipy.linalg.lapack
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    reduced, diag, offdiag, tau, _ = lapack.dsytrd(a, lower=1, lwork=int(lwork))
+    # reflector i has its implicit unit entry at row i + 1 of column i and the
+    # rest below it, so reduced[1:, :-1] holds them as a QR factorization would;
+    # with lwork = 1 dormqr applies them one at a time, the cheap way for one column
+    z = np.empty(n)
+    z[0] = r[0]
+    z[1:] = lapack.dormqr("L", "T", reduced[1:, :-1], tau, r[1:, None], lwork=1)[0][:, 0]
+    values, vectors, info = lapack.dstevd(diag, offdiag, compute_v=1)
+    if info != 0:
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed (info {info})")
+    return values[::-1], (vectors.T @ z)[::-1] ** 2
 
 
 def rng_stream(seed):

@@ -34,8 +34,9 @@ is singular, so the function-space route whitens the kernel with B:
 solves use the N*K square Q = I + B^T kappa(X, X) B, which is always
 positive definite, instead of inverting the curvature. ``fit_exact``
 takes Q from ``kernel.gram`` of one walk over X seeded with B^T, so the
-sensitivities arrive whitened and no (N*C)^2 kernel is formed.
-The predictive covariance is cov = prior - r^T r blockwise, with
+sensitivities arrive whitened and no (N*C)^2 kernel is formed, and
+factors Q in place (``linalg.cholesky`` with ``overwrite_a``), so the fit
+holds one (N*K)^2 block. The predictive covariance is cov = prior - r^T r blockwise, with
 r = L^-1 v, v = B^T kappa(X, x*) and L the Cholesky factor of Q, from
 ``linalg.solve_lower``, whose blocked substitution spends nearly all its
 flops in GEMM and runs in place on each query chunk's fresh v. The
@@ -46,9 +47,11 @@ L^-1 itself, from one LAPACK ``dtrtri`` (``linalg.inverse_lower``).
 
 Regression picks its variances by maximizing the evidence
 log N(y - g(X) | 0, pv K + nv I) over a grid of finite positive (pv, nv).
-One eigendecomposition of the unit-prior kernel K, its eigenvalues
-clipped at 0, prices each grid point in O(N): see
-``grid_search_hyperparameters``.
+The eigenvalues of the unit-prior kernel K, clipped at 0, and the squared
+coordinates of the residuals in K's eigenbasis price each grid point in
+O(N). One tridiagonal reduction gives both, and K's eigenvectors are
+never formed: see ``grid_search_hyperparameters`` and
+``linalg.eigvals_and_squares``.
 """
 
 from dataclasses import dataclass
@@ -57,7 +60,7 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, FormatError, NonFiniteValue
 from .kernel import KernelContext, diag_blocks, gram
-from .linalg import CholeskyFactor, cholesky, inverse_lower, solve_lower, sym_eig
+from .linalg import CholeskyFactor, cholesky, eigvals_and_squares, inverse_lower, solve_lower
 from .nn import forward, layer_blocks, layer_walk
 
 EXACT_CAP = 3000  # max N*C for the function-space route
@@ -304,7 +307,8 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
     Q = I + B^T kappa(X, X) B is ``kernel.gram`` of a single walk over X,
     seeded with B^T scaled by sqrt(prior_variance) and paired with
     itself: each layer adds (S S^T) * (A A^T + 1) for the whitened
-    sensitivities S = B^T s and the layer inputs A.
+    sensitivities S = B^T s and the layer inputs A. Q is factored in
+    place: its block becomes the factor.
     """
     trace = forward(ctx.net, x)
     n, c = trace.output.shape
@@ -317,7 +321,7 @@ def fit_exact(ctx, likelihood, x, cap=EXACT_CAP):
         walk = list(layer_walk(ctx.net, trace, np.sqrt(ctx.prior_variance) * roots.transpose(0, 2, 1)))
         q = gram(walk, walk).reshape(n * k, n * k)
         q.flat[:: n * k + 1] += 1.0
-        q_factor = cholesky(q)
+        q_factor = cholesky(q, overwrite_a=True)
     return LlaExactState(
         ctx=ctx, likelihood=likelihood, train_inputs=trace.layer_inputs[0], sqrt_lambda=roots, q_factor=q_factor
     )
@@ -454,16 +458,18 @@ def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
 
     The evidence of a single-output network's residuals r = y - g(X) is
     log N(r | 0, pv K + nv I), with K = kappa(X, X) the tangent kernel at
-    unit prior variance. One eigendecomposition K = Q diag(lambda) Q^T
-    prices every grid point in O(N): with r~ = Q^T r,
+    unit prior variance. With K = Q diag(lambda) Q^T and r~ = Q^T r, every
+    grid point costs O(N):
 
         log det(pv K + nv I) = sum_i log(pv lambda_i + nv),
         r^T (pv K + nv I)^-1 r = sum_i r~_i^2 / (pv lambda_i + nv).
 
-    K = J J^T is positive semidefinite, so eigenvalues that rounding
-    leaves below zero are clipped to 0. Both grids (``PRIOR_GRID`` and
-    ``NOISE_GRID`` when None) must be nonempty lists of finite positive
-    variances; anything else raises DimensionMismatch.
+    ``linalg.eigvals_and_squares`` gives lambda and r~^2 from one tridiagonal
+    reduction of K, without forming Q. K = J J^T is positive
+    semidefinite, so eigenvalues that rounding leaves below zero are
+    clipped to 0. Both grids (``PRIOR_GRID`` and ``NOISE_GRID`` when
+    None) must be nonempty lists of finite positive variances; anything
+    else raises DimensionMismatch.
 
     Returns (best_prior_variance, best_noise_variance, table). The table
     rows are (prior_variance, noise_variance, evidence), prior-major in
@@ -483,9 +489,8 @@ def grid_search_hyperparameters(net, x, y, prior_grid=None, noise_grid=None):
         raise NonFiniteValue("evidence search residuals contain NaN or Inf")
     walk = list(layer_walk(net, trace))
     unscaled = gram(walk, walk).reshape(n, n)
-    eig = sym_eig(0.5 * (unscaled + unscaled.T))
-    spectrum = np.maximum(eig.values, 0.0)
-    rotated_sq = (eig.vectors.T @ resid) ** 2
+    spectrum, rotated_sq = eigvals_and_squares(0.5 * (unscaled + unscaled.T), resid)
+    spectrum = np.maximum(spectrum, 0.0)
 
     values = np.array([_log_evidence(spectrum, rotated_sq, pv, noise_grid) for pv in prior_grid])
     i, j = np.unravel_index(np.argmax(values), values.shape)

@@ -76,7 +76,7 @@ def write_container(path, kind, meta, arrays):
             fh.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
+            fh.write(arr.data)  # through the buffer: no copy of the payload
 
 
 def read_container(path):

@@ -303,6 +303,34 @@ class TestFit:
         info = json.loads((tmp_path / "fixed" / "fit_info_map.json").read_text())
         assert "evidence_points" not in info and "evidence_at_grid_edge" not in info
 
+    @pytest.mark.parametrize("fixed", ["prior", "noise"])
+    def test_fixed_variance_searches_the_other_at_it(self, tmp_path, fixed):
+        # the free variance is the evidence argmax at the fixed one, which
+        # on this checkpoint is not the free half of the joint argmax
+        from lagp.cli import load_config, prepare_splits
+        from lagp.lla import grid_search_hyperparameters
+        from lagp.nn import load_network
+
+        checkpoint = train_checkpoint(tmp_path)
+        value = {"prior": 0.001, "noise": 10.0}[fixed]
+        searched = TOY_BASE.replace("method.prior_variance = 0.5\n", "").replace("method.noise_variance = 0.01\n", "")
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(searched + f"method.{fixed}_variance = {value}\noutput_dir = {tmp_path / 'one'}\nmethod = map\n")
+        assert main(["fit", str(cfg), "--checkpoint", str(checkpoint)]) == 0
+        info = json.loads((tmp_path / "one" / "fit_info_map.json").read_text())
+        assert info["evidence_points"] == 42
+
+        train = prepare_splits(load_config(cfg)[0])[0]
+        net, x, y = load_network(checkpoint), train.inputs, train.targets.ravel()
+        joint = grid_search_hyperparameters(net, x, y)[:2]
+        if fixed == "prior":
+            best = grid_search_hyperparameters(net, x, y, prior_grid=[value])[1]
+            assert info["noise_variance"] == best != joint[1]
+        else:
+            best = grid_search_hyperparameters(net, x, y, noise_grid=[value])[0]
+            assert info["noise_variance"] == value
+            assert info["prior_variance"] == pytest.approx(best, rel=1e-15) and best != joint[0]
+
     def test_fit_info_records_the_state_variances(self, tmp_path):
         # a state holds log pv and predicts with exp(log pv), which for
         # pv = 0.001 is 0.0010000000000000002
@@ -631,6 +659,19 @@ class TestPredictGrid:
         for line in lines[1:]:
             _, _, std_f, std_y = (float(v) for v in line.split(","))
             assert abs(std_y**2 - (std_f**2 + noise)) <= 1e-12 * max(1.0, std_y**2)
+
+    @pytest.mark.parametrize("bounds", [("nan", "1"), ("0", "inf"), ("inf", "nan")])
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, fitted_states_dir, bounds):
+        # refused before the state is read: a missing state file gives the same message
+        _, run = fitted_states_dir
+        for state in (run / "state_lla_exact.bin", tmp_path / "missing.bin"):
+            capsys.readouterr()
+            out_csv = tmp_path / "grid.csv"
+            argv = ["predict-grid", "--state", str(state), "--range", *bounds, "--output", str(out_csv)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: --range must be two finite numbers, got {float(bounds[0])!r} {float(bounds[1])!r}\n"
+            assert not out_csv.exists()
 
     def test_zero_resolution_exits_2(self, tmp_path):
         cfg, state = TestEvaluate().fit_state(tmp_path)

@@ -9,6 +9,7 @@ from lagp.linalg import (
     CholeskyFactor,
     check_symmetric,
     cholesky,
+    eigvals_and_squares,
     inverse_lower,
     logdet,
     rng_stream,
@@ -82,6 +83,57 @@ class TestCholesky:
         assert fac.jitter > 0.0
         assert np.array_equal(a, np.ones((3, 3)))
         assert np.all(np.triu(fac.lower, 1) == 0.0)
+
+
+class TestCholeskyOverwriteA:
+    """``cholesky(..., overwrite_a=True)`` factors a writeable C-contiguous float64 matrix in place."""
+
+    @pytest.mark.parametrize("n", [1, 2, PANEL_ROWS + 1])
+    def test_in_place_factor_is_a_with_the_copying_bits(self, n):
+        a = random_psd(rng_stream(500 + n), n, eps=1.0)
+        a = 0.5 * (a + a.T)
+        copied = cholesky(a)
+        fac = cholesky(a, overwrite_a=True)
+        assert fac.lower is a
+        assert np.array_equal(fac.lower, copied.lower) and fac.jitter == copied.jitter == 0.0
+
+    @pytest.mark.parametrize("n", [3, 40, PANEL_ROWS + 1])
+    def test_jittered_factor_and_jitter_match_the_copying_call(self, n):
+        # rank 2: the first attempts fail, each retry rebuilds the matrix from
+        # its strict upper triangle and diagonal
+        v = rng_stream(600 + n).normal(size=(n, 2))
+        a = v @ v.T
+        a = 0.5 * (a + a.T)
+        copied = cholesky(a)
+        fac = cholesky(a, overwrite_a=True)
+        assert copied.jitter > 0.0
+        assert fac.lower is a
+        assert fac.jitter == copied.jitter
+        assert np.array_equal(fac.lower, copied.lower)
+        assert np.all(np.triu(fac.lower, 1) == 0.0)
+
+    @pytest.mark.parametrize("kind", ["fortran", "int", "read-only", "strided"])
+    def test_other_input_is_copied(self, kind):
+        base = np.array([[4.0, 2.0, 0.0], [2.0, 3.0, 1.0], [0.0, 1.0, 5.0]])
+        wide = np.zeros((3, 6))
+        wide[:, ::2] = base
+        a = {
+            "fortran": np.asfortranarray(base),
+            "int": base.astype(np.int64),
+            "read-only": base.copy(),
+            "strided": wide[:, ::2],
+        }[kind]
+        if kind == "read-only":
+            a.flags.writeable = False
+        before = a.copy()
+        fac = cholesky(a, overwrite_a=True)
+        assert not np.shares_memory(fac.lower, a)
+        assert np.array_equal(a, before)
+        assert np.array_equal(fac.lower, cholesky(base).lower)
+
+    def test_indefinite_raises_in_place(self):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), overwrite_a=True)
 
 
 class TestCheckSymmetric:
@@ -316,6 +368,107 @@ class TestSymEig:
         rng = rng_stream(3)
         a = random_psd(rng, 6)
         assert np.isclose(logdet(cholesky(a)), np.linalg.slogdet(a)[1], atol=1e-9)
+
+
+def descending_eig(a):
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1], vectors[:, ::-1]
+
+
+def assert_matches_eigh(a, r, values, squares, distinct=None):
+    """Eigenvalues within 1e-13 of max|lambda| of eigvalsh's, squares within 1e-12 |r|^2 of eigh's.
+
+    Squares are compared one by one where the first ``distinct``
+    eigenvalues (all when None) are apart, and as one sum over the rest,
+    whose eigenvectors are not unique.
+    """
+    n = a.shape[0]
+    reference, vectors = descending_eig(a)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    r2 = float(r @ r)
+    assert values.shape == squares.shape == (n,)
+    assert np.max(np.abs(values - np.linalg.eigvalsh(a)[::-1])) <= 1e-13 * scale
+    expected = (vectors.T @ r) ** 2
+    m = n if distinct is None else distinct
+    assert np.all(np.abs(squares[:m] - expected[:m]) <= 1e-12 * r2)
+    assert abs(squares[m:].sum() - expected[m:].sum()) <= 1e-12 * r2
+    assert np.all(squares >= 0.0)
+    assert abs(squares.sum() - r2) <= 1e-12 * r2
+
+
+class TestEigvalsAndSquares:
+    """``eigvals_and_squares`` against ``np.linalg.eigvalsh`` and ``eigh``, without forming the eigenvectors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
+    def test_matches_eigh(self, n):
+        # n = 1 has no reflectors; 300 reaches the blocked reduction
+        rng = rng_stream(700 + n)
+        b = rng.normal(size=(n, n))
+        a = 0.5 * (b + b.T)
+        r = rng.normal(size=n)
+        values, squares = eigvals_and_squares(a, r)
+        assert np.all(np.diff(values) <= 0.0)
+        assert_matches_eigh(a, r, values, squares)
+
+    def test_diagonal(self):
+        d = np.array([0.5, 3.0, -1.0, 2.0])
+        r = np.array([1.0, -2.0, 3.0, 0.25])
+        values, squares = eigvals_and_squares(np.diag(d), r)
+        order = np.argsort(d)[::-1]
+        assert np.array_equal(values, d[order])
+        assert np.allclose(squares, (r**2)[order], rtol=0.0, atol=1e-15 * float(r @ r))
+
+    def test_rank_deficient_gram(self):
+        # a rank-5 Gram of 120 points: rounding leaves some of its 115 null
+        # eigenvalues below zero
+        rng = rng_stream(71)
+        j = rng.normal(size=(120, 5))
+        a = j @ j.T
+        a = 0.5 * (a + a.T)
+        r = rng.normal(size=120)
+        values, squares = eigvals_and_squares(a, r)
+        assert np.any(values < 0.0)
+        assert_matches_eigh(a, r, values, squares, distinct=5)
+
+    def test_zero_vector(self):
+        a = random_psd(rng_stream(72), 10)
+        values, squares = eigvals_and_squares(0.5 * (a + a.T), np.zeros(10))
+        assert np.array_equal(squares, np.zeros(10))
+        assert np.max(np.abs(values - np.linalg.eigvalsh(0.5 * (a + a.T))[::-1])) <= 1e-13 * np.max(values)
+
+    def test_input_left_unmodified(self):
+        rng = rng_stream(73)
+        a = random_psd(rng, 40)
+        a = 0.5 * (a + a.T)
+        r = rng.normal(size=40)
+        before, r_before = a.copy(), r.copy()
+        eigvals_and_squares(a, r)
+        assert np.array_equal(a, before) and np.array_equal(r, r_before)
+
+    @pytest.mark.parametrize("where", ["matrix", "vector"])
+    def test_non_finite_raises(self, where):
+        a, r = np.eye(3), np.ones(3)
+        if where == "matrix":
+            a[1, 1] = np.nan
+        else:
+            r[2] = np.inf
+        with pytest.raises(NonFiniteValue):
+            eigvals_and_squares(a, r)
+
+    @pytest.mark.parametrize(
+        "a, r",
+        [
+            (np.ones((2, 3)), np.ones(2)),
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2)),
+            (np.eye(3), np.ones(2)),
+            (np.eye(3), np.ones((3, 1))),
+            (np.zeros((0, 0)), np.zeros(0)),
+        ],
+        ids=["non-square", "asymmetric", "short-vector", "column-vector", "empty"],
+    )
+    def test_bad_shapes_raise(self, a, r):
+        with pytest.raises(DimensionMismatch):
+            eigvals_and_squares(a, r)
 
 
 class TestRngStream:

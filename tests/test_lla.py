@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from lagp import ella, kernel, lla, valla
+from lagp import ella, kernel, linalg, lla, valla
 from lagp.errors import CapExceeded, DimensionMismatch, NonFiniteValue
 from lagp.kernel import KernelContext, kernel_diag_blocks
 from lagp.linalg import cholesky, logdet, rng_stream, solve_lower, solve_psd
@@ -211,6 +212,41 @@ class TestFitExact:
         outputs = forward(ctx.net, x_star).output
         for i, p in enumerate(preds):
             assert np.array_equal(p.mean, outputs[i])
+
+    def test_fit_holds_one_block(self):
+        # N*K = 900: Q is factored in place, so beyond Q the fit holds only
+        # gram's panel scratch and a panel's gains, not a second block
+        rng = rng_stream(12)
+        ctx = random_ctx(rng, 2, [6], 4)
+        x = rng.normal(size=(300, 2))
+        lik = LikelihoodModel(kind="categorical")
+        tracemalloc.start()
+        try:
+            state = fit_exact(ctx, lik, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = state.q_factor.lower.nbytes
+        slack = 2 * 8 * kernel.PANEL_FLOATS + 2**16
+        assert block == 8 * 900**2 and slack < block
+        assert peak <= block + slack
+
+    def test_in_place_factor_and_state_bytes_match_the_copying_cholesky(self, tmp_path):
+        rng = rng_stream(13)
+        ctx = random_ctx(rng, 2, [5], 3, log_prior_variance=-0.4)
+        x = rng.normal(size=(90, 2))
+        lik = LikelihoodModel(kind="categorical")
+        state = fit_exact(ctx, lik, x)
+        roots = curvature_roots(lik, forward(ctx.net, x).output)
+        seed = np.sqrt(ctx.prior_variance) * roots.transpose(0, 2, 1)
+        walk = list(nn.layer_walk(ctx.net, forward(ctx.net, x), seed))
+        q = kernel.gram(walk, walk).reshape(180, 180)
+        q.flat[::181] += 1.0
+        copied = cholesky(q)
+        assert np.array_equal(state.q_factor.lower, copied.lower)
+        save_state(tmp_path / "in_place.bin", state)
+        save_state(tmp_path / "copied.bin", replace(state, q_factor=copied))
+        assert (tmp_path / "in_place.bin").read_bytes() == (tmp_path / "copied.bin").read_bytes()
 
     def test_one_class_categorical_keeps_the_prior(self, tmp_path):
         # C = 1: the softmax curvature is zero, so its roots have K = 0 columns
@@ -722,10 +758,11 @@ def evidence(ctx, lik, x, y):
 
 
 def assert_matches_cholesky_oracle(table, net, x, y):
-    """Every row within 1e-9 of the Cholesky oracle, plus what eigh's rounding allows.
+    """Every row within 1e-9 of the Cholesky oracle, plus what the eigensolver's rounding allows.
 
-    Returns the oracle's evidences and tolerances, row by row. eigh's
-    eigenvalues carry absolute errors near eps * lambda_max; in the terms
+    Returns the oracle's evidences and tolerances, row by row. The
+    eigenvalues of the search's tridiagonal solver (``dstevd``, as in
+    eigh) carry absolute errors near eps * lambda_max; in the terms
     r~^2 / (pv lambda + nv) of K's null space the ratio pv / nv (up to 1e7
     on the default grid) scales them by pv * lambda_max / nv. Both are
     measured against the size of the evidence's terms.
@@ -862,6 +899,32 @@ class TestGridSearch:
                 quad = mpmath.fsum(a * b for a, b in zip(r, mpmath.cholesky_solve(cov, r)))
                 reference = -(quad + log_det + 24 * mpmath.log(2 * mpmath.pi)) / 2
                 assert abs(value - reference) <= 5e-8 * abs(reference)
+
+    def test_blocked_reduction_table_matches_cholesky_oracle(self):
+        # N = 300 reaches the blocked tridiagonal reduction, which the
+        # property test's N <= 30 never does
+        rng = rng_stream(26)
+        ctx = random_ctx(rng, 2, [10], 1)
+        x = rng.normal(size=(300, 2))
+        y = forward(ctx.net, x).output.ravel() + 0.3 * rng.normal(size=300)
+        pv, nv, table = grid_search_hyperparameters(ctx.net, x, y)
+        oracle = assert_matches_cholesky_oracle(table, ctx.net, x, y)
+        best = max(range(len(table)), key=lambda i: oracle[i][0])
+        assert (pv, nv) == table[best][:2]
+
+    def test_search_forms_no_eigenvectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the evidence search must not form eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(linalg, "sym_eig", refuse)
+        rng = rng_stream(27)
+        ctx = random_ctx(rng, 1, [4], 1)
+        x = rng.normal(size=(50, 1))
+        y = forward(ctx.net, x).output.ravel() + 0.1 * rng.normal(size=50)
+        _, _, table = grid_search_hyperparameters(ctx.net, x, y)
+        assert len(table) == 100 and all(np.isfinite(row[2]) for row in table)
+        assert not hasattr(lla, "sym_eig")
 
     @settings(max_examples=60, deadline=None)
     @given(

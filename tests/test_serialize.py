@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +36,38 @@ class TestContainer:
         assert kind == "demo" and meta == {"x": 1, "s": "t"}
         assert np.array_equal(loaded["a"], arrays["a"])
         assert loaded["scalar"] == 3.5
+
+    def test_array_bytes_follow_the_layout(self, tmp_path):
+        # each array is written row-major as little-endian float64, whatever its order, stride or dtype
+        base = np.arange(24.0).reshape(2, 3, 4) - 7.5
+        arrays = {
+            "c": base,
+            "fortran": np.asfortranarray(base[0]),
+            "strided": base[:, ::2, 1:],
+            "int": np.arange(5),
+            "big-endian": base[1].astype(">f8"),
+            "empty": np.zeros((0, 3)),
+        }
+        path = tmp_path / "c.bin"
+        write_container(path, "demo", {}, arrays)
+        expected = MAGIC + struct.pack("<IH", VERSION, 4) + b"demo" + struct.pack("<I", 2) + b"{}"
+        expected += struct.pack("<I", len(arrays))
+        for name, arr in arrays.items():
+            expected += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+            expected += b"".join(struct.pack("<Q", dim) for dim in arr.shape)
+            expected += b"".join(struct.pack("<d", float(v)) for v in arr.ravel())
+        assert path.read_bytes() == expected
+
+    def test_large_array_written_without_a_copy(self, tmp_path):
+        arr = np.ones((500, 500))  # 2 MB
+        tracemalloc.start()
+        try:
+            write_container(tmp_path / "c.bin", "demo", {}, {"a": arr})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes // 8
+        assert np.array_equal(read_container(tmp_path / "c.bin")[2]["a"], arr)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.bin"
